@@ -60,7 +60,6 @@ from .hives import (
     HiveType,
     StandardPair,
     TriangleFunction,
-    hive_corner_function,
     hive_to_pair,
     increments,
     is_discrete_concave,

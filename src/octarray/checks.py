@@ -8,6 +8,7 @@ the package's global identities, and returns a small report.  The CLI
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .arrays import (
     Array,
@@ -31,11 +32,10 @@ from .hives import (
     AntiStandardPair,
     StandardPair,
     TriangleFunction,
-    increments,
     is_discrete_concave,
     pair_to_hive,
 )
-from .lr import verify_associativity, verify_commutativity, lr_coefficient
+from .lr import _partitions, lr_coefficient, verify_associativity, verify_commutativity
 from .octahedron import (
     TETRA_FRAME,
     is_polarized_dc,
@@ -250,24 +250,18 @@ def check_theorem4(cases=100, seed=0, max_n=3, max_mass=3):
     return rep
 
 
-def _partitions2(maxtotal):
-    out = []
-    for a in range(maxtotal + 1):
-        for b in range(a + 1):
-            if a + b <= maxtotal:
-                out.append((a, b))
-    return out
+def _two_row_types(*sizes):
+    """Every tuple of two-row partitions of the given sizes."""
+    return product(*(_partitions(t, 2, t) for t in sizes))
 
 
 def check_commut_count(maxtotal=4):
     """Exhaustive two-row types: commutation is a bijection of pair sets and
     the coefficient is symmetric in the first two arguments."""
     rep = CheckReport("commut-count (exhaustive, two rows)", 0)
-    for nu in _partitions2(maxtotal):
-        for lam in _partitions2(sum(nu)):
-            for mu in _partitions2(sum(nu)):
-                if sum(lam) + sum(mu) != sum(nu):
-                    continue
+    for total in range(maxtotal + 1):
+        for a in range(total + 1):
+            for nu, lam, mu in _two_row_types(total, a, total - a):
                 rep.cases += 1
                 r = verify_commutativity(lam, mu, nu)
                 if not r.bijective:
@@ -282,13 +276,10 @@ def check_assoc_count(maxtotal=4):
     """Exhaustive two-row types: both parenthesisations produce couple sets
     of equal size, matched by the rearrangement."""
     rep = CheckReport("assoc-count (exhaustive, two rows)", 0)
-    for pi in _partitions2(maxtotal):
-        total = sum(pi)
-        for lam in _partitions2(total):
-            for mu in _partitions2(total):
-                for nu in _partitions2(total):
-                    if sum(lam) + sum(mu) + sum(nu) != total:
-                        continue
+    for total in range(maxtotal + 1):
+        for a in range(total + 1):
+            for b in range(total - a + 1):
+                for pi, lam, mu, nu in _two_row_types(total, a, b, total - a - b):
                     rep.cases += 1
                     r = verify_associativity(lam, mu, nu, pi, bound=total)
                     if not r.bijective:

@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .arrays import transpose
+from .arrays import row_sums, transpose
 from .bijections import (
     associate,
     associate_functional,
@@ -21,12 +21,11 @@ from .bijections import (
     render_skew,
     render_ssyt,
 )
-from .condense import condense_down, condense_left, condense_right, condense_up, shape
+from .condense import condense_down, condense_left, condense_right, condense_up
 from .errors import ValidationError
 from .hives import (
     AntiStandardPair,
     StandardPair,
-    TriangleFunction,
     hive_to_pair,
     increments,
     is_discrete_concave,
@@ -87,9 +86,11 @@ def cmd_condense(args):
         "right": condense_right,
         "up": condense_up,
     }[args.direction]
-    out = serialize.encode_array(fn(a))
+    c = fn(a)
+    out = serialize.encode_array(c)
     if args.direction == "down":
-        out["shape"] = [scalar_to_json(x) for x in shape(fn(a))]
+        # c is down-tight, so its row sums are the shape of a
+        out["shape"] = [scalar_to_json(x) for x in row_sums(c)]
     _emit(out)
 
 

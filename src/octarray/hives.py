@@ -4,10 +4,11 @@ A TriangleFunction lives on the points (u, v) with 0 <= u <= v <= n.  Its
 boundary increments are read along the left side (u = 0), the top side
 (v = n) and the diagonal (u = v).
 
-Rhombus inequalities are checked on any point set triangulated by the edge
-directions (1,0), (0,1) and (1,1): each pair of adjacent primitive triangles
-gives one inequality, "sum over the shared edge >= sum over the opposite
-vertices".  The three resulting patterns are
+Rhombus inequalities are checked by one engine, ``rhombi``, on any point
+set triangulated by edge directions da, db and da + db: each pair of
+adjacent primitive triangles gives one inequality, "sum over the shared edge
+>= sum over the opposite vertices".  On the plane, with directions (1,0),
+(0,1) and (1,1), the three resulting patterns are
 
     (i)   f(i,j)   + f(i+1,j+1) >= f(i+1,j) + f(i,j+1)
     (ii)  f(i,j+1) + f(i+1,j+1) >= f(i,j)   + f(i+1,j+2)
@@ -15,7 +16,8 @@ vertices".  The three resulting patterns are
 
 Type (i) alone is supermodularity; (i)+(ii) is concavity along vertical
 strips, (i)+(iii) along horizontal strips, and all three together is
-discrete concavity.
+discrete concavity.  octahedron.py runs the same engine inside the modular
+flats of a solid.
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,6 @@ from typing import NamedTuple
 
 from .arrays import (
     Array,
-    CornerFunction,
     concat,
     diag,
     integrate,
@@ -74,19 +75,53 @@ def triangle_from_points(n: int, pts) -> TriangleFunction:
     )
 
 
-# -- rhombus machinery --------------------------------------------------------
-
-_PATTERNS = {
-    "i": (((0, 0), (1, 1)), ((1, 0), (0, 1))),
-    "ii": (((0, 1), (1, 1)), ((0, 0), (1, 2))),
-    "iii": (((1, 0), (1, 1)), ((0, 0), (2, 1))),
-}
+# -- the rhombus rule ----------------------------------------------------------
 
 
-def _as_points(f):
-    if isinstance(f, dict):
-        return f
-    return f.points()
+def rhombi(pts: dict, da, db, kinds=("i", "ii", "iii")):
+    """Lazily yield (kind, p) for each violated rhombus inequality of pts, a
+    dict from lattice points (pairs or triples) to values, triangulated by
+    the edge directions da, db and dc = da + db.
+
+    Each kind is a rhombus at p spanned by two edges e1, e2; the sum over
+    the diagonal its two triangles share is on the left:
+
+        (i)   e1, e2 = da, db: f(p) + f(p+dc) >= f(p+da) + f(p+db)
+        (ii)  e1, e2 = db, dc: f(p+db) + f(p+dc) >= f(p) + f(p+db+dc)
+        (iii) e1, e2 = da, dc: f(p+da) + f(p+dc) >= f(p) + f(p+da+dc)
+
+    Rhombi with a corner outside pts are skipped.
+    """
+    dc = tuple(a + b for a, b in zip(da, db))
+    edges = {"i": (da, db), "ii": (db, dc), "iii": (da, dc)}
+    rules = []
+    for kind in kinds:
+        e1, e2 = edges[kind]
+        rules.append((kind, e1, e2, tuple(a + b for a, b in zip(e1, e2))))
+    if len(dc) == 2:
+        shift = lambda p, d: (p[0] + d[0], p[1] + d[1])
+    else:
+        shift = lambda p, d: (p[0] + d[0], p[1] + d[1], p[2] + d[2])
+    get = pts.get
+    for p, f0 in pts.items():
+        for kind, e1, e2, e3 in rules:
+            f1 = get(shift(p, e1))
+            if f1 is None:
+                continue
+            f2 = get(shift(p, e2))
+            if f2 is None:
+                continue
+            f3 = get(shift(p, e3))
+            if f3 is None:
+                continue
+            if (f0 + f3 < f1 + f2) if kind == "i" else (f1 + f2 < f0 + f3):
+                yield kind, p
+
+
+def _plane_rhombi(f, kinds):
+    """rhombi of a function on the plane, with edges (1,0), (0,1), (1,1)."""
+    pts = f if isinstance(f, dict) else f.points()
+    return rhombi(pts, (1, 0), (0, 1), kinds)
 
 
 def rhombus_violations(f, kinds=("i", "ii", "iii")):
@@ -95,35 +130,23 @@ def rhombus_violations(f, kinds=("i", "ii", "iii")):
     Returns a list of (kind, (i, j)) naming the base point of each violated
     rhombus.  f may be a CornerFunction, a TriangleFunction or a dict.
     """
-    pts = _as_points(f)
-    out = []
-    for (i, j) in pts:
-        for kind in kinds:
-            (hi1, hi2), (lo1, lo2) = _PATTERNS[kind]
-            corners = [
-                (i + d[0], j + d[1]) for d in (hi1, hi2, lo1, lo2)
-            ]
-            if all(c in pts for c in corners):
-                a, b, c, d = (pts[c] for c in corners)
-                if a + b < c + d:
-                    out.append((kind, (i, j)))
-    return out
+    return list(_plane_rhombi(f, kinds))
 
 
 def is_supermodular(f) -> bool:
-    return not rhombus_violations(f, kinds=("i",))
+    return not any(_plane_rhombi(f, ("i",)))
 
 
 def is_vs_concave(f) -> bool:
-    return not rhombus_violations(f, kinds=("i", "ii"))
+    return not any(_plane_rhombi(f, ("i", "ii")))
 
 
 def is_hs_concave(f) -> bool:
-    return not rhombus_violations(f, kinds=("i", "iii"))
+    return not any(_plane_rhombi(f, ("i", "iii")))
 
 
 def is_discrete_concave(f) -> bool:
-    return not rhombus_violations(f)
+    return not any(_plane_rhombi(f, ("i", "ii", "iii")))
 
 
 # -- boundary increments ------------------------------------------------------
@@ -229,44 +252,43 @@ def pair_to_hive(p: StandardPair) -> TriangleFunction:
     )
 
 
-def _hive_ext(h: TriangleFunction, u: int, v: int) -> Scalar:
-    """Extend below the diagonal: constant along rows there."""
-    return h.value(min(u, v), v)
+def extended_differences(t: TriangleFunction, n: int) -> list:
+    """Mixed differences of t after extending it below its diagonal, where
+    it is constant along rows: rows k = 1..t.n of columns j = 1..n.
+
+    This inverts the integral of an array with no mass in any box (j, k)
+    with j > k, such as a left-condensed array or the second component of
+    a standard pair.
+    """
+    vals = t.values
+
+    def ext(j, k):
+        return vals[k][min(j, k)]
+
+    return [
+        [ext(j, k) - ext(j - 1, k) - ext(j, k - 1) + ext(j - 1, k - 1)
+         for j in range(1, n + 1)]
+        for k in range(1, t.n + 1)
+    ]
 
 
 def hive_to_pair(h: TriangleFunction) -> StandardPair:
     """Inverse of pair_to_hive; raises if h is not a hive of a pair."""
-    n = h.n
     lam, _, _ = increments(h)
-    rows = []
-    for v in range(1, n + 1):
-        row = []
-        for u in range(1, n + 1):
-            x = (
-                _hive_ext(h, u, v)
-                - _hive_ext(h, u - 1, v)
-                - _hive_ext(h, u, v - 1)
-                + _hive_ext(h, u - 1, v - 1)
-            )
+    rows = extended_differences(h, h.n)
+    for v, row in enumerate(rows, 1):
+        for u, x in enumerate(row, 1):
             if x < 0:
                 raise ValidationError(
                     f"negative mixed difference {x} at ({u},{v}); not a pair hive"
                 )
-            row.append(x)
-        rows.append(row)
-    b = Array(rows)
-    return StandardPair(diag(lam), b)
-
-
-def hive_corner_function(h: TriangleFunction) -> CornerFunction:
-    """The 2n x n corner function whose right half restricts to h."""
-    p = hive_to_pair(h)
-    return integrate(p.concat())
+    return StandardPair(diag(lam), Array(rows))
 
 
 __all__ = [
     "TriangleFunction",
     "triangle_from_points",
+    "rhombi",
     "rhombus_violations",
     "is_supermodular",
     "is_vs_concave",
@@ -278,5 +300,5 @@ __all__ = [
     "AntiStandardPair",
     "pair_to_hive",
     "hive_to_pair",
-    "hive_corner_function",
+    "extended_differences",
 ]

@@ -6,7 +6,6 @@ always agree; the tableau count is an independent oracle used by the tests.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .arrays import Array, concat, diag, is_d_tight, is_l_tight
 from .errors import ValidationError
@@ -14,9 +13,8 @@ from .hives import (
     StandardPair,
     TriangleFunction,
     is_discrete_concave,
-    rhombus_violations,
 )
-from .scalars import check_partition, partial_sums, trim
+from .scalars import check_partition, partial_sums
 
 
 def _check_integer_partition(p, name):
@@ -139,18 +137,6 @@ def enumerate_standard_pairs(lam, mu, nu):
     return results
 
 
-@lru_cache(maxsize=None)
-def _lr_cached(lam, mu, nu):
-    hives = enumerate_hives(lam, mu, nu)
-    pairs = enumerate_standard_pairs(lam, mu, nu)
-    if len(hives) != len(pairs):
-        raise AssertionError(
-            f"hive count {len(hives)} != pair count {len(pairs)} "
-            f"for {(lam, mu, nu)}"
-        )
-    return len(hives)
-
-
 def _pad_common(*parts):
     """Validate partitions and pad them with zeros to a common length."""
     parts = [_check_integer_partition(p, f"argument {k}")
@@ -162,20 +148,23 @@ def _pad_common(*parts):
 def lr_coefficient(lam, mu, nu) -> int:
     """The number of integer hives of the given type, cross-checked against
     the number of integer standard pairs."""
-    return _lr_cached(*_pad_common(lam, mu, nu))
+    lam, mu, nu = _pad_common(lam, mu, nu)
+    hives = enumerate_hives(lam, mu, nu)
+    pairs = enumerate_standard_pairs(lam, mu, nu)
+    if len(hives) != len(pairs):
+        raise AssertionError(
+            f"hive count {len(hives)} != pair count {len(pairs)} "
+            f"for {(lam, mu, nu)}"
+        )
+    return len(hives)
 
 
 def lr_oracle(lam, mu, nu) -> int:
     """Independent count: skew semistandard fillings of nu minus lam with
     weight mu whose reading word is Yamanouchi.  Backtracking over boxes,
     no hives or arrays involved."""
-    lam = _check_integer_partition(lam, "lam")
-    mu = _check_integer_partition(mu, "mu")
-    nu = _check_integer_partition(nu, "nu")
-    n = max(len(lam), len(mu), len(nu), 1)
-    lam = tuple(lam) + (0,) * (n - len(lam))
-    mu = tuple(mu) + (0,) * (n - len(mu))
-    nu = tuple(nu) + (0,) * (n - len(nu))
+    lam, mu, nu = _pad_common(lam, mu, nu)
+    n = len(nu)
     if any(lam[j] > nu[j] for j in range(n)):
         return 0
     if sum(lam) + sum(mu) != sum(nu):

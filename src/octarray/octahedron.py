@@ -27,7 +27,6 @@ diagonal applies.
 """
 
 from dataclasses import dataclass
-from math import gcd
 
 from .arrays import (
     Array,
@@ -38,7 +37,7 @@ from .arrays import (
     mixed_derivative,
 )
 from .errors import ValidationError
-from .hives import TriangleFunction
+from .hives import TriangleFunction, extended_differences, rhombi
 from .scalars import Scalar, normalize
 
 
@@ -54,71 +53,43 @@ def or_step(f0: Scalar, fa: Scalar, fa2: Scalar, fb: Scalar, fb2: Scalar) -> Sca
 class OctahedronFrame:
     """A primitive octahedron up to translation: the main diagonal vector,
     the two side-diagonal vertex pairs (each pair summing to the main
-    vector), and the normals of the four modular flat families."""
+    vector), and the four modular flat families.
+
+    Each flat is given by edge directions (da, db): the flat is spanned by
+    them, and da, db and da + db are its intersections with the other three
+    flat families, which triangulate it.
+    """
 
     main: tuple
     pairs: tuple
-    flat_normals: tuple
+    flats: tuple
 
 
 PRISM_FRAME = OctahedronFrame(
     main=(1, 0, 1),
     pairs=((((1, 0, 0)), (0, 0, 1)), ((1, 1, 1), (0, -1, 0))),
-    flat_normals=((1, 0, 0), (0, 0, 1), (1, -1, 0), (0, -1, 1)),
+    flats=(
+        ((0, -1, 0), (0, 0, -1)),
+        ((0, 1, 0), (1, 0, 0)),
+        ((0, 0, 1), (-1, -1, -1)),
+        ((-1, 0, 0), (1, 1, 1)),
+    ),
 )
 
 TETRA_FRAME = OctahedronFrame(
     main=(-1, 1, 1),
     pairs=(((-1, 1, 0), (0, 0, 1)), ((-1, 0, 1), (0, 1, 0))),
-    flat_normals=((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)),
+    flats=(
+        ((0, 0, 1), (0, -1, 0)),
+        ((0, 0, -1), (1, 0, 0)),
+        ((0, 1, 0), (-1, 0, 0)),
+        ((0, 1, -1), (-1, 0, 1)),
+    ),
 )
 
 
 def _add(p, d):
     return (p[0] + d[0], p[1] + d[1], p[2] + d[2])
-
-
-def _cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _primitive(v):
-    g = gcd(gcd(abs(v[0]), abs(v[1])), abs(v[2]))
-    return tuple(x // g for x in v)
-
-
-def _flat_directions(frame: OctahedronFrame):
-    """For each modular flat family: directions (da, db, dc) lying in the
-    flat, cut out by the other three families, oriented so dc = da + db."""
-    out = []
-    for normal in frame.flat_normals:
-        dirs = [
-            _primitive(_cross(normal, other))
-            for other in frame.flat_normals
-            if other != normal
-        ]
-        oriented = None
-        for sa in (1, -1):
-            for sb in (1, -1):
-                for (ia, ib, ic) in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-                    da = tuple(sa * x for x in dirs[ia])
-                    db = tuple(sb * x for x in dirs[ib])
-                    dc = tuple(da[k] + db[k] for k in range(3))
-                    if dc == dirs[ic] or dc == tuple(-x for x in dirs[ic]):
-                        oriented = (da, db, dc)
-                        break
-                if oriented:
-                    break
-            if oriented:
-                break
-        if oriented is None:
-            raise AssertionError("flat directions do not close up")
-        out.append(oriented)
-    return out
 
 
 # -- solids -------------------------------------------------------------------
@@ -132,9 +103,6 @@ class Solid:
 
     def value(self, x: int, y: int, z: int) -> Scalar:
         return self.values[(x, y, z)]
-
-    def points(self) -> dict:
-        return self.values
 
 
 def is_polarized(f: Solid, frame: OctahedronFrame) -> bool:
@@ -160,30 +128,16 @@ def is_polarized(f: Solid, frame: OctahedronFrame) -> bool:
 def is_polarized_dc(f: Solid, frame: OctahedronFrame) -> bool:
     """Polarized, and rhombus-concave inside every modular flat.
 
-    Each modular flat is triangulated by its intersections with the other
-    three flat families; every pair of adjacent primitive triangles gives a
-    rhombus inequality (shared edge >= opposite vertices).
+    Each flat (da, db) of the frame is triangulated by da, db and da + db,
+    the directions of its intersections with the other three flat families;
+    the rhombus engine of hives.py checks every pair of adjacent primitive
+    triangles in it (shared edge >= opposite vertices).
     """
     if not is_polarized(f, frame):
         return False
-    pts = f.values
-    for (da, db, dc) in _flat_directions(frame):
-        for p in pts:
-            # diagonal dc drawn: shared edge (p, p+dc)
-            q = (_add(p, dc), _add(p, da), _add(p, db))
-            if all(c in pts for c in q):
-                if pts[p] + pts[q[0]] < pts[q[1]] + pts[q[2]]:
-                    return False
-            # rhombus spanned by (db, dc), drawn diagonal parallel to da
-            q = (_add(p, db), _add(p, dc), _add(_add(p, db), dc))
-            if all(c in pts for c in q):
-                if pts[q[0]] + pts[q[1]] < pts[p] + pts[q[2]]:
-                    return False
-            # rhombus spanned by (da, dc), drawn diagonal parallel to db
-            q = (_add(p, da), _add(p, dc), _add(_add(p, da), dc))
-            if all(c in pts for c in q):
-                if pts[q[0]] + pts[q[1]] < pts[p] + pts[q[2]]:
-                    return False
+    for da, db in frame.flats:
+        if any(rhombi(f.values, da, db)):
+            return False
     return True
 
 
@@ -264,27 +218,6 @@ def prism_wall(F: PrismFunction) -> TriangleFunction:
     )
 
 
-def _array_from_wall(w: TriangleFunction, n: int) -> Array:
-    """Recover the left-condensed array from its wall integral.
-
-    Below the diagonal the integral is constant along rows (a left-condensed
-    array has no mass in box (i, j) with j < i), which extends the triangle
-    to the full rectangle.
-    """
-    m = w.n
-
-    def ext(j, k):
-        return w.value(min(j, k), k)
-
-    rows = []
-    for k in range(1, m + 1):
-        row = []
-        for i in range(1, n + 1):
-            row.append(ext(i, k) - ext(i - 1, k) - ext(i, k - 1) + ext(i - 1, k - 1))
-        rows.append(row)
-    return Array(rows)
-
-
 def rsk(a: Array):
     """Both condensations of a in one propagation: returns (down, left).
 
@@ -293,7 +226,7 @@ def rsk(a: Array):
     """
     F = prism_propagate(a)
     d = mixed_derivative(prism_top(F))
-    l = _array_from_wall(prism_wall(F), a.n)
+    l = Array(extended_differences(prism_wall(F), a.n))
     return d, l
 
 

@@ -76,10 +76,6 @@ def partial_sums(seq) -> tuple:
     return tuple(out)
 
 
-def reverse(seq) -> tuple:
-    return tuple(seq)[::-1]
-
-
 def trim(p) -> Partition:
     """Drop trailing zeros, for comparing shapes of different widths."""
     seq = list(p)

@@ -63,6 +63,11 @@ def test_rhombus_violation_reporting():
     pts = {(0, 0): 0, (0, 1): 0, (1, 1): 1, (0, 2): 0, (1, 2): 0, (2, 2): 0}
     v = rhombus_violations(pts, kinds=("i",))
     assert v  # f(0,1)+f(1,2) < f(1,1)+f(0,2)
+    zero = {(u, v): 0 for v in range(3) for u in range(v + 1)}
+    # f(0,0)+f(1,2) > f(0,1)+f(1,1): only the rhombus along the vertical strip
+    assert rhombus_violations({**zero, (1, 2): 1}) == [("ii", (0, 0))]
+    # f(0,1)+f(2,2) > f(1,1)+f(1,2): only the rhombus along the horizontal strip
+    assert rhombus_violations({**zero, (2, 2): 1}) == [("iii", (0, 1))]
 
 
 def test_standard_pair_validation(f3_pair):

@@ -184,3 +184,34 @@ def test_is_polarized_dc_fails_on_non_concave_input():
     F = prism_propagate(a)
     assert is_polarized(F, PRISM_FRAME)
     assert not is_polarized_dc(F, PRISM_FRAME)
+
+
+def test_tetra_is_polarized_dc_fails_on_non_concave_ground():
+    T = tetra_propagate(lambda x, y: (x * y) % 3, lambda x, z: 0, 3)
+    assert is_polarized(T, TETRA_FRAME)
+    assert not is_polarized_dc(T, TETRA_FRAME)
+
+
+@pytest.mark.parametrize("frame", [PRISM_FRAME, TETRA_FRAME], ids=["prism", "tetra"])
+def test_flats_are_triangulated_by_the_other_flat_families(frame):
+    """Each flat (da, db) has normal da x db; its edge directions da, db and
+    da + db are its intersections with the other three flats, so each one
+    is orthogonal to exactly two of the four normals."""
+
+    def cross(a, b):
+        return (a[1] * b[2] - a[2] * b[1],
+                a[2] * b[0] - a[0] * b[2],
+                a[0] * b[1] - a[1] * b[0])
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    assert len(frame.flats) == 4
+    normals = [cross(da, db) for da, db in frame.flats]
+    for i, u in enumerate(normals):
+        for v in normals[i + 1:]:
+            assert cross(u, v) != (0, 0, 0)
+    for da, db in frame.flats:
+        dc = tuple(a + b for a, b in zip(da, db))
+        for d in (da, db, dc):
+            assert sum(dot(d, nrm) == 0 for nrm in normals) == 2
