@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .arrays import row_sums, transpose
+from .arrays import Array, row_sums, transpose
 from .bijections import (
     associate,
     associate_functional,
@@ -51,7 +51,7 @@ def _read_json(args):
             with open(args.input) as fh:
                 return json.load(fh)
         return json.load(sys.stdin)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, or an int over the digit limit
         raise MalformedInput(str(exc))
 
 
@@ -196,11 +196,11 @@ def cmd_tableau(args):
         text = render_skew(pair_to_lr_tableau(decoded))
     elif isinstance(decoded, AntiStandardPair):
         raise ValidationError("tableau rendering expects a standard pair")
-    else:
-        a = decoded
-        if args.wall:
-            a = transpose(a)
+    elif isinstance(decoded, Array):
+        a = transpose(decoded) if args.wall else decoded
         text = render_ssyt(dtight_to_ssyt(a))
+    else:
+        raise ValidationError("tableau rendering expects an array or a standard pair")
     sys.stdout.write(text + "\n")
 
 

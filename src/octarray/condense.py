@@ -12,7 +12,7 @@ and v' absorbs whatever is left in each column.
 
 from .arrays import Array, central_reverse, is_d_tight, row_sums, transpose
 from .errors import ValidationError
-from .scalars import partial_sums
+from .scalars import partial_sums, scale_rows, unscale_rows
 
 
 def condense_pair(u, v):
@@ -50,11 +50,32 @@ def condense_pair(u, v):
 def condense_down(a: Array, rng=None) -> Array:
     """Move mass downwards until the array is tight (the unique fixpoint).
 
-    The default schedule sweeps adjacent row pairs from the top pair down and
-    repeats; at most m sweeps are needed.  If ``rng`` is given, violating
-    pairs are instead condensed in random order until none remain -- the
-    fixpoint is the same, which the test-suite exercises.
+    The default schedule is one insertion pass: rational masses are scaled
+    to integers once, then each row k = 1..m-1 is pushed down through the
+    pairs (k-1, k), (k-2, k-1), ..., (0, 1) on top of the tight rows below
+    it, stopping as soon as a pair is left unchanged.  That is at most
+    m(m-1)/2 calls to condense_pair; the result is checked to be tight and
+    divided back.  If ``rng`` is given, violating pairs are instead condensed
+    in random order until none remain -- the fixpoint is the same, which the
+    test-suite exercises.
     """
+    if rng is not None:
+        return _condense_down_random(a, rng)
+    D, rows = scale_rows(a.rows)
+    pair = condense_pair
+    for k in range(1, len(rows)):
+        for j in range(k - 1, -1, -1):
+            u, v = pair(rows[j], rows[j + 1])
+            if u == rows[j]:
+                break
+            rows[j], rows[j + 1] = u, v
+    tight = Array(rows)
+    if not is_d_tight(tight):
+        raise AssertionError("insertion schedule did not reach a tight array")
+    return tight if D == 1 else Array(unscale_rows(rows, D))
+
+
+def _condense_down_random(a: Array, rng) -> Array:
     rows = [list(r) for r in a.rows]
     m = len(rows)
 
@@ -65,16 +86,6 @@ def condense_down(a: Array, rng=None) -> Array:
         u, v = condense_pair(rows[j], rows[j + 1])
         rows[j] = list(u)
         rows[j + 1] = list(v)
-
-    if rng is None:
-        for _ in range(max(m, 1)):
-            for j in range(m - 2, -1, -1):
-                do_pair(j)
-            if is_d_tight(Array(rows)):
-                return Array(rows)
-        if not is_d_tight(Array(rows)):
-            raise AssertionError("condensation did not converge within m sweeps")
-        return Array(rows)
 
     guard = 0
     while True:

@@ -38,7 +38,7 @@ from .arrays import (
 )
 from .errors import ValidationError
 from .hives import TriangleFunction, extended_differences, rhombi
-from .scalars import Scalar, normalize
+from .scalars import Scalar, normalize, scale_rows, unscale_rows
 
 
 def or_step(f0: Scalar, fa: Scalar, fa2: Scalar, fb: Scalar, fb2: Scalar) -> Scalar:
@@ -150,13 +150,34 @@ class PrismFunction(Solid):
     m: int = 0
 
 
-def _prism_points(n, m):
-    return [
-        (x, y, z)
-        for z in range(m + 1)
-        for y in range(z + 1)
-        for x in range(n + 1)
-    ]
+def _prism_layers(n: int, m: int, slope, front, shadow) -> list:
+    """The prism recurrence, filled layer by layer: L[z][y][x] = F(x, y, z).
+
+    slope(x, y), front(x, z) and shadow(y, z) give the faces y = z, y = 0
+    and x = 0.  Shadow overwrites front on their shared edge; slope must
+    agree with both, checked in order of (y, x).
+    """
+    L = [[[None] * (n + 1) for _ in range(z + 1)] for z in range(m + 1)]
+    for z in range(m + 1):
+        L[z][0] = [normalize(front(x, z)) for x in range(n + 1)]
+    for z in range(m + 1):
+        for y in range(z + 1):
+            L[z][y][0] = normalize(shadow(y, z))
+    for y in range(m + 1):
+        row = L[y][y]
+        for x in range(n + 1):
+            v = normalize(slope(x, y))
+            if (x == 0 or y == 0) and row[x] != v:
+                raise ValidationError(f"face data disagree at {(x, y, y)}")
+            row[x] = v
+    step = or_step
+    for z in range(1, m + 1):
+        below, here = L[z - 1], L[z]
+        for y in range(z - 1, 0, -1):
+            b, b_low, h, h_up = below[y], below[y - 1], here[y], here[y + 1]
+            for x in range(1, n + 1):
+                h[x] = step(b[x - 1], h[x - 1], b[x], h_up[x], b_low[x - 1])
+    return L
 
 
 def propagate_prism_faces(n: int, m: int, slope, front, shadow) -> PrismFunction:
@@ -165,31 +186,18 @@ def propagate_prism_faces(n: int, m: int, slope, front, shadow) -> PrismFunction
     slope(x, y) gives F on the face y = z, front(x, z) gives F on y = 0 and
     shadow(y, z) gives F on x = 0; the three must agree on shared edges.
     """
-    F = {}
-    for z in range(m + 1):
-        for x in range(n + 1):
-            F[(x, 0, z)] = normalize(front(x, z))
-    for z in range(m + 1):
-        for y in range(z + 1):
-            F[(0, y, z)] = normalize(shadow(y, z))
-    for y in range(m + 1):
-        for x in range(n + 1):
-            v = normalize(slope(x, y))
-            key = (x, y, y)
-            if key in F and F[key] != v:
-                raise ValidationError(f"face data disagree at {key}")
-            F[key] = v
-    for z in range(1, m + 1):
-        for y in range(z - 1, 0, -1):
-            for x in range(1, n + 1):
-                F[(x, y, z)] = or_step(
-                    F[(x - 1, y, z - 1)],
-                    F[(x - 1, y, z)],
-                    F[(x, y, z - 1)],
-                    F[(x, y + 1, z)],
-                    F[(x - 1, y - 1, z - 1)],
-                )
+    L = _prism_layers(n, m, slope, front, shadow)
+    F = {
+        (x, y, z): v
+        for z, layer in enumerate(L)
+        for y, row in enumerate(layer)
+        for x, v in enumerate(row)
+    }
     return PrismFunction(values=F, n=n, m=m)
+
+
+def _zero(i, j):
+    return 0
 
 
 def prism_propagate(a: Array) -> PrismFunction:
@@ -199,8 +207,8 @@ def prism_propagate(a: Array) -> PrismFunction:
         a.n,
         a.m,
         slope=f.value,
-        front=lambda x, z: 0,
-        shadow=lambda y, z: 0,
+        front=_zero,
+        shadow=_zero,
     )
 
 
@@ -222,11 +230,17 @@ def rsk(a: Array):
     """Both condensations of a in one propagation: returns (down, left).
 
     The ceiling of the prism integrates the down-condensation and the wall
-    integrates the left-condensation.
+    integrates the left-condensation.  Rational masses are scaled to
+    integers once, propagated in ints, and ceiling and wall are divided back
+    before their differences are taken.
     """
-    F = prism_propagate(a)
-    d = mixed_derivative(prism_top(F))
-    l = Array(extended_differences(prism_wall(F), a.n))
+    n, m = a.n, a.m
+    D, rows = scale_rows(a.rows)
+    f = integrate(Array(rows)).values
+    L = _prism_layers(n, m, lambda x, y: f[y][x], _zero, _zero)
+    d = mixed_derivative(CornerFunction(unscale_rows(L[m], D)))
+    wall = TriangleFunction([[L[z][y][n] for y in range(z + 1)] for z in range(m + 1)])
+    l = Array(unscale_rows(extended_differences(wall, n), D))
     return d, l
 
 
@@ -235,9 +249,10 @@ def rsk_inverse(d: Array, l: Array) -> Array:
 
     d must be tight downwards, l tight leftwards, with equal shapes and the
     matching corner integrals on the shared edge.  Propagation runs backwards
-    along (-1, 0, -1) from the ceiling and the wall; the recovered shadow
-    face x = 0 must vanish, and the slope face must integrate a non-negative
-    array -- both are checked.
+    along (-1, 0, -1) from the ceiling and the wall, layer by layer, on
+    masses scaled to integers; the recovered shadow face x = 0 must vanish,
+    and the slope face, divided back, must integrate a non-negative array --
+    both are checked.
     """
     if d.n != l.n or d.m != l.m:
         raise ValidationError("condensation sizes differ")
@@ -246,50 +261,42 @@ def rsk_inverse(d: Array, l: Array) -> Array:
     if not is_l_tight(l):
         raise ValidationError("second argument is not tight leftwards")
     n, m = d.n, d.m
-    fd = integrate(d)
-    fl = integrate(l)
+    D, rows = scale_rows(d.rows + l.rows)
+    fd = integrate(Array(rows[:m])).values
+    fl = integrate(Array(rows[m:])).values
     # shared edge of ceiling and wall: mass in rows <= j of d must equal
     # mass in columns <= j of l for every j
     for j in range(m + 1):
-        if fd.value(n, j) != fl.value(min(j, n), m):
+        if fd[j][n] != fl[m][min(j, n)]:
             raise ValidationError("condensations disagree on the shared edge")
 
-    F = {}
-    for y in range(m + 1):
-        for x in range(n + 1):
-            F[(x, y, m)] = fd.value(x, y)
+    # L[z][y][x] = F(x, y, z): the ceiling z = m, the wall x = n (which must
+    # agree with the ceiling) and the zero front y = 0, then each layer z - 1
+    # from layer z
+    L = [[[None] * (n + 1) for _ in range(z + 1)] for z in range(m + 1)]
+    L[m] = [list(row) for row in fd]
     for k in range(m + 1):
         for j in range(k + 1):
-            key = (n, j, k)
-            v = fl.value(min(j, n), k)
-            if key in F and F[key] != v:
+            v = fl[k][min(j, n)]
+            if k == m and L[m][j][n] != v:
                 raise ValidationError("ceiling and wall data disagree")
-            F[key] = v
-    for z in range(m + 1):
-        for x in range(n + 1):
-            F[(x, 0, z)] = 0
+            L[k][j][n] = v
+    for layer in L:
+        layer[0] = [0] * (n + 1)
+    step = or_step
     for z in range(m, 0, -1):
-        for x in range(n, 0, -1):
-            for y in range(1, z):
-                if (x - 1, y, z - 1) not in F:
-                    F[(x - 1, y, z - 1)] = or_step(
-                        F[(x, y, z)],
-                        F[(x - 1, y, z)],
-                        F[(x, y, z - 1)],
-                        F[(x, y + 1, z)],
-                        F[(x - 1, y - 1, z - 1)],
-                    )
-    for z in range(m + 1):
-        for y in range(z + 1):
-            if F[(0, y, z)] != 0:
-                raise ValidationError(
-                    "recovered shadow face is non-zero; the condensations are "
-                    "not a matching pair"
-                )
-    slope = CornerFunction(
-        [[F[(x, y, y)] for x in range(n + 1)] for y in range(m + 1)]
-    )
-    return mixed_derivative(slope)
+        here, below = L[z], L[z - 1]
+        for y in range(1, z):
+            h, h_up, b, b_low = here[y], here[y + 1], below[y], below[y - 1]
+            for x in range(n, 0, -1):
+                b[x - 1] = step(h[x], h[x - 1], b[x], h_up[x], b_low[x - 1])
+    if any(row[0] != 0 for layer in L for row in layer):
+        raise ValidationError(
+            "recovered shadow face is non-zero; the condensations are "
+            "not a matching pair"
+        )
+    slope = [L[y][y] for y in range(m + 1)]
+    return mixed_derivative(CornerFunction(unscale_rows(slope, D)))
 
 
 # -- the tetrahedron ----------------------------------------------------------

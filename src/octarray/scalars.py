@@ -6,6 +6,7 @@ stay readable and fast.
 """
 
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 from .errors import ValidationError
@@ -43,6 +44,25 @@ def parse_scalar(x) -> Scalar:
 def scalar_to_json(x: Scalar):
     x = normalize(x)
     return x if isinstance(x, int) else f"{x.numerator}/{x.denominator}"
+
+
+def scale_rows(rows):
+    """Scale rows of exact scalars to integers: (D, scaled rows).
+
+    D is the lcm of the denominators (1 on integer input) and each scaled
+    row is a tuple of ints, D times the original.  The piecewise-linear maps
+    of condensation and propagation commute with this scaling, so they can
+    run in ints and divide back once with unscale_rows.
+    """
+    D = lcm(*(x.denominator for row in rows for x in row))
+    return D, [tuple(x.numerator * (D // x.denominator) for x in row) for row in rows]
+
+
+def unscale_rows(rows, D: int):
+    """Divide rows scaled by scale_rows back by D."""
+    if D == 1:
+        return rows
+    return [[Fraction(v, D) for v in row] for row in rows]
 
 
 def is_integral(x: Scalar) -> bool:

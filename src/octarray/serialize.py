@@ -37,8 +37,14 @@ def encode_pair(p) -> dict:
     }
 
 
+def _object(obj) -> dict:
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def _scalar_rows(obj):
-    rows = obj.get("rows")
+    rows = _object(obj).get("rows")
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise KeyError("rows")
     return [[parse_scalar(x) for x in row] for row in rows]
@@ -59,7 +65,7 @@ def decode_triangle(obj: dict) -> TriangleFunction:
 
 def decode_pair(obj: dict):
     cls = {"standard": StandardPair, "antistandard": AntiStandardPair}.get(
-        obj.get("kind")
+        _object(obj).get("kind")
     )
     if cls is None:
         raise KeyError("kind")

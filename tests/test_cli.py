@@ -107,6 +107,38 @@ def test_malformed_input_exit_2(cli):
     assert json.loads(err)["error"] == "malformed input"
 
 
+@pytest.mark.parametrize("argv, payload", [
+    (["condense", "down"], [1]),
+    (["rsk"], [1]),
+    (["rsk", "--inverse"], {"d": [1], "l": [2]}),
+    (["hive", "--from-pair"], {"type": "pair", "kind": "standard", "a": [1], "b": [2]}),
+])
+def test_non_object_input_exit_2(cli, argv, payload):
+    code, out, err = cli(argv, payload)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "malformed input"
+
+
+def test_integer_literal_over_the_digit_limit_exit_2(capsys, monkeypatch):
+    import io
+
+    text = '{"type": "array", "rows": [[%s]]}' % ("7" * 5000)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert main(["condense", "down"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == "malformed input"
+
+
+def test_tableau_of_a_triangle_exit_1(cli):
+    for argv in (["tableau"], ["tableau", "--wall"]):
+        code, out, err = cli(argv, {"type": "triangle", "rows": [[0], [0, 0]]})
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "validation"
+
+
 def test_validation_error_exit_1(cli):
     code, out, err = cli(["condense", "down"],
                          {"type": "array", "rows": [[1, -2]]})

@@ -19,7 +19,36 @@ from octarray import (
     shape,
     transpose,
 )
+from octarray import condense as condense_module
 from octarray import serialize
+
+
+def random_rational_array(rng, n, m, sparse=False, max_denom=12):
+    """Masses k/q with q <= max_denom; sparse arrays are about 60% zeros."""
+    return Array([
+        [0 if sparse and rng.random() < 0.6
+         else Fraction(rng.randint(0, 9), rng.randint(1, max_denom))
+         for _ in range(n)]
+        for _ in range(m)
+    ])
+
+
+def scaled(a, c):
+    return Array([[c * x for x in row] for row in a.rows])
+
+
+def sweep_until_still(a):
+    """Reference schedule: sweep every adjacent pair until nothing moves."""
+    rows = [tuple(r) for r in a.rows]
+    moved = True
+    while moved:
+        moved = False
+        for j in range(len(rows) - 1):
+            u, v = condense_pair(rows[j], rows[j + 1])
+            if (u, v) != (rows[j], rows[j + 1]):
+                rows[j], rows[j + 1] = u, v
+                moved = True
+    return Array(rows)
 
 
 def test_condense_pair_worked_step():
@@ -92,3 +121,37 @@ def test_schutzenberger_is_an_involution_on_d_tight(f1_array, f2_array):
         s = schutzenberger(a)
         assert is_d_tight(s)
         assert schutzenberger(s) == a
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_condense_down_equals_sweeping_reference_on_rationals(sparse):
+    rng = random.Random(101 + sparse)
+    for _ in range(60):
+        a = random_rational_array(rng, rng.randint(1, 8), rng.randint(1, 8), sparse)
+        assert condense_down(a) == sweep_until_still(a)
+
+
+def test_condense_down_is_positively_homogeneous():
+    rng = random.Random(103)
+    for _ in range(40):
+        a = random_rational_array(rng, rng.randint(1, 6), rng.randint(1, 6),
+                                  rng.random() < 0.5)
+        for c in (2, 7, 12, Fraction(5, 3)):
+            assert condense_down(scaled(a, c)) == scaled(condense_down(a), c)
+
+
+def test_condense_down_makes_at_most_m_choose_2_pair_calls(monkeypatch):
+    calls = []
+    real = condense_module.condense_pair
+
+    def counting(u, v):
+        calls.append(1)
+        return real(u, v)
+
+    monkeypatch.setattr(condense_module, "condense_pair", counting)
+    rng = random.Random(104)
+    for m in range(1, 13):
+        for sparse in (False, True):
+            calls.clear()
+            condense_down(random_rational_array(rng, 6, m, sparse))
+            assert m - 1 <= len(calls) <= m * (m - 1) // 2

@@ -126,6 +126,59 @@ def test_prism_propagation_with_fractions():
     assert F.value(2, 2, 2) == a.total()
 
 
+def test_propagate_faces_names_the_disagreement():
+    # shadow overwrites front on x = 0 without a check; slope must match it
+    with pytest.raises(ValidationError, match=r"disagree at \(0, 2, 2\)"):
+        propagate_prism_faces(
+            2, 3, lambda x, y: int((x, y) == (0, 2)), lambda x, z: 0,
+            lambda y, z: 0,
+        )
+    G = propagate_prism_faces(2, 2, lambda x, y: 0, lambda x, z: 7 * (x == 0),
+                              lambda y, z: 0)
+    assert G.value(0, 0, 2) == 0
+
+
+def test_rsk_on_rationals_round_trips_and_gives_the_condensations():
+    rng = random.Random(211)
+    for _ in range(40):
+        a = random_array(rng, rng.randint(1, 6), rng.randint(1, 6), 9, 12)
+        d, l = rsk(a)
+        assert d == condense_down(a)
+        assert l == condense_left(a)
+        assert rsk_inverse(d, l) == a
+
+
+def test_rsk_is_positively_homogeneous():
+    rng = random.Random(212)
+    for _ in range(30):
+        a = random_array(rng, rng.randint(1, 5), rng.randint(1, 5), 9, 12)
+        d, l = rsk(a)
+        for c in (3, 12, Fraction(4, 7)):
+            ca = Array([[c * x for x in row] for row in a.rows])
+            assert rsk(ca) == tuple(
+                Array([[c * x for x in row] for row in b.rows]) for b in (d, l)
+            )
+
+
+def test_rsk_and_inverse_take_one_or_step_per_interior_point(monkeypatch):
+    from octarray import octahedron
+
+    calls = []
+    real = octahedron.or_step
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(octahedron, "or_step", counting)
+    a = random_array(random.Random(213), 4, 5, 9, 12)
+    d, l = rsk(a)
+    assert len(calls) == 4 * (5 * 4 // 2)
+    calls.clear()
+    assert rsk_inverse(d, l) == a
+    assert len(calls) == 4 * (5 * 4 // 2)
+
+
 def test_tetra_propagation_matches_ground_and_frontwall():
     rng = random.Random(5)
     n = 3
