@@ -67,21 +67,41 @@ class SSYT:
                 above = rows[r + 1]
                 if any(above[i] <= row[i] for i in range(len(above))):
                     raise ValidationError("columns must increase strictly upwards")
+        # rows increase rightwards and columns upwards: rows[0][0] is least
+        if rows and rows[0] and rows[0][0] < 1:
+            raise ValidationError(f"letter {rows[0][0]} out of range")
         object.__setattr__(self, "rows", rows)
+
+
+def _letters(rows, message) -> list:
+    """Letter rows of multiplicity rows: row j holds the letter i with
+    multiplicity a(i, j).  Raises ValidationError(message) on a row that
+    is not integral."""
+    out = []
+    for row in rows:
+        if any(not is_integral(x) for x in row):
+            raise ValidationError(message)
+        out.append([i for i, mult in enumerate(row, 1) for _ in range(int(mult))])
+    return out
+
+
+def _multiplicities(letter_rows, n, m) -> list:
+    """The inverse of _letters: m rows of n multiplicities, rows past the
+    last letter row empty."""
+    out = [[0] * n for _ in range(m)]
+    for row, letters in zip(out, letter_rows):
+        for x in letters:
+            if x > n:
+                raise ValidationError(f"letter {x} exceeds alphabet size {n}")
+            row[x - 1] += 1
+    return out
 
 
 def dtight_to_ssyt(a: Array) -> SSYT:
     """The tableau whose row j holds the letter i with multiplicity a(i, j)."""
     if not is_d_tight(a):
         raise ValidationError("array is not tight downwards")
-    rows = []
-    for row in a.rows:
-        if any(not is_integral(x) for x in row):
-            raise ValidationError("tableau multiplicities must be integers")
-        letters = []
-        for i, mult in enumerate(row, start=1):
-            letters.extend([i] * int(mult))
-        rows.append(letters)
+    rows = _letters(a.rows, "tableau multiplicities must be integers")
     while rows and not rows[-1]:
         rows.pop()
     return SSYT(rows)
@@ -95,15 +115,7 @@ def ssyt_to_dtight(t: SSYT, n: int = None, m: int = None) -> Array:
         m = max(len(rows), 1)
     if len(rows) > m:
         raise ValidationError("tableau has more rows than requested")
-    out = []
-    for j in range(m):
-        row = [0] * n
-        for x in rows[j] if j < len(rows) else ():
-            if x > n:
-                raise ValidationError(f"letter {x} exceeds alphabet size {n}")
-            row[x - 1] += 1
-        out.append(row)
-    a = Array(out)
+    a = Array(_multiplicities(rows, n, m))
     if not is_d_tight(a):
         raise ValidationError("tableau does not encode a tight array")
     return a
@@ -202,29 +214,13 @@ def pair_to_lr_tableau(p: StandardPair) -> LRSkewTableau:
     fashion) and keep the second block's letters, shifted down by n."""
     lam = shape(p.a)
     outer = row_sums(p.concat())
-    rows = []
-    for row in p.b.rows:
-        if any(not is_integral(x) for x in row):
-            raise ValidationError("pair is not integral")
-        letters = []
-        for i, mult in enumerate(row, start=1):
-            letters.extend([i] * int(mult))
-        rows.append(letters)
-    return LRSkewTableau(outer, lam, rows)
+    return LRSkewTableau(outer, lam, _letters(p.b.rows, "pair is not integral"))
 
 
 def lr_tableau_to_pair(t: LRSkewTableau) -> StandardPair:
     n = len(t.outer)
-    rows = []
-    for j in range(n):
-        row = [0] * n
-        for x in t.rows[j] if j < len(t.rows) else ():
-            if x > n:
-                raise ValidationError(f"letter {x} exceeds alphabet size {n}")
-            row[x - 1] += 1
-        rows.append(row)
     lam = t.inner + (0,) * (n - len(t.inner))
-    return StandardPair(diag(lam), Array(rows))
+    return StandardPair(diag(lam), Array(_multiplicities(t.rows, n, n)))
 
 
 # -- changing tightness of the first component ---------------------------------

@@ -25,6 +25,7 @@ from .bijections import (
     com_prime,
     commute,
     rho2_prime,
+    to_antistandard,
 )
 from .condense import condense_down, condense_left, condense_pair
 from .scalars import trim
@@ -90,8 +91,6 @@ def random_standard_pair(rng, n, max_mass=3) -> StandardPair:
 
 
 def random_antistandard_pair(rng, n, max_mass=3) -> AntiStandardPair:
-    from .bijections import to_antistandard
-
     return to_antistandard(random_standard_pair(rng, n, max_mass))
 
 

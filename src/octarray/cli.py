@@ -6,6 +6,8 @@ operation), 2 malformed input (bad JSON, missing fields, bad arguments).
 """
 
 import argparse
+import functools
+import inspect
 import json
 import sys
 
@@ -14,6 +16,7 @@ from .bijections import (
     associate,
     associate_functional,
     associate_inverse,
+    com_prime,
     commute,
     commute_sp,
     dtight_to_ssyt,
@@ -149,8 +152,6 @@ def cmd_hive(args):
 def cmd_commute(args):
     obj = _read_json(args)
     if args.functional:
-        from .bijections import com_prime
-
         _emit(serialize.encode_triangle(com_prime(
             _decode(obj, serialize.decode_triangle))))
         return
@@ -205,27 +206,24 @@ def cmd_tableau(args):
 
 
 def cmd_verify(args):
-    kwargs = {}
     suite = checks.SUITES[args.suite]
-    if args.suite in ("assoc-count", "commut-count"):
-        if args.max_mass is not None:
-            kwargs["maxtotal"] = args.max_mass
-    else:
-        kwargs["seed"] = args.seed
-        if args.cases is not None:
-            kwargs["cases"] = args.cases
-        if args.n is not None and args.suite != "thm3":
-            kwargs["max_n"] = args.n
-        if args.n is not None and args.suite == "thm3":
-            kwargs["n"] = args.n
-        if args.max_mass is not None:
-            kwargs["max_mass"] = args.max_mass
-    report = suite(**kwargs)
+    # each suite takes the keywords it declares; other flags are ignored
+    flags = {
+        "seed": args.seed,
+        "cases": args.cases,
+        "n": args.n,
+        "max_n": args.n,
+        "max_mass": args.max_mass,
+        "maxtotal": args.max_mass,
+    }
+    takes = inspect.signature(suite).parameters
+    report = suite(**{k: v for k, v in flags.items() if v is not None and k in takes})
     print(report.summary())
     if not report.passed:
         sys.exit(1)
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="octarray",

@@ -171,20 +171,26 @@ def increments(h: TriangleFunction) -> HiveType:
 
 
 @dataclass(frozen=True)
-class StandardPair:
-    """A pair of square arrays, both condensed left, whose concatenation is
-    tight downwards.  The first component is then forced to be diagonal."""
+class _Pair:
+    """A pair of equal-sized square arrays: the first condensed to ``side``,
+    the second condensed left, their concatenation tight downwards.  The
+    subclasses differ only in ``side``; ``kind`` names them in JSON."""
 
     a: Array
     b: Array
 
     def __post_init__(self):
-        _check_pair_sizes(self.a, self.b)
-        if not is_l_tight(self.a):
-            raise ValidationError("first component is not condensed left")
-        if not is_l_tight(self.b):
+        a, b = self.a, self.b
+        if a.n != a.m or b.n != b.m or a.n != b.n:
+            raise ValidationError(
+                f"pair components must be square and equal-sized, "
+                f"got {a.n}x{a.m} and {b.n}x{b.m}"
+            )
+        if not (is_l_tight if self.side == "left" else is_r_tight)(a):
+            raise ValidationError(f"first component is not condensed {self.side}")
+        if not is_l_tight(b):
             raise ValidationError("second component is not condensed left")
-        if not is_d_tight(concat(self.a, self.b)):
+        if not is_d_tight(concat(a, b)):
             raise ValidationError("concatenation is not tight downwards")
 
     @property
@@ -195,49 +201,20 @@ class StandardPair:
         return concat(self.a, self.b)
 
     def type(self) -> HiveType:
-        lam = shape(self.a)
-        mu = shape(self.b)
-        nu = shape(self.concat())
-        return HiveType(lam, mu, nu)
+        return HiveType(shape(self.a), shape(self.b), shape(self.concat()))
 
 
-@dataclass(frozen=True)
-class AntiStandardPair:
-    """First component condensed right, second condensed left, concatenation
-    tight downwards."""
+class StandardPair(_Pair):
+    """Both components condensed left.  The first component is then forced
+    to be diagonal."""
 
-    a: Array
-    b: Array
-
-    def __post_init__(self):
-        _check_pair_sizes(self.a, self.b)
-        if not is_r_tight(self.a):
-            raise ValidationError("first component is not condensed right")
-        if not is_l_tight(self.b):
-            raise ValidationError("second component is not condensed left")
-        if not is_d_tight(concat(self.a, self.b)):
-            raise ValidationError("concatenation is not tight downwards")
-
-    @property
-    def n(self) -> int:
-        return self.a.n
-
-    def concat(self) -> Array:
-        return concat(self.a, self.b)
-
-    def type(self) -> HiveType:
-        lam = shape(self.a)
-        mu = shape(self.b)
-        nu = shape(self.concat())
-        return HiveType(lam, mu, nu)
+    kind, side = "standard", "left"
 
 
-def _check_pair_sizes(a: Array, b: Array):
-    if a.n != a.m or b.n != b.m or a.n != b.n:
-        raise ValidationError(
-            f"pair components must be square and equal-sized, "
-            f"got {a.n}x{a.m} and {b.n}x{b.m}"
-        )
+class AntiStandardPair(_Pair):
+    """First component condensed right, second condensed left."""
+
+    kind, side = "antistandard", "right"
 
 
 # -- the pair <-> hive correspondence -----------------------------------------

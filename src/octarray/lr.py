@@ -8,6 +8,7 @@ always agree; the tableau count is an independent oracle used by the tests.
 from dataclasses import dataclass, field
 
 from .arrays import Array, concat, diag, is_d_tight, is_l_tight
+from .bijections import associate, associate_inverse, commute_sp
 from .errors import ValidationError
 from .hives import (
     StandardPair,
@@ -24,6 +25,16 @@ def _check_integer_partition(p, name):
     return p
 
 
+def _integer_type(lam, mu, nu):
+    """Validate an LR type: three integer partitions of equal length."""
+    lam = _check_integer_partition(lam, "lam")
+    mu = _check_integer_partition(mu, "mu")
+    nu = _check_integer_partition(nu, "nu")
+    if len(lam) != len(nu) or len(mu) != len(nu):
+        raise ValidationError("the three partitions must have equal length")
+    return lam, mu, nu
+
+
 def enumerate_hives(lam, mu, nu):
     """All integer hives with boundary increments (lam, mu, nu).
 
@@ -32,12 +43,8 @@ def enumerate_hives(lam, mu, nu):
     strip inequalities, with a full rhombus check on every completed hive.
     Returns a deterministically ordered list of TriangleFunctions.
     """
-    lam = _check_integer_partition(lam, "lam")
-    mu = _check_integer_partition(mu, "mu")
-    nu = _check_integer_partition(nu, "nu")
+    lam, mu, nu = _integer_type(lam, mu, nu)
     n = len(nu)
-    if len(lam) != n or len(mu) != n:
-        raise ValidationError("the three partitions must have equal length")
     if sum(lam) + sum(mu) != sum(nu):
         return []
     lam_s = partial_sums(lam)
@@ -93,12 +100,8 @@ def enumerate_standard_pairs(lam, mu, nu):
     integer arrays with column sums mu, row sums nu - lam and support on or
     above the diagonal, filtered by the two tightness conditions.
     """
-    lam = _check_integer_partition(lam, "lam")
-    mu = _check_integer_partition(mu, "mu")
-    nu = _check_integer_partition(nu, "nu")
+    lam, mu, nu = _integer_type(lam, mu, nu)
     n = len(nu)
-    if len(lam) != n or len(mu) != n:
-        raise ValidationError("the three partitions must have equal length")
     rsums = [nu[j] - lam[j] for j in range(n)]
     if any(r < 0 for r in rsums) or sum(mu) != sum(rsums):
         return []
@@ -224,27 +227,32 @@ class BijectionReport:
         return self.left_count == self.right_count and not self.failures
 
 
+def _bijection_report(name, left, right, forward, backward, back_text):
+    """Check that forward maps the list left injectively into the list right
+    and that backward undoes it; back_text names a failure of the latter."""
+    right_set = set(right)
+    failures = []
+    seen = set()
+    for x in left:
+        image = forward(x)
+        if image not in right_set:
+            failures.append(f"image of {x} not in target set")
+        if image in seen:
+            failures.append(f"collision at {image}")
+        seen.add(image)
+        if backward(image) != x:
+            failures.append(f"{back_text} at {x}")
+    return BijectionReport(name, len(left), len(right), failures)
+
+
 def verify_commutativity(lam, mu, nu) -> BijectionReport:
     """Materialise both standard-pair sets and check that commutation is a
     type-swapping involution between them."""
-    from .bijections import commute_sp  # local import to avoid a cycle
-
     lam, mu, nu = _pad_common(lam, mu, nu)
     fwd = enumerate_standard_pairs(lam, mu, nu)
     bwd = enumerate_standard_pairs(mu, lam, nu)
-    bwd_set = set(bwd)
-    failures = []
-    seen = set()
-    for p in fwd:
-        q = commute_sp(p)
-        if q not in bwd_set:
-            failures.append(f"image of {p} not in target set")
-        if q in seen:
-            failures.append(f"collision at {q}")
-        seen.add(q)
-        if commute_sp(q) != p:
-            failures.append(f"not an involution at {p}")
-    return BijectionReport("commutativity", len(fwd), len(bwd), failures)
+    return _bijection_report("commutativity", fwd, bwd, commute_sp, commute_sp,
+                             "not an involution")
 
 
 def _partitions(total, parts, maxpart):
@@ -263,8 +271,6 @@ def verify_associativity(lam, mu, nu, pi, bound) -> BijectionReport:
     """Materialise both couple sets (the intermediate shape runs over all
     partitions up to the given largest part) and check the rearrangement is
     a bijection."""
-    from .bijections import associate, associate_inverse  # avoid a cycle
-
     lam, mu, nu, pi = _pad_common(lam, mu, nu, pi)
     n = len(pi)
     left = []
@@ -277,19 +283,10 @@ def verify_associativity(lam, mu, nu, pi, bound) -> BijectionReport:
         for q1 in enumerate_standard_pairs(mu, nu, tau):
             for q2 in enumerate_standard_pairs(lam, tau, pi):
                 right.append((q1, q2))
-    right_set = set(right)
-    failures = []
-    seen = set()
-    for couple in left:
-        image = associate(*couple)
-        if image not in right_set:
-            failures.append(f"image of {couple} not in target set")
-        if image in seen:
-            failures.append(f"collision at {image}")
-        seen.add(image)
-        if associate_inverse(*image) != couple:
-            failures.append(f"inverse fails at {couple}")
-    return BijectionReport("associativity", len(left), len(right), failures)
+    return _bijection_report("associativity", left, right,
+                             lambda couple: associate(*couple),
+                             lambda image: associate_inverse(*image),
+                             "inverse fails")
 
 
 __all__ = [

@@ -270,17 +270,14 @@ def rsk_inverse(d: Array, l: Array) -> Array:
         if fd[j][n] != fl[m][min(j, n)]:
             raise ValidationError("condensations disagree on the shared edge")
 
-    # L[z][y][x] = F(x, y, z): the ceiling z = m, the wall x = n (which must
-    # agree with the ceiling) and the zero front y = 0, then each layer z - 1
-    # from layer z
+    # L[z][y][x] = F(x, y, z): the ceiling z = m, the wall x = n (where they
+    # meet, on the shared edge, they agree by the check above) and the zero
+    # front y = 0, then each layer z - 1 from layer z
     L = [[[None] * (n + 1) for _ in range(z + 1)] for z in range(m + 1)]
     L[m] = [list(row) for row in fd]
     for k in range(m + 1):
         for j in range(k + 1):
-            v = fl[k][min(j, n)]
-            if k == m and L[m][j][n] != v:
-                raise ValidationError("ceiling and wall data disagree")
-            L[k][j][n] = v
+            L[k][j][n] = fl[k][min(j, n)]
     for layer in L:
         layer[0] = [0] * (n + 1)
     step = or_step

@@ -28,10 +28,9 @@ def encode_triangle(f: TriangleFunction) -> dict:
 
 
 def encode_pair(p) -> dict:
-    kind = "standard" if isinstance(p, StandardPair) else "antistandard"
     return {
         "type": "pair",
-        "kind": kind,
+        "kind": p.kind,
         "a": encode_array(p.a),
         "b": encode_array(p.b),
     }

@@ -35,7 +35,7 @@ from octarray import (
     transpose,
 )
 from octarray import serialize
-from octarray.checks import random_couple, random_standard_pair
+from octarray.checks import random_array, random_couple, random_standard_pair
 
 
 def test_ssyt_from_fixture_arrays(f1, f1_array, f2, f2_array):
@@ -181,3 +181,20 @@ def test_commute_preserves_content():
         p = random_standard_pair(rng, 3)
         q = commute_sp(p)
         assert row_sums(q.concat()) == row_sums(p.concat())
+
+
+def test_tableau_codecs_round_trip_on_random_data():
+    rng = random.Random(5)
+    for _ in range(40):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        a = condense_down(random_array(rng, n, m, 4))
+        assert ssyt_to_dtight(dtight_to_ssyt(a), a.n, a.m) == a
+    for _ in range(40):
+        p = random_standard_pair(rng, rng.randint(1, 4))
+        assert lr_tableau_to_pair(pair_to_lr_tableau(p)) == p
+
+
+def test_ssyt_rejects_letters_below_one():
+    for rows in ([[0, 1]], [[0]]):
+        with pytest.raises(ValidationError, match="letter 0 out of range"):
+            ssyt_to_dtight(SSYT(rows))

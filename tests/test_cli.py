@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from octarray import checks
 from octarray.cli import main
 
 ARRAY = {"type": "array", "rows": [[2, 3, 1], [1, 1, 5], [1, 2, 2]]}
@@ -154,3 +155,27 @@ def test_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["coefficient"] == 1
+
+
+@pytest.mark.parametrize("argv, report", [
+    (["verify", "thm3", "--n", "2", "--cases", "2", "--seed", "3"],
+     lambda: checks.check_theorem3(cases=2, seed=3, n=2)),
+    (["verify", "assoc-count", "--max-mass", "2", "--cases", "9", "--n", "4"],
+     lambda: checks.check_assoc_count(maxtotal=2)),
+    (["verify", "involution", "--n", "2", "--cases", "3", "--max-mass", "1"],
+     lambda: checks.check_involution(cases=3, seed=0, max_n=2, max_mass=1)),
+])
+def test_verify_passes_each_suite_the_flags_it_takes(cli, argv, report):
+    code, out, err = cli(argv)
+    assert (code, err) == (0, "")
+    assert out == report().summary() + "\n"
+
+
+def test_main_gives_the_same_output_after_an_argument_error(cli, capsys):
+    first = cli(["condense", "down"], ARRAY)
+    with pytest.raises(SystemExit) as exc:
+        main(["condense", "sideways"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert cli(["condense", "down"], ARRAY) == first
+    assert first[0] == 0

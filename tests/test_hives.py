@@ -117,3 +117,26 @@ def test_hive_of_standard_pair_is_concave():
     rng = random.Random(13)
     for _ in range(25):
         assert is_discrete_concave(pair_to_hive(random_standard_pair(rng, 3)))
+
+
+def test_both_pair_kinds_on_the_same_components():
+    zero = Array([[0, 0], [0, 0]])
+    s, t = StandardPair(zero, zero), AntiStandardPair(zero, zero)
+    assert s != t
+    assert repr(s).startswith("StandardPair(")
+    assert repr(t).startswith("AntiStandardPair(")
+
+
+def test_pair_kinds_name_the_side_of_the_first_component():
+    zero = Array([[0, 0], [0, 0]])
+    right_only = Array([[0, 0], [0, 1]])  # condensed right, not left
+    left_only = Array([[0, 0], [1, 0]])  # condensed left, not right
+    with pytest.raises(ValidationError, match="first component is not condensed left"):
+        StandardPair(right_only, zero)
+    with pytest.raises(ValidationError, match="first component is not condensed right"):
+        AntiStandardPair(left_only, zero)
+
+
+def test_pairs_of_both_kinds_survive_serialization(f3_pair):
+    for p in (f3_pair, StandardPair(diag((2, 1)), Array([[1, 0], [1, 1]]))):
+        assert serialize.decode(serialize.encode_pair(p)) == p

@@ -91,6 +91,13 @@ def test_rsk_inverse_rejects_mismatched_shapes():
         rsk_inverse(d, Array([[5, 0], [0, 0]]))
 
 
+def test_rsk_inverse_rejects_shapes_that_differ_on_the_shared_edge():
+    d = Array([[1, 0], [0, 1]])  # tight downwards, shape (1, 1)
+    l = Array([[2, 0], [0, 0]])  # tight leftwards, shape (2,), same mass
+    with pytest.raises(ValidationError, match="shared edge"):
+        rsk_inverse(d, l)
+
+
 def test_separable_addition_passes_through_propagation(f2_array):
     """Adding phi(x) + psi(z) to the input faces adds it to every value."""
     a = f2_array
