@@ -86,6 +86,7 @@ from .octahedron import (
     PrismFunction,
     Solid,
     TetraFunction,
+    is_flat_concave,
     is_polarized,
     is_polarized_dc,
     prism_propagate,

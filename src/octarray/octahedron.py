@@ -24,6 +24,12 @@ octahedron the sum over the main diagonal equals the larger of the sums over
 the other two diagonals.  When one of those diagonals leaves the domain the
 degenerate rule f(1) = f(b) + f(b') - f(0) with the remaining in-plane
 diagonal applies.
+
+A propagated solid is polarized by construction: the primitive octahedra
+that fit in the prism are exactly those whose top (x, y, z) has x >= 1 and
+1 <= y <= z - 1, the points the recurrence fills; in the tetrahedron, those
+whose top has y, z >= 1, again the filled points, with both side pairs
+inside.  is_polarized checks the property on arbitrary solids.
 """
 
 from dataclasses import dataclass
@@ -88,10 +94,6 @@ TETRA_FRAME = OctahedronFrame(
 )
 
 
-def _add(p, d):
-    return (p[0] + d[0], p[1] + d[1], p[2] + d[2])
-
-
 # -- solids -------------------------------------------------------------------
 
 
@@ -107,17 +109,12 @@ class Solid:
 
 def is_polarized(f: Solid, frame: OctahedronFrame) -> bool:
     """True iff every primitive octahedron of the frame that fits inside the
-    domain satisfies: main-diagonal sum = max of the side-diagonal sums."""
+    domain satisfies: main-diagonal sum = max of the side-diagonal sums.
+    Every propagated solid is polarized by construction (module docstring)."""
     pts = f.values
-    (a1, a2), (b1, b2) = frame.pairs
+    offsets = (frame.main,) + frame.pairs[0] + frame.pairs[1]
     for p in pts:
-        corners = (
-            _add(p, frame.main),
-            _add(p, a1),
-            _add(p, a2),
-            _add(p, b1),
-            _add(p, b2),
-        )
+        corners = [(p[0] + d[0], p[1] + d[1], p[2] + d[2]) for d in offsets]
         if all(c in pts for c in corners):
             top, fa, fa2, fb, fb2 = (pts[c] for c in corners)
             if pts[p] + top != max(fa + fa2, fb + fb2):
@@ -125,20 +122,21 @@ def is_polarized(f: Solid, frame: OctahedronFrame) -> bool:
     return True
 
 
-def is_polarized_dc(f: Solid, frame: OctahedronFrame) -> bool:
-    """Polarized, and rhombus-concave inside every modular flat.
+def is_flat_concave(f: Solid, frame: OctahedronFrame) -> bool:
+    """Rhombus-concave inside every modular flat.
 
     Each flat (da, db) of the frame is triangulated by da, db and da + db,
     the directions of its intersections with the other three flat families;
     the rhombus engine of hives.py checks every pair of adjacent primitive
     triangles in it (shared edge >= opposite vertices).
     """
-    if not is_polarized(f, frame):
-        return False
-    for da, db in frame.flats:
-        if any(rhombi(f.values, da, db)):
-            return False
-    return True
+    return not any(v for da, db in frame.flats for v in rhombi(f.values, da, db))
+
+
+def is_polarized_dc(f: Solid, frame: OctahedronFrame) -> bool:
+    """Polarized, and rhombus-concave inside every modular flat.  On a
+    propagated solid this is is_flat_concave alone."""
+    return is_polarized(f, frame) and is_flat_concave(f, frame)
 
 
 # -- the prism ----------------------------------------------------------------
@@ -378,6 +376,7 @@ __all__ = [
     "TETRA_FRAME",
     "Solid",
     "is_polarized",
+    "is_flat_concave",
     "is_polarized_dc",
     "PrismFunction",
     "propagate_prism_faces",

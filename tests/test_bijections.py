@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from octarray import (
     Array,
+    LRSkewTableau,
     SSYT,
     StandardPair,
     ValidationError,
@@ -198,3 +200,15 @@ def test_ssyt_rejects_letters_below_one():
     for rows in ([[0, 1]], [[0]]):
         with pytest.raises(ValidationError, match="letter 0 out of range"):
             ssyt_to_dtight(SSYT(rows))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SSYT([[Fraction(3, 2), 2.7]]),
+    lambda: SSYT([["a"]]),
+    lambda: SSYT([[True, 2]]),
+    lambda: is_yamanouchi([1.5, 2.2]),
+    lambda: LRSkewTableau((2, 1), (1,), [[1.0], [1]]),
+])
+def test_letters_must_be_ints(build):
+    with pytest.raises(ValidationError, match="is not an integer"):
+        build()

@@ -179,3 +179,23 @@ def test_main_gives_the_same_output_after_an_argument_error(cli, capsys):
     assert "invalid choice" in capsys.readouterr().err
     assert cli(["condense", "down"], ARRAY) == first
     assert first[0] == 0
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "thm2", "--n", "0"], "--n"),
+    (["verify", "thm1", "--max-mass", "-1"], "--max-mass"),
+    (["verify", "involution", "--cases", "-2"], "--cases"),
+])
+def test_verify_rejects_out_of_range_flags(cli, argv, flag):
+    code, out, err = cli(argv)
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "malformed input"
+    assert doc["detail"].startswith(flag + " must be at least")
+
+
+@pytest.mark.parametrize("suite", sorted(checks.SUITES))
+def test_verify_accepts_the_smallest_flags(cli, suite):
+    code, out, err = cli(["verify", suite, "--n", "1", "--max-mass", "0",
+                          "--cases", "2"])
+    assert (code, err) == (0, "")
