@@ -11,6 +11,7 @@ second differences recover the array.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import ValidationError
 from .scalars import Scalar, normalize
@@ -91,37 +92,28 @@ class CornerFunction:
 
 def integrate(a: Array) -> CornerFunction:
     """Double integral: f(i, j) = sum of masses in columns <= i, rows <= j."""
-    n, m = a.n, a.m
-    values = [[0] * (n + 1)]
-    for j in range(1, m + 1):
-        row = [0]
-        acc = 0
-        for i in range(1, n + 1):
-            acc += a.rows[j - 1][i - 1]
-            row.append(values[j - 1][i] + acc)
+    row = [0] * (a.n + 1)
+    values = [row]
+    for r in a.rows:
+        row = [low + acc for low, acc in zip(row, accumulate(r, initial=0))]
         values.append(row)
     return CornerFunction(values)
 
 
 def mixed_derivative(f: CornerFunction) -> Array:
     """Inverse of integrate; raises if some mixed difference is negative."""
-    rows = []
-    for j in range(1, f.m + 1):
-        row = []
-        for i in range(1, f.n + 1):
-            v = (
-                f.value(i, j)
-                - f.value(i - 1, j)
-                - f.value(i, j - 1)
-                + f.value(i - 1, j - 1)
+    vals = f.values
+    rows = [
+        [h1 - h0 - l1 + l0 for l0, l1, h0, h1 in zip(low, low[1:], high, high[1:])]
+        for low, high in zip(vals, vals[1:])
+    ]
+    for j, row in enumerate(rows, 1):
+        if min(row) < 0:
+            i, v = next((i, v) for i, v in enumerate(row, 1) if v < 0)
+            raise ValidationError(
+                f"negative mixed difference {v} at box ({i},{j}); "
+                "the function is not supermodular"
             )
-            if v < 0:
-                raise ValidationError(
-                    f"negative mixed difference {v} at box ({i},{j}); "
-                    "the function is not supermodular"
-                )
-            row.append(v)
-        rows.append(row)
     return Array(rows)
 
 

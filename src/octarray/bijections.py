@@ -42,8 +42,8 @@ from .hives import (
     increments,
     pair_to_hive,
 )
-from .octahedron import (prism_propagate, prism_top, rsk_inverse, tetra_propagate,
-                         tetra_slope_wall)
+from .octahedron import (TetraFunction, prism_propagate, prism_top, rsk_inverse,
+                         tetra_propagate, tetra_slope_wall)
 from .scalars import check_partition, is_integral, partial_sums, trim
 
 
@@ -81,16 +81,26 @@ def _letter(x) -> int:
     return x
 
 
+MAX_TABLEAU_LETTERS = 100_000
+"""The most letters a tableau may expand to: the output grows with the total
+multiplicity, not with the size of the input array."""
+
+
 def _letters(rows, message) -> list:
     """Letter rows of multiplicity rows: row j holds the letter i with
     multiplicity a(i, j).  Raises ValidationError(message) on a row that
-    is not integral."""
-    out = []
-    for row in rows:
-        if any(not is_integral(x) for x in row):
-            raise ValidationError(message)
-        out.append([i for i, mult in enumerate(row, 1) for _ in range(int(mult))])
-    return out
+    is not integral, and names MAX_TABLEAU_LETTERS if the total
+    multiplicity exceeds it."""
+    if any(not is_integral(x) for row in rows for x in row):
+        raise ValidationError(message)
+    total = sum(sum(row) for row in rows)
+    if total > MAX_TABLEAU_LETTERS:
+        raise ValidationError(
+            f"tableau would have {total} letters, more than "
+            f"MAX_TABLEAU_LETTERS = {MAX_TABLEAU_LETTERS}"
+        )
+    return [[i for i, mult in enumerate(row, 1) for _ in range(int(mult))]
+            for row in rows]
 
 
 def _multiplicities(letter_rows, n, m) -> list:
@@ -317,26 +327,33 @@ def associate_inverse(out1: StandardPair, out2: StandardPair):
     return p1, p2
 
 
-def associate_functional(f: TriangleFunction, g: TriangleFunction):
-    """The associator on triangle functions, by one propagation through the
-    tetrahedron.
+def tetra_of_couple(f: TriangleFunction, g: TriangleFunction) -> TetraFunction:
+    """The tetrahedron propagated from a couple of hives of size n = f.n.
 
     f sits on the front wall via (x, 0, z) -> f(n-x-z, n-x), g on the ground
     via (x, y, 0) -> g(y, n-x); both maps carry the triangulations of the
     walls onto the hive grid, and the shared increments meet along the edge
-    y = z = 0.  The shadow wall then carries the first output hive and the
-    slope wall the second.
+    y = z = 0.
+    """
+    n = f.n
+    return tetra_propagate(
+        lambda x, y: g.value(y, n - x),
+        lambda x, z: f.value(n - x - z, n - x),
+        n,
+    )
+
+
+def associate_functional(f: TriangleFunction, g: TriangleFunction):
+    """The associator on triangle functions, by one propagation through the
+    tetrahedron of the couple (tetra_of_couple).  The shadow wall then
+    carries the first output hive and the slope wall the second.
     """
     n = f.n
     if g.n != n:
         raise ValidationError("triangle sizes differ")
     if increments(f).nu != increments(g).lam:
         raise ValidationError("hives are not compatible along the shared edge")
-    T = tetra_propagate(
-        lambda x, y: g.value(y, n - x),
-        lambda x, z: f.value(n - x - z, n - x),
-        n,
-    )
+    T = tetra_of_couple(f, g)
     base = T.value(0, 0, n)
     p = TriangleFunction(
         [[T.value(0, u, n - v) - base for u in range(v + 1)] for v in range(n + 1)]
@@ -427,6 +444,7 @@ __all__ = [
     "rho1",
     "associate",
     "associate_inverse",
+    "tetra_of_couple",
     "associate_functional",
     "com_prime",
     "hk_wall_h",

@@ -25,6 +25,7 @@ from .bijections import (
     com_prime,
     commute,
     rho2_prime,
+    tetra_of_couple,
     to_antistandard,
 )
 from .condense import condense_down, condense_left, condense_pair
@@ -42,7 +43,6 @@ from .octahedron import (
     is_polarized_dc,
     rsk,
     rsk_inverse,
-    tetra_propagate,
     tetra_shadow_wall,
     tetra_slope_wall,
 )
@@ -208,11 +208,7 @@ def check_theorem1(cases=100, seed=0, max_n=5, max_mass=3):
     for k in range(cases):
         n = rng.randint(1, max_n)
         f, g = (pair_to_hive(p) for p in random_couple(rng, n, max_mass))
-        T = tetra_propagate(
-            lambda x, y: g.value(y, n - x),
-            lambda x, z: f.value(n - x - z, n - x),
-            n,
-        )
+        T = tetra_of_couple(f, g)
         if not is_polarized_dc(T, TETRA_FRAME):
             rep.failures.append(f"case {k}: propagation not polarized concave")
         if not is_discrete_concave(tetra_shadow_wall(T)):

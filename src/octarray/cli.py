@@ -2,7 +2,10 @@
 
 Reads JSON from stdin (or ``--input FILE``), writes JSON to stdout.
 Exit codes: 0 success, 1 domain error (invalid object for the requested
-operation), 2 malformed input (bad JSON, missing fields, bad arguments).
+operation), 2 malformed input (bad JSON, missing fields, bad arguments),
+3 internal error (an AssertionError: a broken invariant of the program, not
+of the input).  Each failure writes {"error": ..., "detail": ...} to
+stderr, apart from argparse's own usage errors.
 """
 
 import argparse
@@ -295,14 +298,16 @@ def main(argv=None) -> int:
     try:
         args.fn(args)
     except MalformedInput as exc:
-        json.dump({"error": "malformed input", "detail": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        error, detail, code = "malformed input", str(exc), 2
     except ValidationError as exc:
-        json.dump({"error": "validation", "detail": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
-    return 0
+        error, detail, code = "validation", str(exc), 1
+    except AssertionError as exc:
+        error, detail, code = "internal", str(exc), 3
+    else:
+        return 0
+    json.dump({"error": error, "detail": detail}, sys.stderr)
+    sys.stderr.write("\n")
+    return code
 
 
 if __name__ == "__main__":

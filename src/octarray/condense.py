@@ -12,7 +12,7 @@ and v' absorbs whatever is left in each column.
 
 from .arrays import Array, central_reverse, is_d_tight, row_sums, transpose
 from .errors import ValidationError
-from .scalars import partial_sums, scale_rows, unscale_rows
+from .scalars import scale_rows, unscale_rows
 
 
 def condense_pair(u, v):
@@ -25,20 +25,20 @@ def condense_pair(u, v):
     v = tuple(v)
     if len(u) != len(v):
         raise ValidationError("rows of different length")
-    n = len(u)
-    U = partial_sums(u)
-    V = partial_sums(v)
-    best = V[1] - U[0]
-    f_prev = 0
+    # one pass with running sums: U = U(i), V = V(i), f = U(i) + best
+    best = v[0]
+    U = V = f_prev = 0
     u_new = []
     v_new = []
-    for i in range(1, n + 1):
-        beta = V[i] - U[i - 1]
+    for x, y in zip(u, v):
+        V += y
+        beta = V - U
         if beta > best:
             best = beta
-        f_cur = U[i] + best
+        U += x
+        f_cur = U + best
         ui = f_cur - f_prev
-        vi = u[i - 1] + v[i - 1] - ui
+        vi = x + y - ui
         if ui < 0 or vi < 0:
             raise AssertionError("condense_pair produced a negative mass")
         u_new.append(ui)

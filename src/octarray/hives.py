@@ -237,15 +237,10 @@ def extended_differences(t: TriangleFunction, n: int) -> list:
     with j > k, such as a left-condensed array or the second component of
     a standard pair.
     """
-    vals = t.values
-
-    def ext(j, k):
-        return vals[k][min(j, k)]
-
+    ext = [row[:n + 1] + row[-1:] * (n + 1 - len(row)) for row in t.values]
     return [
-        [ext(j, k) - ext(j - 1, k) - ext(j, k - 1) + ext(j - 1, k - 1)
-         for j in range(1, n + 1)]
-        for k in range(1, t.n + 1)
+        [h1 - h0 - l1 + l0 for l0, l1, h0, h1 in zip(low, low[1:], high, high[1:])]
+        for low, high in zip(ext, ext[1:])
     ]
 
 

@@ -199,3 +199,29 @@ def test_verify_accepts_the_smallest_flags(cli, suite):
     code, out, err = cli(["verify", suite, "--n", "1", "--max-mass", "0",
                           "--cases", "2"])
     assert (code, err) == (0, "")
+
+
+def test_internal_error_exit_3(cli, monkeypatch):
+    from octarray import cli as cli_module
+
+    def broken(a):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setattr(cli_module, "condense_down", broken)
+    code, out, err = cli(["condense", "down"], ARRAY)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "internal", "detail": "invariant broken"}
+
+
+def test_tableau_over_the_letter_limit_exit_1(cli):
+    from octarray.bijections import MAX_TABLEAU_LETTERS
+
+    code, out, err = cli(["tableau"], {"type": "array", "rows": [[3000000]]})
+    assert (code, out) == (1, "")
+    doc = json.loads(err)
+    assert doc["error"] == "validation"
+    assert "MAX_TABLEAU_LETTERS = 100000" in doc["detail"]
+    code, out, err = cli(["tableau"], {"type": "array",
+                                       "rows": [[MAX_TABLEAU_LETTERS // 2] * 2]})
+    assert (code, err) == (0, "")
+    assert len(out.split()) == MAX_TABLEAU_LETTERS
