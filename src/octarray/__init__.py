@@ -92,7 +92,6 @@ from .octahedron import (
     prism_propagate,
     prism_top,
     prism_wall,
-    propagate_ground_frontwall,
     propagate_prism_faces,
     rsk,
     rsk_inverse,

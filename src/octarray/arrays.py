@@ -162,10 +162,6 @@ def col_sums(a: Array) -> tuple:
     return tuple(sum(col) for col in zip(*a.rows))
 
 
-def _prefix(row, i):
-    return sum(row[:i])
-
-
 def is_d_tight(a: Array) -> bool:
     """True iff every row pair (j, j+1) satisfies the partial-sum condition:
     mass of row j in columns < i dominates mass of row j+1 in columns <= i."""

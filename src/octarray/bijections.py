@@ -40,7 +40,6 @@ from .hives import (
     TriangleFunction,
     hive_to_pair,
     increments,
-    pair_to_hive,
 )
 from .octahedron import (TetraFunction, prism_propagate, prism_top, rsk_inverse,
                          tetra_propagate, tetra_slope_wall)

@@ -47,20 +47,15 @@ def condense_pair(u, v):
     return tuple(u_new), tuple(v_new)
 
 
-def condense_down(a: Array, rng=None) -> Array:
+def condense_down(a: Array) -> Array:
     """Move mass downwards until the array is tight (the unique fixpoint).
 
-    The default schedule is one insertion pass: rational masses are scaled
-    to integers once, then each row k = 1..m-1 is pushed down through the
-    pairs (k-1, k), (k-2, k-1), ..., (0, 1) on top of the tight rows below
-    it, stopping as soon as a pair is left unchanged.  That is at most
-    m(m-1)/2 calls to condense_pair; the result is checked to be tight and
-    divided back.  If ``rng`` is given, violating pairs are instead condensed
-    in random order until none remain -- the fixpoint is the same, which the
-    test-suite exercises.
+    One insertion pass: rational masses are scaled to integers once, then
+    each row k = 1..m-1 is pushed down through the pairs (k-1, k), (k-2,
+    k-1), ..., (0, 1) on top of the tight rows below it, stopping as soon as
+    a pair is left unchanged.  That is at most m(m-1)/2 calls to
+    condense_pair; the result is checked to be tight and divided back.
     """
-    if rng is not None:
-        return _condense_down_random(a, rng)
     D, rows = scale_rows(a.rows)
     pair = condense_pair
     for k in range(1, len(rows)):
@@ -73,29 +68,6 @@ def condense_down(a: Array, rng=None) -> Array:
     if not is_d_tight(tight):
         raise AssertionError("insertion schedule did not reach a tight array")
     return tight if D == 1 else Array(unscale_rows(rows, D))
-
-
-def _condense_down_random(a: Array, rng) -> Array:
-    rows = [list(r) for r in a.rows]
-    m = len(rows)
-
-    def pair_tight(j):
-        return is_d_tight(Array([rows[j], rows[j + 1]]))
-
-    def do_pair(j):
-        u, v = condense_pair(rows[j], rows[j + 1])
-        rows[j] = list(u)
-        rows[j + 1] = list(v)
-
-    guard = 0
-    while True:
-        bad = [j for j in range(m - 1) if not pair_tight(j)]
-        if not bad:
-            return Array(rows)
-        do_pair(rng.choice(bad))
-        guard += 1
-        if guard > 1000 * m * m + 1000:
-            raise AssertionError("randomized condensation schedule did not converge")
 
 
 def condense_left(a: Array) -> Array:

@@ -98,7 +98,8 @@ def enumerate_standard_pairs(lam, mu, nu):
 
     The first component is the diagonal of lam; the second ranges over the
     integer arrays with column sums mu, row sums nu - lam and support on or
-    above the diagonal, filtered by the two tightness conditions.
+    above the diagonal, filtered by the two tightness conditions.  The cells
+    are filled row by row, smallest value first, with an explicit stack.
     """
     lam, mu, nu = _integer_type(lam, mu, nu)
     n = len(nu)
@@ -109,34 +110,41 @@ def enumerate_standard_pairs(lam, mu, nu):
     results = []
     rows = [[0] * n for _ in range(n)]
     col_left = list(mu)
-
-    def fill(j, i, row_left):
-        # row j (0-based, bottom to top), column i
-        if i == n:
-            if row_left != 0:
-                return
-            if j == n - 1:
-                if any(col_left):
-                    return
-                b = Array([list(r) for r in rows])
-                if is_l_tight(b) and is_d_tight(concat(a, b)):
-                    results.append(StandardPair(a, b))
-                return
-            fill(j + 1, 0, rsums[j + 1])
-            return
-        if i > j:
-            # no mass right of the diagonal in the second component
-            fill(j, i + 1, row_left)
-            return
-        top = min(row_left, col_left[i])
-        for x in range(top + 1):
-            rows[j][i] = x
-            col_left[i] -= x
-            fill(j, i + 1, row_left - x)
+    # row j (0-based, bottom to top) has mass in columns i <= j only; its
+    # diagonal cell closes the row and takes whatever the row has left
+    cells = [(j, i) for j in range(n) for i in range(j + 1)]
+    vals = [-1] * len(cells)  # the stack: values of cells 0..k, -1 = untried
+    row_left = rsums[0]  # mass the current row has still to place
+    k = 0
+    while k >= 0:
+        j, i = cells[k]
+        x = vals[k]
+        if x >= 0:  # take back the value last tried in this cell
             col_left[i] += x
-            rows[j][i] = 0
-
-    fill(0, 0, rsums[0])
+            row_left += x
+        if i < j:
+            x += 1
+            ok = x <= row_left and x <= col_left[i]
+        else:
+            ok = x < 0 and row_left <= col_left[i]
+            x = row_left
+        if not ok:  # cell exhausted: back to the previous one
+            vals[k] = -1
+            if i == 0 and j:
+                row_left = 0  # the row below was closed by its diagonal
+            k -= 1
+            continue
+        vals[k] = rows[j][i] = x
+        col_left[i] -= x
+        row_left -= x
+        if k + 1 < len(cells):
+            k += 1
+            if i == j:
+                row_left = rsums[j + 1]
+        elif not any(col_left):
+            b = Array([list(r) for r in rows])
+            if is_l_tight(b) and is_d_tight(concat(a, b)):
+                results.append(StandardPair(a, b))
     return results
 
 
@@ -164,8 +172,8 @@ def lr_coefficient(lam, mu, nu) -> int:
 
 def lr_oracle(lam, mu, nu) -> int:
     """Independent count: skew semistandard fillings of nu minus lam with
-    weight mu whose reading word is Yamanouchi.  Backtracking over boxes,
-    no hives or arrays involved."""
+    weight mu whose reading word is Yamanouchi.  Backtracking over boxes
+    with an explicit stack, no hives or arrays involved."""
     lam, mu, nu = _pad_common(lam, mu, nu)
     n = len(nu)
     if any(lam[j] > nu[j] for j in range(n)):
@@ -175,40 +183,37 @@ def lr_oracle(lam, mu, nu) -> int:
 
     # boxes listed in reading order: rows bottom to top, right to left,
     # so the Yamanouchi condition can be enforced incrementally.
-    boxes = []
-    for j in range(n):
-        for c in range(nu[j], lam[j], -1):
-            boxes.append((c, j))
-    grid = {}
+    boxes = [(c, j) for j in range(n) for c in range(nu[j], lam[j], -1)]
+    if not boxes:
+        return 1
+    grid = {}  # the stack: the letters of boxes 0..k
     left = list(mu)
     counts = [0] * (n + 1)
     total = 0
-
-    def fill(idx):
-        nonlocal total
-        if idx == len(boxes):
-            total += 1
-            return
-        c, j = boxes[idx]
-        right = grid.get((c + 1, j))
-        below = grid.get((c, j - 1))
-        hi = right if right is not None else n
-        for x in range(1, hi + 1):
-            if left[x - 1] == 0:
-                continue
-            if below is not None and x <= below:
-                continue
-            if x > 1 and counts[x] + 1 > counts[x - 1]:
-                continue
-            grid[(c, j)] = x
-            left[x - 1] -= 1
-            counts[x] += 1
-            fill(idx + 1)
-            counts[x] -= 1
+    k = 0
+    while k >= 0:
+        c, j = boxes[k]
+        x = grid.get((c, j))
+        if x:  # take back the letter last tried in this box
             left[x - 1] += 1
-            del grid[(c, j)]
-
-    fill(0)
+            counts[x] -= 1
+        else:  # start above the letter below, if there is a box below
+            x = grid.get((c, j - 1), 0)
+        hi = grid.get((c + 1, j), n)
+        x += 1
+        while x <= hi and not (left[x - 1] and (x == 1 or counts[x] < counts[x - 1])):
+            x += 1
+        if x > hi:  # box exhausted: back to the previous one
+            grid.pop((c, j), None)
+            k -= 1
+            continue
+        grid[(c, j)] = x
+        left[x - 1] -= 1
+        counts[x] += 1
+        if k + 1 == len(boxes):
+            total += 1
+        else:
+            k += 1
     return total
 
 

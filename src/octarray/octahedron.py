@@ -14,16 +14,14 @@ down-condensation and the wall x = n the integral of the left-condensation,
 which gives a second, independent route to both condensations.
 
 The tetrahedron {x, y, z >= 0, x + y + z <= n} propagates along (-1, 1, 1)
-from its ground z = 0 and front wall y = 0:
+from its ground z = 0 and front wall y = 0, one level s = y + z at a time:
 
     F(a,b,c) = max(F(a,b,c-1) + F(a+1,b-1,c),
                    F(a,b-1,c) + F(a+1,b,c-1)) - F(a+1,b-1,c-1).
 
 Both recurrences are instances of one octahedron rule: on every primitive
 octahedron the sum over the main diagonal equals the larger of the sums over
-the other two diagonals.  When one of those diagonals leaves the domain the
-degenerate rule f(1) = f(b) + f(b') - f(0) with the remaining in-plane
-diagonal applies.
+the other two diagonals; every fill applies it, as or_step, once per point.
 
 A propagated solid is polarized by construction: the primitive octahedra
 that fit in the prism are exactly those whose top (x, y, z) has x >= 1 and
@@ -304,56 +302,27 @@ class TetraFunction(Solid):
     n: int = 0
 
 
-def propagate_ground_frontwall(points, ground, frontwall) -> dict:
-    """Propagate along (-1, 1, 1) through an arbitrary domain from the faces
-    z = 0 and y = 0.  Points where one side diagonal leaves the domain use
-    the degenerate in-plane rule."""
-    pts = set(points)
-    F = {}
-    for (x, y, z) in pts:
-        if z == 0:
-            F[(x, y, z)] = normalize(ground(x, y))
-        if y == 0:
-            v = normalize(frontwall(x, z))
-            if (x, y, z) in F and F[(x, y, z)] != v:
-                raise ValidationError(f"ground and front wall disagree at x={x}")
-            F[(x, y, z)] = v
-    todo = sorted(
-        (p for p in pts if p[1] >= 1 and p[2] >= 1),
-        key=lambda p: (p[1] + p[2], p[1], p[0]),
-    )
-    for (a, b, c) in todo:
-        f0 = F[(a + 1, b - 1, c - 1)]
-        pair_a = ((a, b, c - 1), (a + 1, b - 1, c))
-        pair_b = ((a, b - 1, c), (a + 1, b, c - 1))
-        in_a = all(q in pts for q in pair_a)
-        in_b = all(q in pts for q in pair_b)
-        if in_a and in_b:
-            F[(a, b, c)] = or_step(
-                f0, F[pair_a[0]], F[pair_a[1]], F[pair_b[0]], F[pair_b[1]]
-            )
-        elif in_a:
-            F[(a, b, c)] = F[pair_a[0]] + F[pair_a[1]] - f0
-        elif in_b:
-            F[(a, b, c)] = F[pair_b[0]] + F[pair_b[1]] - f0
-        else:
-            raise ValidationError("domain too thin for propagation")
-    return F
-
-
-def tetra_points(n: int):
-    return [
-        (x, y, z)
-        for x in range(n + 1)
-        for y in range(n + 1 - x)
-        for z in range(n + 1 - x - y)
-    ]
-
-
 def tetra_propagate(ground, frontwall, n: int) -> TetraFunction:
     """Propagate through the tetrahedron x + y + z <= n from its ground
-    (z = 0, a function of (x, y)) and front wall (y = 0, of (x, z))."""
-    F = propagate_ground_frontwall(tetra_points(n), ground, frontwall)
+    (z = 0, a function of (x, y)) and front wall (y = 0, of (x, z)), which
+    must agree on y = z = 0 (checked in increasing x).  Each level s = y + z
+    = 2..n then takes one or_step per point with y, z >= 1, on operands at
+    the levels s - 1 and s - 2."""
+    F = {(x, y, 0): normalize(ground(x, y))
+         for x in range(n + 1) for y in range(n + 1 - x)}
+    for x in range(n + 1):
+        if normalize(frontwall(x, 0)) != F[x, 0, 0]:
+            raise ValidationError(f"ground and front wall disagree at x={x}")
+        for z in range(1, n + 1 - x):
+            F[x, 0, z] = normalize(frontwall(x, z))
+    step = or_step
+    for s in range(2, n + 1):
+        for b in range(1, s):
+            c = s - b
+            for a in range(n + 1 - s):
+                F[a, b, c] = step(F[a + 1, b - 1, c - 1],
+                                  F[a, b, c - 1], F[a + 1, b - 1, c],
+                                  F[a, b - 1, c], F[a + 1, b, c - 1])
     return TetraFunction(values=F, n=n)
 
 
@@ -388,8 +357,6 @@ __all__ = [
     "rsk",
     "rsk_inverse",
     "TetraFunction",
-    "propagate_ground_frontwall",
-    "tetra_points",
     "tetra_propagate",
     "tetra_shadow_wall",
     "tetra_slope_wall",

@@ -85,6 +85,20 @@ def test_lr(cli):
     assert doc["coefficient"] == 2 == doc["oracle"]
 
 
+ZEROS_31 = ",".join(["0"] * 31)
+
+
+@pytest.mark.parametrize("argv", [["lr", "0", "1200", "1200", "--oracle"],
+                                  ["lr", ZEROS_31, ZEROS_31, ZEROS_31]],
+                         ids=["oracle-1200-boxes", "pairs-31-parts"])
+def test_lr_searches_run_past_the_recursion_limit(cli, argv):
+    # searches too deep for a recursive search under the interpreter's
+    # default recursion limit of 1000
+    code, out, _ = cli(argv)
+    assert code == 0
+    assert set(json.loads(out).values()) == {1}
+
+
 def test_tableau(cli, f1, f1_array):
     code, out, _ = cli(["tableau"], f1["array"])
     assert code == 0

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -19,7 +20,6 @@ from octarray import (
     prism_top,
     prism_wall,
     propagate_prism_faces,
-    propagate_ground_frontwall,
     rsk,
     rsk_inverse,
     tetra_propagate,
@@ -27,7 +27,8 @@ from octarray import (
     tetra_slope_wall,
 )
 from octarray.checks import random_array, random_couple
-from octarray.octahedron import or_step, tetra_points
+from octarray.octahedron import or_step
+from octarray.scalars import normalize
 
 
 def test_or_step():
@@ -194,7 +195,7 @@ def test_tetra_propagation_matches_ground_and_frontwall():
     ground = lambda x, y: g.value(y, n - x)
     frontwall = lambda x, z: f.value(n - x - z, n - x)
     T = tetra_propagate(ground, frontwall, n)
-    for (x, y, z) in tetra_points(n):
+    for (x, y, z) in T.values:
         if z == 0:
             assert T.value(x, y, z) == ground(x, y)
         if y == 0:
@@ -216,26 +217,65 @@ def test_tetra_walls_are_concave_triangles():
     assert is_discrete_concave(tetra_slope_wall(T))
 
 
-def test_propagate_ground_frontwall_on_prism_domain():
-    """The degenerate in-plane rule lets the same recurrence fill a prism
-    whose cross-section is a triangle times an interval."""
-    n, m = 2, 2
-    pts = [
-        (x, y, z)
-        for x in range(n + 1)
-        for z in range(m + 1)
-        for y in range(n + 1)
-        if x + y <= n
-    ]
-    rng = random.Random(9)
-    a = random_array(rng, n, m, 2)
-    f = integrate(a)
-    vals = propagate_ground_frontwall(
-        pts, lambda x, y: 0, lambda x, z: f.value(n - x, z)
-    )
-    for (x, y, z), v in vals.items():
-        if z == 0:
-            assert v == 0
+def generic_fill(pts, ground, frontwall):
+    """Reference: the former engine for arbitrary domains, on a domain in
+    which every filled point has both side pairs (asserted)."""
+    F = {(x, y, z): normalize(frontwall(x, z) if y == 0 else ground(x, y))
+         for (x, y, z) in pts if y == 0 or z == 0}
+    for a, b, c in sorted((p for p in pts if p[1] and p[2]),
+                          key=lambda p: (p[1] + p[2], p[1], p[0])):
+        sides = [(a, b, c - 1), (a + 1, b - 1, c), (a, b - 1, c), (a + 1, b, c - 1)]
+        assert all(q in pts for q in sides)
+        F[a, b, c] = or_step(F[a + 1, b - 1, c - 1], *(F[q] for q in sides))
+    return F
+
+
+def random_tetra_faces(rng, n):
+    """Ground and front wall on x + y + z <= n: a couple of hives scaled by
+    a positive rational (concave), or free values (not concave)."""
+    if n and rng.random() < 0.5:
+        f, g = (pair_to_hive(p) for p in random_couple(rng, n))
+        c = rng.choice([1, 2, Fraction(1, 3), Fraction(5, 4)])
+        return ((lambda x, y: c * g.value(y, n - x)),
+                (lambda x, z: c * f.value(n - x - z, n - x)))
+    v = {(x, y): rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 2),
+                             Fraction(rng.randint(-9, 9), rng.randint(1, 6))])
+         for x in range(n + 1) for y in range(-n, n + 1 - x)}
+    # the front wall is stored at negative y, sharing the edge y = z = 0
+    return (lambda x, y: v[(x, y)]), (lambda x, z: v[(x, -z)])
+
+
+def test_tetra_fill_equals_the_generic_engine_in_one_or_step_per_point(monkeypatch):
+    from octarray import octahedron
+
+    calls = []
+    real = octahedron.or_step
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(octahedron, "or_step", counting)
+    rng = random.Random(214)
+    for _ in range(150):
+        n = rng.randint(0, 7)
+        ground, frontwall = random_tetra_faces(rng, n)
+        calls.clear()
+        T = tetra_propagate(ground, frontwall, n)
+        assert len(calls) == comb(n + 1, 3)
+        pts = {(x, y, z) for x in range(n + 1) for y in range(n + 1 - x)
+               for z in range(n + 1 - x - y)}
+        want = generic_fill(pts, ground, frontwall)
+        assert T.values == want
+        assert all(type(T.values[p]) is type(v) for p, v in want.items())
+
+
+def test_tetra_disagreement_names_the_smallest_x():
+    for n in range(4):
+        with pytest.raises(ValidationError, match=r"disagree at x=0$"):
+            tetra_propagate(lambda x, y: 0, lambda x, z: 1, n)
+    with pytest.raises(ValidationError, match=r"disagree at x=2$"):
+        tetra_propagate(lambda x, y: 0, lambda x, z: int(x >= 2), 3)
 
 
 def test_is_polarized_dc_fails_on_non_concave_input():
