@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import ValidationError
-from .scalars import Scalar, normalize
+from .scalars import Scalar, checked_row, normalize
 
 
 @dataclass(frozen=True)
@@ -22,16 +22,15 @@ class Array:
     rows: tuple
 
     def __init__(self, rows):
-        rows = tuple(tuple(normalize(x) for x in row) for row in rows)
+        rows = tuple(checked_row(row, normalize) for row in rows)
         if not rows or not rows[0]:
             raise ValidationError("array must have at least one row and column")
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise ValidationError("ragged array")
         for row in rows:
-            for x in row:
-                if x < 0:
-                    raise ValidationError(f"negative mass {x}")
+            if min(row) < 0:
+                raise ValidationError(f"negative mass {next(x for x in row if x < 0)}")
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -61,7 +60,7 @@ class CornerFunction:
     values: tuple  # values[j][i]
 
     def __init__(self, values):
-        values = tuple(tuple(normalize(x) for x in row) for row in values)
+        values = tuple(checked_row(row, normalize) for row in values)
         if len(values) < 2 or len(values[0]) < 2:
             raise ValidationError("corner function needs at least a 1x1 grid")
         width = len(values[0])

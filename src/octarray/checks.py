@@ -83,20 +83,21 @@ def random_array(rng, n, m, max_mass=6, max_denom=1) -> Array:
     return Array(rows)
 
 
-def random_standard_pair(rng, n, max_mass=3) -> StandardPair:
-    b = condense_left(random_array(rng, n, n, max_mass))
-    c = condense_left(random_array(rng, n, n, max_mass))
+def random_standard_pair(rng, n, max_mass=3, max_denom=1) -> StandardPair:
+    b = condense_left(random_array(rng, n, n, max_mass, max_denom))
+    c = condense_left(random_array(rng, n, n, max_mass, max_denom))
     x, y = split(condense_down(concat(b, c)), n)
     return StandardPair(x, y)
 
 
-def random_antistandard_pair(rng, n, max_mass=3) -> AntiStandardPair:
-    return to_antistandard(random_standard_pair(rng, n, max_mass))
+def random_antistandard_pair(rng, n, max_mass=3, max_denom=1) -> AntiStandardPair:
+    return to_antistandard(random_standard_pair(rng, n, max_mass, max_denom))
 
 
-def random_couple(rng, n, max_mass=3):
+def random_couple(rng, n, max_mass=3, max_denom=1):
     """A compatible couple of standard pairs (shared intermediate shape)."""
-    parts = [condense_left(random_array(rng, n, n, max_mass)) for _ in range(3)]
+    parts = [condense_left(random_array(rng, n, n, max_mass, max_denom))
+             for _ in range(3)]
     full = condense_down(concat(concat(parts[0], parts[1]), parts[2]))
     a, rest = split(full, n)
     b, c = split(rest, n)
@@ -106,8 +107,8 @@ def random_couple(rng, n, max_mass=3):
     return p1, p2
 
 
-def random_hive(rng, n, max_mass=3) -> TriangleFunction:
-    return pair_to_hive(random_standard_pair(rng, n, max_mass))
+def random_hive(rng, n, max_mass=3, max_denom=1) -> TriangleFunction:
+    return pair_to_hive(random_standard_pair(rng, n, max_mass, max_denom))
 
 
 # -- suites ---------------------------------------------------------------------
@@ -199,12 +200,12 @@ def check_shapes(cases=500, seed=0, max_n=5, max_m=5, max_mass=6, max_denom=3,
     return rep
 
 
-def check_involution(cases=200, seed=0, max_n=4, max_mass=3):
+def check_involution(cases=200, seed=0, max_n=4, max_mass=3, max_denom=1):
     """Commutation is an involution swapping the first two type entries."""
     rng = random.Random(seed)
     rep = CheckReport("involution (commuter)", cases)
     for k in range(cases):
-        p = random_antistandard_pair(rng, rng.randint(1, max_n), max_mass)
+        p = random_antistandard_pair(rng, rng.randint(1, max_n), max_mass, max_denom)
         q = commute(p)
         lam, mu, nu = p.type()
         if q.type() != (mu, lam, nu):
@@ -214,14 +215,14 @@ def check_involution(cases=200, seed=0, max_n=4, max_mass=3):
     return rep
 
 
-def check_theorem1(cases=100, seed=0, max_n=5, max_mass=3):
+def check_theorem1(cases=100, seed=0, max_n=5, max_mass=3, max_denom=1):
     """Propagation from concave ground and front wall is polarized concave,
     and the two remaining walls are concave."""
     rng = random.Random(seed)
     rep = CheckReport("thm1 (tetrahedron propagation)", cases)
     for k in range(cases):
         n = rng.randint(1, max_n)
-        f, g = (pair_to_hive(p) for p in random_couple(rng, n, max_mass))
+        f, g = (pair_to_hive(p) for p in random_couple(rng, n, max_mass, max_denom))
         T = tetra_of_couple(f, g)
         if not is_polarized_dc(T, TETRA_FRAME):
             rep.failures.append(f"case {k}: propagation not polarized concave")
@@ -232,12 +233,12 @@ def check_theorem1(cases=100, seed=0, max_n=5, max_mass=3):
     return rep
 
 
-def check_theorem3(cases=50, seed=0, n=2, max_mass=3):
+def check_theorem3(cases=50, seed=0, n=2, max_mass=3, max_denom=1):
     """The functional associator computes the hives of the rearranged pairs."""
     rng = random.Random(seed)
     rep = CheckReport("thm3 (functional associator)", cases)
     for k in range(cases):
-        p1, p2 = random_couple(rng, n, max_mass)
+        p1, p2 = random_couple(rng, n, max_mass, max_denom)
         o1, o2 = associate(p1, p2)
         got = associate_functional(pair_to_hive(p1), pair_to_hive(p2))
         want = (pair_to_hive(o1), pair_to_hive(o2))
@@ -247,13 +248,13 @@ def check_theorem3(cases=50, seed=0, n=2, max_mass=3):
     return rep
 
 
-def check_theorem4(cases=100, seed=0, max_n=3, max_mass=3):
+def check_theorem4(cases=100, seed=0, max_n=3, max_mass=3, max_denom=1):
     """The two-dimensional route to the functional commuter agrees with the
     propagation route."""
     rng = random.Random(seed)
     rep = CheckReport("thm4 (functional commuter, 2d route)", cases)
     for k in range(cases):
-        h = random_hive(rng, rng.randint(1, max_n), max_mass)
+        h = random_hive(rng, rng.randint(1, max_n), max_mass, max_denom)
         if rho2_prime(h) != com_prime(h):
             rep.failures.append(f"case {k}: routes differ on {h}")
     return rep

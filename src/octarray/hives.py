@@ -34,7 +34,7 @@ from .arrays import (
 )
 from .condense import shape
 from .errors import ValidationError
-from .scalars import Scalar, normalize
+from .scalars import Scalar, checked_row, normalize
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class TriangleFunction:
     values: tuple  # values[v][u], len(values[v]) == v + 1
 
     def __init__(self, values):
-        values = tuple(tuple(normalize(x) for x in row) for row in values)
+        values = tuple(checked_row(row, normalize) for row in values)
         if not values or len(values[0]) != 1:
             raise ValidationError("triangle rows must start with a single apex value")
         for v, row in enumerate(values):

@@ -39,8 +39,9 @@ def enumerate_hives(lam, mu, nu):
     """All integer hives with boundary increments (lam, mu, nu).
 
     The boundary is forced; interior points are filled one at a time in a
-    fixed scan order, bounded below by supermodularity and above by the
-    strip inequalities, with a full rhombus check on every completed hive.
+    fixed scan order with an explicit stack, bounded below by
+    supermodularity and above by the strip inequalities, with a full rhombus
+    check on every completed hive.
     Returns a deterministically ordered list of TriangleFunctions.
     """
     lam, mu, nu = _integer_type(lam, mu, nu)
@@ -61,34 +62,35 @@ def enumerate_hives(lam, mu, nu):
     if fixed[(n, n)] != lam_s[n] + mu_s[n]:
         return []
 
-    interior = [
-        (u, v) for v in range(2, n) for u in range(1, v)
-    ]
+    interior = [(u, v) for v in range(2, n) for u in range(1, v)]
     results = []
     values = dict(fixed)
-
-    def search(idx):
-        if idx == len(interior):
+    tops = [None] * len(interior)  # the stack: upper bounds of points 0..k
+    k = 0
+    while k >= 0:
+        if k == len(interior):  # a complete filling
             h = TriangleFunction(
                 [[values[(u, v)] for u in range(v + 1)] for v in range(n + 1)]
             )
             if is_discrete_concave(h):
                 results.append(h)
-            return
-        u, v = interior[idx]
-        lo = values[(u - 1, v)] + values[(u, v - 1)] - values[(u - 1, v - 1)]
-        hi = values[(u - 1, v - 1)] + values[(u, v - 1)] - values[(u - 1, v - 2)]
-        if u >= 2:
-            hi = min(
-                hi,
-                values[(u - 1, v - 1)] + values[(u - 1, v)] - values[(u - 2, v - 1)],
-            )
-        for x in range(lo, hi + 1):
-            values[(u, v)] = x
-            search(idx + 1)
-        values.pop((u, v), None)
-
-    search(0)
+            k -= 1
+            continue
+        u, v = p = interior[k]
+        if tops[k] is None:  # entering the point: its bounds, lowest value first
+            w = values[(u - 1, v - 1)]
+            values[p] = values[(u - 1, v)] + values[(u, v - 1)] - w
+            top = w + values[(u, v - 1)] - values[(u - 1, v - 2)]
+            if u >= 2:
+                top = min(top, w + values[(u - 1, v)] - values[(u - 2, v - 1)])
+            tops[k] = top
+        else:
+            values[p] += 1
+        if values[p] > tops[k]:  # point exhausted: back to the previous one
+            tops[k] = None
+            k -= 1
+        else:
+            k += 1
     results.sort(key=lambda h: h.values)
     return results
 

@@ -3,15 +3,27 @@
 Masses are non-negative rationals.  We keep integers as plain ints and only
 fall back to Fraction when a value is genuinely fractional, so small examples
 stay readable and fast.
+
+Scalars are checked where they enter an object: by normalize in the Array,
+CornerFunction and TriangleFunction constructors and by parse_scalar in
+serialize.decode, one row at a time through checked_row.  A row of exact
+ints passes in one C-level type test; any other row is checked per value.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Union
 
 from .errors import ValidationError
 
 Scalar = Union[int, Fraction]
+
+
+def checked_row(row, check) -> tuple:
+    """The row as a tuple, with check applied per value unless all are exact ints."""
+    row = tuple(row)
+    return row if set(map(type, row)) <= {int} else tuple(map(check, row))
 
 
 def normalize(x) -> Scalar:
@@ -42,6 +54,8 @@ def parse_scalar(x) -> Scalar:
 
 
 def scalar_to_json(x: Scalar):
+    if type(x) is int:
+        return x
     x = normalize(x)
     return x if isinstance(x, int) else f"{x.numerator}/{x.denominator}"
 
@@ -54,15 +68,17 @@ def scale_rows(rows):
     of condensation and propagation commute with this scaling, so they can
     run in ints and divide back once with unscale_rows.
     """
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return 1, [tuple(row) for row in rows]
     D = lcm(*(x.denominator for row in rows for x in row))
     return D, [tuple(x.numerator * (D // x.denominator) for x in row) for row in rows]
 
 
 def unscale_rows(rows, D: int):
-    """Divide rows scaled by scale_rows back by D."""
+    """Divide rows scaled by scale_rows back by D; integral values are ints."""
     if D == 1:
         return rows
-    return [[Fraction(v, D) for v in row] for row in rows]
+    return [[v // D if v % D == 0 else Fraction(v, D) for v in row] for row in rows]
 
 
 def is_integral(x: Scalar) -> bool:

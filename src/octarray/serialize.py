@@ -7,7 +7,7 @@ rows are listed bottom row first, matching the in-memory layout.
 from .arrays import Array
 from .errors import ValidationError
 from .hives import AntiStandardPair, StandardPair, TriangleFunction
-from .scalars import parse_scalar, scalar_to_json
+from .scalars import checked_row, parse_scalar, scalar_to_json
 
 
 def encode_array(a: Array) -> dict:
@@ -46,7 +46,7 @@ def _scalar_rows(obj):
     rows = _object(obj).get("rows")
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise KeyError("rows")
-    return [[parse_scalar(x) for x in row] for row in rows]
+    return [checked_row(row, parse_scalar) for row in rows]
 
 
 def decode_array(obj: dict) -> Array:

@@ -99,6 +99,14 @@ def test_lr_searches_run_past_the_recursion_limit(cli, argv):
     assert set(json.loads(out).values()) == {1}
 
 
+def test_hive_search_runs_past_the_recursion_limit(cli):
+    # the hive search fills (n - 1)(n - 2)/2 interior points, 1,176 at 50 parts
+    zeros = ",".join(["0"] * 50)
+    code, out, _ = cli(["lr", zeros, zeros, zeros])
+    assert code == 0
+    assert json.loads(out) == {"coefficient": 1}
+
+
 def test_tableau(cli, f1, f1_array):
     code, out, _ = cli(["tableau"], f1["array"])
     assert code == 0
