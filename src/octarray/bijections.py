@@ -41,7 +41,7 @@ from .hives import (
     hive_to_pair,
     increments,
 )
-from .octahedron import (TetraFunction, prism_propagate, prism_top, rsk_inverse,
+from .octahedron import (TetraFunction, _prism_layers, _zero, rsk_inverse,
                          tetra_propagate, tetra_slope_wall)
 from .scalars import check_partition, is_integral, partial_sums, trim
 
@@ -363,23 +363,21 @@ def associate_functional(f: TriangleFunction, g: TriangleFunction):
 # -- the functional commuter ----------------------------------------------------
 
 
-def _com_prism(f: TriangleFunction):
+def _com_prism(f: TriangleFunction) -> list:
+    """Layers L[z][y][x] = F(x, y, z) of the prism over the reversed concatenation."""
     p = hive_to_pair(f)
     lam = increments(f).lam
     a_right = condense_right(diag(lam))
     rev = central_reverse(concat(a_right, p.b))
-    return prism_propagate(rev)
+    return _prism_layers(rev.n, rev.m, integrate(rev).value, _zero, _zero)
 
 
 def com_prime(f: TriangleFunction) -> TriangleFunction:
     """The commuter on hives: propagate the reversed concatenation through
     the doubled prism and read the ceiling on the right-hand triangle."""
     n = f.n
-    F = _com_prism(f)
-    top = prism_top(F)
-    out = TriangleFunction(
-        [[top.value(n + u, v) for u in range(v + 1)] for v in range(n + 1)]
-    )
+    ceiling = _com_prism(f)[n]
+    out = TriangleFunction([ceiling[v][n:n + v + 1] for v in range(n + 1)])
     lam, mu, nu = increments(f)
     got = increments(out)
     if got != (mu, lam, nu):
@@ -393,13 +391,13 @@ def hk_wall_h(f: TriangleFunction) -> TriangleFunction:
     (-reversed(nu), mu, -reversed(lam)), and rotating it by
     h(i, j) = result(n-j, n-j+i) recovers com_prime(f)."""
     n = f.n
-    F = _com_prism(f)
+    L = _com_prism(f)
     nu = increments(f).nu
     nuop_sums = partial_sums(nu[::-1])
     total = sum(nu)
     return TriangleFunction(
         [
-            [F.value(n, i, j) - nuop_sums[j] + total for i in range(j + 1)]
+            [L[j][i][n] - nuop_sums[j] + total for i in range(j + 1)]
             for j in range(n + 1)
         ]
     )

@@ -6,6 +6,11 @@ operation), 2 malformed input (bad JSON, missing fields, bad arguments),
 3 internal error (an AssertionError: a broken invariant of the program, not
 of the input).  Each failure writes {"error": ..., "detail": ...} to
 stderr, apart from argparse's own usage errors.
+
+Output is json.dumps(obj, indent=2) byte for byte, written by _dumps: rows of
+exact ints take one %-format and flat rows of ints and strings one C-encoder
+call; every other value takes json.dumps.  An output integer past the
+interpreter's int-to-str digit limit exits 1 with an error naming the limit.
 """
 
 import argparse
@@ -13,6 +18,8 @@ import functools
 import inspect
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .arrays import Array, row_sums, transpose
 from .bijections import (
@@ -56,7 +63,7 @@ def _read_json(args):
             with open(args.input) as fh:
                 return json.load(fh)
         return json.load(sys.stdin)
-    except (OSError, ValueError) as exc:  # bad JSON, or an int over the digit limit
+    except (OSError, ValueError, RecursionError) as exc:  # bad, too long or too deep
         raise MalformedInput(str(exc))
 
 
@@ -71,8 +78,40 @@ def _decode(obj, decoder):
         raise MalformedInput(f"bad input object: {exc}")
 
 
+@functools.cache
+def _row_encoder(sep):
+    return json.JSONEncoder(separators=("," + sep, ": ")).encode
+
+
+def _dumps(obj, pad="\n"):
+    """json.dumps(obj, indent=2), byte for byte, for dicts with str keys."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = (inner + encode_basestring_ascii(k) + ": " + _dumps(v, inner)
+                 for k, v in obj.items())
+        return "{" + ",".join(items) + pad + "}"
+    if not isinstance(obj, (list, tuple)) or not obj:
+        return json.dumps(obj)
+    kinds = set(map(type, obj))
+    if kinds <= {int, str}:  # a flat row: one C-encoder call
+        return "[" + inner + _row_encoder(inner)(obj)[1:-1] + pad + "]"
+    if (kinds <= {list, tuple} and obj[0] and len(set(map(len, obj))) == 1
+            and set(map(type, chain.from_iterable(obj))) <= {int}):
+        # equal rows of exact ints: one %-format over all their values
+        cell = inner + "  "
+        row = "[" + cell + ("," + cell).join(["%d"] * len(obj[0])) + inner + "]"
+        text = "[" + ",".join([inner + row] * len(obj)) + pad + "]"
+        return text % tuple(chain.from_iterable(obj))
+    return "[" + ",".join(inner + _dumps(v, inner) for v in obj) + pad + "]"
+
+
 def _emit(obj):
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    try:
+        text = _dumps(obj)
+    except ValueError:  # an int past the interpreter's int-to-str digit limit
+        raise ValidationError(f"an output integer has more than "
+                              f"{sys.get_int_max_str_digits()} digits")
+    sys.stdout.write(text + "\n")
 
 
 def _partition_arg(text):
@@ -115,12 +154,13 @@ def cmd_propagate(args):
     a = _decode(_read_json(args), serialize.decode_array)
     F = prism_propagate(a)
     top = prism_top(F)
+    n, m, V = F.n, F.m, F.values
     _emit({
-        "n": F.n,
-        "m": F.m,
-        "values": [
-            [x, y, z, scalar_to_json(v)] for (x, y, z), v in sorted(F.values.items())
-        ],
+        "n": n,
+        "m": m,
+        "values": [[x, y, z, scalar_to_json(V[x, y, z])]  # in sorted (x, y, z) order
+                   for x in range(n + 1) for y in range(m + 1)
+                   for z in range(y, m + 1)],
         "top": [[scalar_to_json(v) for v in row] for row in top.values],
         # the recurrence fills every octahedron's top: polarized by construction
         "polarized": True,

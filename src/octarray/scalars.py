@@ -10,6 +10,7 @@ serialize.decode, one row at a time through checked_row.  A row of exact
 ints passes in one C-level type test; any other row is checked per value.
 """
 
+import re
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -39,17 +40,24 @@ def normalize(x) -> Scalar:
     raise ValidationError(f"not an exact scalar: {x!r}")
 
 
+_SCALAR_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_scalar(x) -> Scalar:
-    """Parse a JSON-level scalar: an int, or a string like '3/4'."""
+    """Parse a JSON-level scalar: an int, or a string "[-]p" or "[-]p/q" in
+    ASCII digits.  Decimal and exponent strings are rejected: "1e5000" would
+    be a 5,001-digit integer."""
     if isinstance(x, bool) or isinstance(x, float):
         raise ValidationError(f"inexact scalar not allowed: {x!r}")
     if isinstance(x, int):
         return x
     if isinstance(x, str):
         try:
-            return normalize(Fraction(x))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad scalar string {x!r}") from exc
+            if _SCALAR_STRING.fullmatch(x):
+                return normalize(Fraction(x))
+        except (ValueError, ZeroDivisionError):  # past the digit limit, or q = 0
+            pass
+        raise ValidationError(f"bad scalar string {x!r}")
     raise ValidationError(f"bad scalar {x!r}")
 
 

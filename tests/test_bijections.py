@@ -169,6 +169,17 @@ def test_hk_wall_and_rotation_identity(f4, f4_triangle):
             assert h.value(i, j) == c.value(n - j, n - j + i)
 
 
+def test_functional_commuter_reads_the_prism_layers(f4, f4_triangle, monkeypatch):
+    from octarray import octahedron
+
+    def refuse(**fields):
+        raise AssertionError("a PrismFunction was built")
+
+    monkeypatch.setattr(octahedron, "PrismFunction", refuse)
+    assert com_prime(f4_triangle) == serialize.decode(f4["expected"]["com_prime"])
+    assert hk_wall_h(f4_triangle) == serialize.decode(f4["expected"]["h_wall"])
+
+
 def test_rho2_prime_equals_com_prime(f4_triangle):
     assert rho2_prime(f4_triangle) == com_prime(f4_triangle)
     rng = random.Random(24)

@@ -154,6 +154,38 @@ def test_integer_literal_over_the_digit_limit_exit_2(capsys, monkeypatch):
     assert json.loads(err)["error"] == "malformed input"
 
 
+@pytest.mark.parametrize("scalar", ["1e5000", "0.5", "1e3"])
+def test_decimal_and_exponent_scalar_strings_exit_1(cli, scalar):
+    for argv in (["condense", "down"], ["rsk"], ["propagate"]):
+        code, out, err = cli(argv, {"type": "array", "rows": [[scalar, 1]]})
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "validation",
+                                   "detail": f"bad scalar string {scalar!r}"}
+
+
+def test_output_past_the_digit_limit_exit_1(cli):
+    limit = sys.get_int_max_str_digits()
+    big = 10 ** limit - 1  # the longest int JSON reads; twice it is one digit longer
+    for argv in (["condense", "down"], ["rsk"], ["propagate"]):
+        code, out, err = cli(argv, {"type": "array", "rows": [[big, big]]})
+        assert (code, out) == (1, "")
+        doc = json.loads(err)
+        assert doc["error"] == "validation"
+        assert f"more than {limit} digits" in doc["detail"]
+
+
+def test_json_nested_past_the_recursion_limit_exit_2(capsys, monkeypatch):
+    import io
+
+    for text in ("[" * 100_000 + "]" * 100_000,
+                 '{"type": "array", "rows": [%s]}' % ("[" * 5000 + "]" * 5000)):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert main(["condense", "down"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"] == "malformed input"
+
+
 def test_tableau_of_a_triangle_exit_1(cli):
     for argv in (["tableau"], ["tableau", "--wall"]):
         code, out, err = cli(argv, {"type": "triangle", "rows": [[0], [0, 0]]})

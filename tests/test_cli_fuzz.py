@@ -3,12 +3,13 @@
 Each case draws an argv from the parser's own subcommand table (every
 positional, switch and integer option it declares) and a JSON text for
 stdin made of nested objects and lists, ints, booleans, "p/q" and "1/0"
-strings, floats and integer literals over the digit limit, often shaped
-like the tagged objects the commands read.  It runs ``cli.main`` in-process
-and asserts the contract: the exit code is 0, 1, 2 or 3, and on a non-zero
-exit stderr holds one JSON object.  With hypothesis installed the
-generator is drawn by hypothesis; without it, a seeded loop runs the same
-test body.
+strings, decimal and exponent strings, floats, integer literals over the
+digit limit, two literals at the limit side by side and arrays nested past
+the recursion limit, often shaped like the tagged objects the commands
+read.  It runs ``cli.main`` in-process and asserts the contract: the exit
+code is 0, 1, 2 or 3, and on a non-zero exit stderr holds one JSON object.
+With hypothesis installed the generator is drawn by hypothesis; without it,
+a seeded loop runs the same test body.
 """
 
 import argparse
@@ -39,8 +40,11 @@ else:
             given(rng=st.randoms(use_true_random=False))(test))
 
 OVER_DIGIT_LIMIT = "1" + "0" * sys.get_int_max_str_digits()
+AT_DIGIT_LIMIT = "9" * sys.get_int_max_str_digits()
+DEEP = "[" * 100_000 + "]" * 100_000
 ODD_LEAVES = ["true", "false", '"3/4"', '"8/2"', '"-1/2"', '"1/0"', '"p/q"',
-              "0.5", "2.0", "-1", "null", OVER_DIGIT_LIMIT, "10" + "0" * 30]
+              "0.5", "2.0", "-1", "null", OVER_DIGIT_LIMIT, "10" + "0" * 30,
+              '"1e5000"', '"0.5"', AT_DIGIT_LIMIT + ", " + AT_DIGIT_LIMIT, DEEP]
 KEYS = ["type", "rows", "kind", "n", "m", "a", "b", "d", "l", "f", "g",
         "first", "second"]
 

@@ -31,6 +31,19 @@ def test_parse_scalar_rejects(bad):
         parse_scalar(bad)
 
 
+@pytest.mark.parametrize("text", ["1e5000", "1e3", "0.5", "2.0", "+3", " 3", "1_0",
+                                  "\u0663", "3/-4", "-", "1/0", "9" * 5000])
+def test_parse_scalar_takes_only_integer_and_fraction_strings(text):
+    with pytest.raises(ValidationError, match="bad scalar string"):
+        parse_scalar(text)
+
+
+def test_parse_scalar_keeps_signed_strings():
+    assert parse_scalar("-3") == -3
+    assert parse_scalar("-1/2") == Fraction(-1, 2)
+    assert parse_scalar("0/5") == 0
+
+
 def test_scalar_json_round_trip():
     for x in [0, 7, Fraction(2, 3)]:
         assert parse_scalar(scalar_to_json(x)) == x
