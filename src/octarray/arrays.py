@@ -11,7 +11,8 @@ second differences recover the array.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
+from fractions import Fraction
+from itertools import accumulate, chain
 
 from .errors import ValidationError
 from .scalars import Scalar, checked_row, normalize
@@ -22,15 +23,19 @@ class Array:
     rows: tuple
 
     def __init__(self, rows):
-        rows = tuple(checked_row(row, normalize) for row in rows)
+        rows = tuple(map(tuple, rows))
+        ints = set(map(type, chain.from_iterable(rows))) <= {int}
+        if not ints:
+            rows = tuple(checked_row(row, normalize) for row in rows)
         if not rows or not rows[0]:
             raise ValidationError("array must have at least one row and column")
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise ValidationError("ragged array")
-        for row in rows:
-            if min(row) < 0:
-                raise ValidationError(f"negative mass {next(x for x in row if x < 0)}")
+        # a normalized scalar has the sign of its numerator: no Fraction compares
+        low = min(map(min, rows)) if ints else min(x.numerator for r in rows for x in r)
+        if low < 0:
+            raise ValidationError(f"negative mass {next(x for r in rows for x in r if x < 0)}")
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -99,9 +104,9 @@ def integrate(a: Array) -> CornerFunction:
     return CornerFunction(values)
 
 
-def mixed_derivative(f: CornerFunction) -> Array:
-    """Inverse of integrate; raises if some mixed difference is negative."""
-    vals = f.values
+def _mixed_differences(vals, D: int = 1) -> list:
+    """Mixed differences of the rows vals[j][i], scaled by D; raises at the
+    first negative box in (j, i) order, quoting its value divided by D."""
     rows = [
         [h1 - h0 - l1 + l0 for l0, l1, h0, h1 in zip(low, low[1:], high, high[1:])]
         for low, high in zip(vals, vals[1:])
@@ -110,10 +115,15 @@ def mixed_derivative(f: CornerFunction) -> Array:
         if min(row) < 0:
             i, v = next((i, v) for i, v in enumerate(row, 1) if v < 0)
             raise ValidationError(
-                f"negative mixed difference {v} at box ({i},{j}); "
-                "the function is not supermodular"
+                f"negative mixed difference {v if D == 1 else Fraction(v, D)} at "
+                f"box ({i},{j}); the function is not supermodular"
             )
-    return Array(rows)
+    return rows
+
+
+def mixed_derivative(f: CornerFunction) -> Array:
+    """Inverse of integrate; raises if some mixed difference is negative."""
+    return Array(_mixed_differences(f.values))
 
 
 def concat(a: Array, b: Array) -> Array:

@@ -35,10 +35,10 @@ from dataclasses import dataclass
 from .arrays import (
     Array,
     CornerFunction,
+    _mixed_differences,
     integrate,
     is_d_tight,
     is_l_tight,
-    mixed_derivative,
 )
 from .errors import ValidationError
 from .hives import TriangleFunction, extended_differences, rhombi
@@ -228,15 +228,15 @@ def rsk(a: Array):
     """Both condensations of a in one propagation: returns (down, left).
 
     The ceiling of the prism integrates the down-condensation and the wall
-    integrates the left-condensation.  Rational masses are scaled to
-    integers once, propagated in ints, and ceiling and wall are divided back
-    before their differences are taken.
+    integrates the left-condensation.  Rational masses are scaled to ints
+    once; propagation and the differences of ceiling and wall run in ints,
+    and only the masses of the two condensations are divided back.
     """
     n, m = a.n, a.m
     D, rows = scale_rows(a.rows)
     f = integrate(Array(rows)).values
     L = _prism_layers(n, m, lambda x, y: f[y][x], _zero, _zero)
-    d = mixed_derivative(CornerFunction(unscale_rows(L[m], D)))
+    d = Array(unscale_rows(_mixed_differences(L[m], D), D))
     wall = TriangleFunction([[L[z][y][n] for y in range(z + 1)] for z in range(m + 1)])
     l = Array(unscale_rows(extended_differences(wall, n), D))
     return d, l
@@ -246,22 +246,24 @@ def rsk_inverse(d: Array, l: Array) -> Array:
     """Recover the unique array with the given condensations.
 
     d must be tight downwards, l tight leftwards, with equal shapes and the
-    matching corner integrals on the shared edge.  Propagation runs backwards
-    along (-1, 0, -1) from the ceiling and the wall, layer by layer, on
-    masses scaled to integers; the recovered shadow face x = 0 must vanish,
-    and the slope face, divided back, must integrate a non-negative array --
-    both are checked.
+    matching corner integrals on the shared edge.  Both are scaled to ints
+    first (tightness is invariant under positive scaling), then propagated
+    backwards along (-1, 0, -1) from the ceiling and the wall, layer by
+    layer; the recovered shadow face x = 0 must vanish, and the slope face
+    must integrate a non-negative array -- both are checked on the ints, and
+    only the masses found are divided back.
     """
     if d.n != l.n or d.m != l.m:
         raise ValidationError("condensation sizes differ")
+    n, m = d.n, d.m
+    D, rows = scale_rows(d.rows + l.rows)
+    d, l = Array(rows[:m]), Array(rows[m:])
     if not is_d_tight(d):
         raise ValidationError("first argument is not tight downwards")
     if not is_l_tight(l):
         raise ValidationError("second argument is not tight leftwards")
-    n, m = d.n, d.m
-    D, rows = scale_rows(d.rows + l.rows)
-    fd = integrate(Array(rows[:m])).values
-    fl = integrate(Array(rows[m:])).values
+    fd = integrate(d).values
+    fl = integrate(l).values
     # shared edge of ceiling and wall: mass in rows <= j of d must equal
     # mass in columns <= j of l for every j
     for j in range(m + 1):
@@ -291,7 +293,7 @@ def rsk_inverse(d: Array, l: Array) -> Array:
             "not a matching pair"
         )
     slope = [L[y][y] for y in range(m + 1)]
-    return mixed_derivative(CornerFunction(unscale_rows(slope, D)))
+    return Array(unscale_rows(_mixed_differences(slope, D), D))
 
 
 # -- the tetrahedron ----------------------------------------------------------

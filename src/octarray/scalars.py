@@ -7,7 +7,12 @@ stay readable and fast.
 Scalars are checked where they enter an object: by normalize in the Array,
 CornerFunction and TriangleFunction constructors and by parse_scalar in
 serialize.decode, one row at a time through checked_row.  A row of exact
-ints passes in one C-level type test; any other row is checked per value.
+ints (in Array, a whole array of them) passes in one C-level type test; any
+other row is checked per value.
+A string is a scalar only in parse_scalar's grammar "[-]p" or "[-]p/q", in
+the library constructors as in the CLI.  Fractions are made only when a
+"p/q" string is decoded and when a kernel divides its int output back
+(unscale_rows); the kernels' tightness checks and differences run on ints.
 """
 
 import re
@@ -36,11 +41,11 @@ def normalize(x) -> Scalar:
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     if isinstance(x, str):
-        return normalize(Fraction(x))
+        return parse_scalar(x)
     raise ValidationError(f"not an exact scalar: {x!r}")
 
 
-_SCALAR_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_SCALAR_STRING = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_scalar(x) -> Scalar:
@@ -53,8 +58,9 @@ def parse_scalar(x) -> Scalar:
         return x
     if isinstance(x, str):
         try:
-            if _SCALAR_STRING.fullmatch(x):
-                return normalize(Fraction(x))
+            if match := _SCALAR_STRING.fullmatch(x):
+                p, q = match.groups()
+                return int(p) if q is None else normalize(Fraction(int(p), int(q)))
         except (ValueError, ZeroDivisionError):  # past the digit limit, or q = 0
             pass
         raise ValidationError(f"bad scalar string {x!r}")

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import octarray
 from octarray import checks
 from octarray.cli import main
 
@@ -202,10 +205,14 @@ def test_validation_error_exit_1(cli):
 
 
 def test_entry_point_runs():
+    # the child imports the package from where this process found it
+    src = str(Path(octarray.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "octarray.cli", "lr", "1", "1", "1,1"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["coefficient"] == 1

@@ -1,7 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
 
+from octarray.arrays import Array
 from octarray.errors import ValidationError
 from octarray.scalars import (
     is_integral,
@@ -61,3 +63,16 @@ def test_partial_sums_has_leading_zero():
 def test_trim():
     assert trim((3, 2, 0, 0)) == (3, 2)
     assert trim((0, 0)) == ()
+
+
+@pytest.mark.parametrize("text", ["1e20000", " 3", "0.5", "+3", "abc", "1/0"])
+def test_library_constructors_take_only_the_cli_scalar_strings(text):
+    # one grammar for Array(...) and the CLI: "1e20000" would be a
+    # 20,001-digit mass, and "abc" or "1/0" no bare ValueError
+    with pytest.raises(ValidationError, match=re.escape(f"bad scalar string {text!r}")):
+        Array([[text, 1]])
+
+
+def test_library_constructors_keep_integer_and_fraction_strings():
+    assert Array([["3", "-0", "6/4"]]).rows == ((3, 0, Fraction(3, 2)),)
+    assert type(normalize("8/2")) is int
