@@ -8,9 +8,11 @@ increase strictly upwards.
 The commuter acts on anti-standard pairs by condensing the centrally
 reversed concatenation; on standard pairs it is conjugated by the
 standard/anti-standard change of tightness.  The associator rearranges a
-compatible couple of standard pairs through the common triple.  Both have
-functional counterparts acting on triangle functions via three-dimensional
-propagation; those are implemented here as well.
+compatible couple of standard pairs through the common triple: forward it
+is one rsk of b|c, both condensations from one prism propagation, and
+backward one rsk_inverse.  Both have functional counterparts acting on
+triangle functions via three-dimensional propagation; those are
+implemented here as well, on prisms filled and read by octahedron.py.
 """
 
 from dataclasses import dataclass
@@ -26,13 +28,7 @@ from .arrays import (
     split,
     transpose,
 )
-from .condense import (
-    condense_down,
-    condense_left,
-    condense_right,
-    schutzenberger,
-    shape,
-)
+from .condense import condense_left, condense_right, schutzenberger, shape
 from .errors import ValidationError
 from .hives import (
     AntiStandardPair,
@@ -41,8 +37,8 @@ from .hives import (
     hive_to_pair,
     increments,
 )
-from .octahedron import (TetraFunction, _prism_layers, _zero, rsk_inverse,
-                         tetra_propagate, tetra_slope_wall)
+from .octahedron import (TetraFunction, array_layers, layer_wall, rsk,
+                         rsk_inverse, tetra_propagate, tetra_slope_wall)
 from .scalars import check_partition, is_integral, partial_sums, trim
 
 
@@ -290,16 +286,11 @@ def associate(p1: StandardPair, p2: StandardPair):
         raise ValidationError(
             "couple is not compatible: intermediate shapes disagree"
         )
-    bc = concat(p1.b, p2.b)
-    down = condense_down(bc)
-    b2, c2 = split(down, n)
-    out1 = StandardPair(b2, c2)
-    left = condense_left(bc)
+    down, left = rsk(concat(p1.b, p2.b))
     lt, rest = split(left, n)
     if any(x != 0 for row in rest.rows for x in row):
         raise AssertionError("left condensation spilled past n columns")
-    out2 = StandardPair(p1.a, lt)
-    return out1, out2
+    return StandardPair(*split(down, n)), StandardPair(p1.a, lt)
 
 
 def _zeros(n: int, m: int) -> Array:
@@ -364,12 +355,17 @@ def associate_functional(f: TriangleFunction, g: TriangleFunction):
 
 
 def _com_prism(f: TriangleFunction) -> list:
-    """Layers L[z][y][x] = F(x, y, z) of the prism over the reversed concatenation."""
+    """Layers of the prism over the reversed concatenation of f's pair."""
     p = hive_to_pair(f)
-    lam = increments(f).lam
-    a_right = condense_right(diag(lam))
-    rev = central_reverse(concat(a_right, p.b))
-    return _prism_layers(rev.n, rev.m, integrate(rev).value, _zero, _zero)
+    return array_layers(central_reverse(concat(condense_right(p.a), p.b)))
+
+
+def _nuop_offsets(f: TriangleFunction) -> list:
+    """The renormalisation by the reversed diagonal increments: at row j,
+    |nu| minus the sum of the last j entries of nu."""
+    nu = increments(f).nu
+    total = sum(nu)
+    return [total - s for s in partial_sums(nu[::-1])]
 
 
 def com_prime(f: TriangleFunction) -> TriangleFunction:
@@ -390,16 +386,9 @@ def hk_wall_h(f: TriangleFunction) -> TriangleFunction:
     renormalised by the reversed diagonal increments.  Its increments are
     (-reversed(nu), mu, -reversed(lam)), and rotating it by
     h(i, j) = result(n-j, n-j+i) recovers com_prime(f)."""
-    n = f.n
-    L = _com_prism(f)
-    nu = increments(f).nu
-    nuop_sums = partial_sums(nu[::-1])
-    total = sum(nu)
+    wall = layer_wall(_com_prism(f), f.n)
     return TriangleFunction(
-        [
-            [L[j][i][n] - nuop_sums[j] + total for i in range(j + 1)]
-            for j in range(n + 1)
-        ]
+        [[v + c for v in row] for row, c in zip(wall, _nuop_offsets(f))]
     )
 
 
@@ -409,17 +398,11 @@ def rho2_prime(f: TriangleFunction) -> TriangleFunction:
     rotate.  Agrees with com_prime."""
     n = f.n
     b = hive_to_pair(f).b
-    lstar = transpose(schutzenberger(transpose(b)))
-    fl = integrate(lstar)
-    nu = increments(f).nu
-    nuop_sums = partial_sums(nu[::-1])
-    total = sum(nu)
-
-    def h(i, j):
-        return fl.value(i, j) - nuop_sums[j] + total
-
+    fl = integrate(transpose(schutzenberger(transpose(b))))
+    c = _nuop_offsets(f)
     return TriangleFunction(
-        [[h(v - u, n - u) for u in range(v + 1)] for v in range(n + 1)]
+        [[fl.value(v - u, n - u) + c[n - u] for u in range(v + 1)]
+         for v in range(n + 1)]
     )
 
 

@@ -169,6 +169,8 @@ def cmd_propagate(args):
 
 
 def cmd_hive(args):
+    if args.from_pair and args.to_pair:
+        raise MalformedInput("--from-pair and --to-pair exclude each other")
     obj = _read_json(args)
     if args.from_pair:
         p = _decode(obj, serialize.decode_pair)
@@ -203,6 +205,8 @@ def cmd_commute(args):
 
 
 def cmd_associate(args):
+    if args.functional and args.inverse:
+        raise MalformedInput("--functional and --inverse exclude each other")
     obj = _read_json(args)
     if args.functional:
         if not isinstance(obj, dict) or "f" not in obj or "g" not in obj:

@@ -11,7 +11,9 @@ faces x = 0 and y = 0, the recurrence
 
 fills everything else.  The ceiling z = m then carries the integral of the
 down-condensation and the wall x = n the integral of the left-condensation,
-which gives a second, independent route to both condensations.
+which gives a second, independent route to both condensations.  Only this
+module fills prism layers L[z][y][x] = F(x, y, z): array_layers over an
+array; layer_wall reads their walls.
 
 The tetrahedron {x, y, z >= 0, x + y + z <= n} propagates along (-1, 1, 1)
 from its ground z = 0 and front wall y = 0, one level s = y + z at a time:
@@ -178,36 +180,45 @@ def _prism_layers(n: int, m: int, slope, front, shadow) -> list:
     return L
 
 
-def propagate_prism_faces(n: int, m: int, slope, front, shadow) -> PrismFunction:
-    """Propagate arbitrary face data through the prism.
+def _zero(i, j):
+    return 0
 
-    slope(x, y) gives F on the face y = z, front(x, z) gives F on y = 0 and
-    shadow(y, z) gives F on x = 0; the three must agree on shared edges.
-    """
-    L = _prism_layers(n, m, slope, front, shadow)
+
+def array_layers(a: Array) -> list:
+    """Layers L[z][y][x] = F(x, y, z) of the prism over a: the double
+    integral of a on the slope face, zeros on the front and the shadow."""
+    f = integrate(a).values
+    return _prism_layers(a.n, a.m, lambda x, y: f[y][x], _zero, _zero)
+
+
+def layer_wall(L: list, x: int) -> list:
+    """The wall at x of the layers L: rows [F(x, y, z) for y <= z], z = 0..m."""
+    return [[row[x] for row in layer] for layer in L]
+
+
+def _prism_function(L: list) -> PrismFunction:
+    """The solid of the layers L, one point per value."""
     F = {
         (x, y, z): v
         for z, layer in enumerate(L)
         for y, row in enumerate(layer)
         for x, v in enumerate(row)
     }
-    return PrismFunction(values=F, n=n, m=m)
+    return PrismFunction(values=F, n=len(L[0][0]) - 1, m=len(L) - 1)
 
 
-def _zero(i, j):
-    return 0
+def propagate_prism_faces(n: int, m: int, slope, front, shadow) -> PrismFunction:
+    """Propagate arbitrary face data through the prism.
+
+    slope(x, y) gives F on the face y = z, front(x, z) gives F on y = 0 and
+    shadow(y, z) gives F on x = 0; the three must agree on shared edges.
+    """
+    return _prism_function(_prism_layers(n, m, slope, front, shadow))
 
 
 def prism_propagate(a: Array) -> PrismFunction:
     """Propagate the double integral of an array from the slope face."""
-    f = integrate(a)
-    return propagate_prism_faces(
-        a.n,
-        a.m,
-        slope=f.value,
-        front=_zero,
-        shadow=_zero,
-    )
+    return _prism_function(array_layers(a))
 
 
 def prism_top(F: PrismFunction) -> CornerFunction:
@@ -232,13 +243,11 @@ def rsk(a: Array):
     once; propagation and the differences of ceiling and wall run in ints,
     and only the masses of the two condensations are divided back.
     """
-    n, m = a.n, a.m
     D, rows = scale_rows(a.rows)
-    f = integrate(Array(rows)).values
-    L = _prism_layers(n, m, lambda x, y: f[y][x], _zero, _zero)
-    d = Array(unscale_rows(_mixed_differences(L[m], D), D))
-    wall = TriangleFunction([[L[z][y][n] for y in range(z + 1)] for z in range(m + 1)])
-    l = Array(unscale_rows(extended_differences(wall, n), D))
+    L = array_layers(Array(rows))
+    d = Array(unscale_rows(_mixed_differences(L[-1], D), D))
+    wall = TriangleFunction(layer_wall(L, a.n))
+    l = Array(unscale_rows(extended_differences(wall, a.n), D))
     return d, l
 
 
@@ -287,7 +296,7 @@ def rsk_inverse(d: Array, l: Array) -> Array:
             h, h_up, b, b_low = here[y], here[y + 1], below[y], below[y - 1]
             for x in range(n, 0, -1):
                 b[x - 1] = step(h[x], h[x - 1], b[x], h_up[x], b_low[x - 1])
-    if any(row[0] != 0 for layer in L for row in layer):
+    if any(v != 0 for row in layer_wall(L, 0) for v in row):
         raise ValidationError(
             "recovered shadow face is non-zero; the condensations are "
             "not a matching pair"

@@ -14,6 +14,7 @@ from octarray import (
     associate_inverse,
     com_prime,
     commute,
+    concat,
     commute_sp,
     condense_down,
     condense_left,
@@ -31,6 +32,7 @@ from octarray import (
     rho1,
     rho2_prime,
     row_sums,
+    split,
     ssyt_to_dtight,
     to_antistandard,
     to_standard,
@@ -136,6 +138,53 @@ def test_associate_round_trip():
         assert o2.a.total() + o1.concat().total() == total
         assert associate_inverse(o1, o2) == (p1, p2)
 
+
+
+def _associate_by_two_condensations(p1, p2):
+    """The associator as the paper states it: the down-condensation of b|c,
+    split, and the left n columns of its left-condensation."""
+    n = p1.n
+    bc = concat(p1.b, p2.b)
+    b2, c2 = split(condense_down(bc), n)
+    lt = Array([row[:n] for row in condense_left(bc).rows])
+    return StandardPair(b2, c2), StandardPair(p1.a, lt)
+
+
+def _typed_values(couple):
+    return [(x, type(x)) for p in couple for block in (p.a, p.b)
+            for row in block.rows for x in row]
+
+
+def test_associate_equals_the_two_condensations_in_values_and_types():
+    rng = random.Random(131)
+    for k in range(240):
+        max_denom = (1, 2, 4, 12)[k % 4]
+        p1, p2 = random_couple(rng, rng.randint(1, 5), rng.randint(1, 4), max_denom)
+        got = associate(p1, p2)
+        want = _associate_by_two_condensations(p1, p2)
+        assert got == want
+        assert _typed_values(got) == _typed_values(want)
+
+
+@pytest.mark.parametrize("fn", [com_prime, hk_wall_h])
+def test_functional_commuter_fills_one_prism(fn, monkeypatch):
+    from octarray import octahedron
+
+    calls = []
+    real = octahedron.or_step
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(octahedron, "or_step", counting)
+    rng = random.Random(132)
+    for n in range(1, 7):
+        f = pair_to_hive(random_standard_pair(rng, n))
+        calls.clear()
+        fn(f)
+        # the 2n columns of the reversed concatenation, n rows
+        assert len(calls) == 2 * n * (n * (n - 1) // 2)
 
 def test_associate_rejects_incompatible_couples():
     p1 = StandardPair(diag((1,)), Array([[1]]))

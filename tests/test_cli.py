@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import octarray
-from octarray import checks
+from octarray import checks, pair_to_hive, serialize
 from octarray.cli import main
 
 ARRAY = {"type": "array", "rows": [[2, 3, 1], [1, 1, 5], [1, 2, 2]]}
@@ -80,6 +81,27 @@ def test_commute_functional(cli, f4):
     assert code == 0
     assert json.loads(out)["rows"] == f4["expected"]["com_prime"]["rows"]
 
+
+
+def _couple_inputs():
+    p1, p2 = checks.random_couple(random.Random(3), 3)
+    f, g = (serialize.encode_triangle(pair_to_hive(p)) for p in (p1, p2))
+    return serialize.encode_pair(p1), {"f": f, "g": g}
+
+
+@pytest.mark.parametrize("argv, which", [
+    (["associate", "--functional", "--inverse"], 1),
+    (["hive", "--from-pair", "--to-pair"], 0),
+], ids=["associate", "hive"])
+def test_conflicting_switches_exit_2_before_reading_input(cli, argv, which):
+    # the input is valid for the first switch alone, which used to run it
+    payload = _couple_inputs()[which]
+    code, out, err = cli(argv, payload)
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "malformed input"
+    assert doc["detail"] == f"{argv[1]} and {argv[2]} exclude each other"
+    assert json.loads(sys.stdin.read()) == payload
 
 def test_lr(cli):
     code, out, _ = cli(["lr", "2,1,0", "2,1,0", "3,2,1", "--oracle"])
