@@ -10,17 +10,16 @@ mass in columns 1..i and rows 1..j, so f vanishes on the axes and its mixed
 second differences recover the array.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
 
 from .errors import ValidationError
-from .scalars import Scalar, checked_row, normalize
+from .scalars import Scalar, checked_row, normalize, scale_rows, unscale_rows
+from .values import Value
 
 
-@dataclass(frozen=True)
-class Array:
-    rows: tuple
+class Array(Value):
+    _fields = ("rows",)
 
     def __init__(self, rows):
         rows = tuple(map(tuple, rows))
@@ -37,6 +36,7 @@ class Array:
         if low < 0:
             raise ValidationError(f"negative mass {next(x for r in rows for x in r if x < 0)}")
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_ints", ints)  # no Fraction: sums need no scaling
 
     @property
     def n(self) -> int:
@@ -52,17 +52,16 @@ class Array:
         return self.rows[j - 1][i - 1]
 
     def total(self) -> Scalar:
-        return sum(x for row in self.rows for x in row)
+        return _sums(self, [tuple(chain.from_iterable(self.rows))])[0]
 
     def __repr__(self):
         return f"Array({list(list(r) for r in self.rows)!r})"
 
 
-@dataclass(frozen=True)
-class CornerFunction:
+class CornerFunction(Value):
     """Values f(i, j) for 0 <= i <= n, 0 <= j <= m, zero on the axes."""
 
-    values: tuple  # values[j][i]
+    _fields = ("values",)  # values[j][i]
 
     def __init__(self, values):
         values = tuple(checked_row(row, normalize) for row in values)
@@ -163,12 +162,21 @@ def diag(p) -> Array:
     )
 
 
+def _sums(a: Array, rows) -> tuple:
+    """Sums of rows (a's rows or columns); if a holds a Fraction, added in
+    scale_rows ints and divided back once, so an integral sum is an int."""
+    if a._ints:
+        return tuple(map(sum, rows))
+    D, rows = scale_rows(rows)
+    return tuple(unscale_rows([list(map(sum, rows))], D)[0])
+
+
 def row_sums(a: Array) -> tuple:
-    return tuple(sum(row) for row in a.rows)
+    return _sums(a, a.rows)
 
 
 def col_sums(a: Array) -> tuple:
-    return tuple(sum(col) for col in zip(*a.rows))
+    return _sums(a, list(zip(*a.rows)))
 
 
 def is_d_tight(a: Array) -> bool:

@@ -15,8 +15,6 @@ triangle functions via three-dimensional propagation; those are
 implemented here as well, on prisms filled and read by octahedron.py.
 """
 
-from dataclasses import dataclass
-
 from .arrays import (
     Array,
     central_reverse,
@@ -40,17 +38,17 @@ from .hives import (
 from .octahedron import (TetraFunction, array_layers, layer_wall, rsk,
                          rsk_inverse, tetra_propagate, tetra_slope_wall)
 from .scalars import check_partition, is_integral, partial_sums, trim
+from .values import Value
 
 
 # -- semistandard tableaux ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SSYT:
+class SSYT(Value):
     """Rows bottom to top; row lengths weakly decrease upwards, rows weakly
     increase left to right, columns increase strictly upwards."""
 
-    rows: tuple
+    _fields = ("rows",)
 
     def __init__(self, rows):
         rows = tuple(tuple(_letter(x) for x in row) for row in rows)
@@ -155,15 +153,12 @@ def is_yamanouchi(word) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LRSkewTableau:
+class LRSkewTableau(Value):
     """A skew tableau of shape outer minus inner (French, rows bottom to
     top), semistandard, whose reading word (rows right to left, top row
     last) is Yamanouchi."""
 
-    outer: tuple
-    inner: tuple
-    rows: tuple
+    _fields = ("outer", "inner", "rows")
 
     def __init__(self, outer, inner, rows):
         outer = check_partition(outer, "outer shape")

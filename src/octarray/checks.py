@@ -6,7 +6,6 @@ the package's global identities, and returns a small report.  The CLI
 """
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -46,13 +45,14 @@ from .octahedron import (
     tetra_shadow_wall,
     tetra_slope_wall,
 )
+from .values import Value
 
 
-@dataclass
-class CheckReport:
-    name: str
-    cases: int
-    failures: list = field(default_factory=list)
+class CheckReport(Value, mutable=True):
+    _fields = ("name", "cases", "failures")
+
+    def __init__(self, name: str, cases: int, failures: list = None):
+        super().__init__(name, cases, [] if failures is None else failures)
 
     @property
     def passed(self) -> bool:

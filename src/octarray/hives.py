@@ -20,8 +20,7 @@ discrete concavity.  octahedron.py runs the same engine inside the modular
 flats of a solid.
 """
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .arrays import (
     Array,
@@ -35,13 +34,13 @@ from .arrays import (
 from .condense import shape
 from .errors import ValidationError
 from .scalars import Scalar, checked_row, normalize
+from .values import Value
 
 
-@dataclass(frozen=True)
-class TriangleFunction:
+class TriangleFunction(Value):
     """Values h(u, v) on 0 <= u <= v <= n, stored as rows indexed by v."""
 
-    values: tuple  # values[v][u], len(values[v]) == v + 1
+    _fields = ("values",)  # values[v][u], len(values[v]) == v + 1
 
     def __init__(self, values):
         values = tuple(checked_row(row, normalize) for row in values)
@@ -152,35 +151,30 @@ def is_discrete_concave(f) -> bool:
 # -- boundary increments ------------------------------------------------------
 
 
-class HiveType(NamedTuple):
-    lam: tuple
-    mu: tuple
-    nu: tuple
+HiveType = namedtuple("HiveType", "lam mu nu")
 
 
 def increments(h: TriangleFunction) -> HiveType:
-    """Boundary increments (left side, top side, diagonal) of a triangle."""
+    """Boundary increments (left side, top side, diagonal) of a triangle;
+    an integral increment is an int."""
     n = h.n
-    lam = tuple(h.value(0, v) - h.value(0, v - 1) for v in range(1, n + 1))
-    mu = tuple(h.value(u, n) - h.value(u - 1, n) for u in range(1, n + 1))
-    nu = tuple(h.value(k, k) - h.value(k - 1, k - 1) for k in range(1, n + 1))
-    return HiveType(lam, mu, nu)
+    lam = (h.value(0, v) - h.value(0, v - 1) for v in range(1, n + 1))
+    mu = (h.value(u, n) - h.value(u - 1, n) for u in range(1, n + 1))
+    nu = (h.value(k, k) - h.value(k - 1, k - 1) for k in range(1, n + 1))
+    return HiveType(*(checked_row(seq, normalize) for seq in (lam, mu, nu)))
 
 
 # -- standard and anti-standard pairs -----------------------------------------
 
 
-@dataclass(frozen=True)
-class _Pair:
+class _Pair(Value):
     """A pair of equal-sized square arrays: the first condensed to ``side``,
     the second condensed left, their concatenation tight downwards.  The
     subclasses differ only in ``side``; ``kind`` names them in JSON."""
 
-    a: Array
-    b: Array
+    _fields = ("a", "b")
 
-    def __post_init__(self):
-        a, b = self.a, self.b
+    def __init__(self, a: Array, b: Array):
         if a.n != a.m or b.n != b.m or a.n != b.n:
             raise ValidationError(
                 f"pair components must be square and equal-sized, "
@@ -192,6 +186,7 @@ class _Pair:
             raise ValidationError("second component is not condensed left")
         if not is_d_tight(concat(a, b)):
             raise ValidationError("concatenation is not tight downwards")
+        self.__dict__.update(a=a, b=b)
 
     @property
     def n(self) -> int:

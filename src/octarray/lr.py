@@ -5,8 +5,6 @@ The first two are tied together by the pair/hive correspondence and must
 always agree; the tableau count is an independent oracle used by the tests.
 """
 
-from dataclasses import dataclass, field
-
 from .arrays import Array, concat, diag, is_d_tight, is_l_tight
 from .bijections import associate, associate_inverse, commute_sp
 from .errors import ValidationError
@@ -16,6 +14,7 @@ from .hives import (
     is_discrete_concave,
 )
 from .scalars import check_partition, partial_sums
+from .values import Value
 
 
 def _check_integer_partition(p, name):
@@ -222,12 +221,13 @@ def lr_oracle(lam, mu, nu) -> int:
 # -- bijection reports ---------------------------------------------------------
 
 
-@dataclass
-class BijectionReport:
-    name: str
-    left_count: int
-    right_count: int
-    failures: list = field(default_factory=list)
+class BijectionReport(Value, mutable=True):
+    _fields = ("name", "left_count", "right_count", "failures")
+
+    def __init__(self, name: str, left_count: int, right_count: int,
+                 failures: list = None):
+        super().__init__(name, left_count, right_count,
+                         [] if failures is None else failures)
 
     @property
     def bijective(self) -> bool:

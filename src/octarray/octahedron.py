@@ -32,8 +32,6 @@ whose top has y, z >= 1, again the filled points, with both side pairs
 inside.  is_polarized checks the property on arbitrary solids.
 """
 
-from dataclasses import dataclass
-
 from .arrays import (
     Array,
     CornerFunction,
@@ -45,6 +43,7 @@ from .arrays import (
 from .errors import ValidationError
 from .hives import TriangleFunction, extended_differences, rhombi
 from .scalars import Scalar, normalize, scale_rows, unscale_rows
+from .values import Value
 
 
 def or_step(f0: Scalar, fa: Scalar, fa2: Scalar, fb: Scalar, fb2: Scalar) -> Scalar:
@@ -57,8 +56,7 @@ def or_step(f0: Scalar, fa: Scalar, fa2: Scalar, fb: Scalar, fb2: Scalar) -> Sca
 # -- frames -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OctahedronFrame:
+class OctahedronFrame(Value):
     """A primitive octahedron up to translation: the main diagonal vector,
     the two side-diagonal vertex pairs (each pair summing to the main
     vector), and the four modular flat families.
@@ -68,9 +66,7 @@ class OctahedronFrame:
     flat families, which triangulate it.
     """
 
-    main: tuple
-    pairs: tuple
-    flats: tuple
+    _fields = ("main", "pairs", "flats")
 
 
 PRISM_FRAME = OctahedronFrame(
@@ -99,11 +95,10 @@ TETRA_FRAME = OctahedronFrame(
 # -- solids -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Solid:
+class Solid(Value):
     """A function on a finite set of lattice points in 3-space."""
 
-    values: dict
+    _fields = ("values",)  # a dict, so a solid is not hashable
 
     def value(self, x: int, y: int, z: int) -> Scalar:
         return self.values[(x, y, z)]
@@ -144,10 +139,8 @@ def is_polarized_dc(f: Solid, frame: OctahedronFrame) -> bool:
 # -- the prism ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PrismFunction(Solid):
-    n: int = 0
-    m: int = 0
+    _fields = ("values", "n", "m")
 
 
 def _prism_layers(n: int, m: int, slope, front, shadow) -> list:
@@ -308,9 +301,8 @@ def rsk_inverse(d: Array, l: Array) -> Array:
 # -- the tetrahedron ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TetraFunction(Solid):
-    n: int = 0
+    _fields = ("values", "n")
 
 
 def tetra_propagate(ground, frontwall, n: int) -> TetraFunction:

@@ -19,11 +19,10 @@ import re
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from typing import Union
 
 from .errors import ValidationError
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 def checked_row(row, check) -> tuple:

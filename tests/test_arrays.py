@@ -95,3 +95,14 @@ def test_d_tight_vanishes_above_diagonal():
     # columns strictly left of the row index must be empty
     a = Array([[1, 1], [1, 0]])
     assert not is_d_tight(a)
+
+
+def test_sums_of_rational_arrays_are_ints_where_integral():
+    a = Array([[Fraction(1, 2), Fraction(3, 2)], [Fraction(1, 2), Fraction(1, 2)]])
+    assert list(map(type, row_sums(a))) == [int, int] and row_sums(a) == (2, 1)
+    assert list(map(type, col_sums(a))) == [int, int] and col_sums(a) == (1, 2)
+    assert type(a.total()) is int and a.total() == 3
+    b = Array([[Fraction(1, 3), 1], [Fraction(2, 3), 0]])
+    assert row_sums(b) == (Fraction(4, 3), Fraction(2, 3))
+    assert list(map(type, col_sums(b))) == [int, int] and col_sums(b) == (1, 1)
+    assert type(b.total()) is int and b.total() == 2

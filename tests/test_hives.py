@@ -43,6 +43,15 @@ def test_increments(f4, f4_triangle):
     assert [list(lam), list(mu), list(nu)] == [e["lam"], e["mu"], e["nu"]]
 
 
+def test_increments_are_ints_where_integral():
+    from fractions import Fraction as F
+
+    t = TriangleFunction([[0], [F(1, 2), F(3, 2)], [F(3, 2), F(5, 2), F(7, 2)]])
+    lam, mu, nu = increments(t)
+    assert (lam, mu, nu) == ((F(1, 2), 1), (1, 1), (F(3, 2), 2))
+    assert [type(x) for x in lam + mu + nu] == [F, int, int, int, F, int]
+
+
 def test_fixture_hive_is_concave(f4_triangle):
     assert is_discrete_concave(f4_triangle)
     assert not rhombus_violations(f4_triangle.points())

@@ -1,7 +1,11 @@
 """The layer layout L[z][y][x] of the prism is known to octahedron.py alone:
-other modules fill and read prisms through its public functions."""
+other modules fill and read prisms through its public functions.  Importing
+the CLI loads no introspection module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import octarray
@@ -35,3 +39,30 @@ def test_prism_layers_is_referenced_only_in_octahedron():
                                getattr(node, "name", None))
     }
     assert users == {"octahedron.py"}
+
+
+def test_importing_the_cli_loads_no_introspection_module():
+    """The CLI pays for its imports on every call: dataclasses pulls in
+    inspect, ast, dis and tokenize.  Compared with the modules loaded before
+    the import, since a site hook may already have loaded typing."""
+    code = ("import sys; before = set(sys.modules); import octarray.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(octarray.__file__).parents[1]))
+    added = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert "octarray.cli" in added
+    banned = {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize"}
+    assert banned.isdisjoint(added)
+
+
+def test_no_module_imports_dataclasses_inspect_or_typing():
+    # the subprocess check above cannot see typing where a site hook loads it
+    modules = set()
+    for tree in _trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules.add(node.module.split(".")[0])
+    assert "fractions" in modules
+    assert modules.isdisjoint({"dataclasses", "inspect", "typing"})
