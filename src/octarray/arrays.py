@@ -36,7 +36,6 @@ class Array(Value):
         if low < 0:
             raise ValidationError(f"negative mass {next(x for r in rows for x in r if x < 0)}")
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_ints", ints)  # no Fraction: sums need no scaling
 
     @property
     def n(self) -> int:
@@ -52,7 +51,7 @@ class Array(Value):
         return self.rows[j - 1][i - 1]
 
     def total(self) -> Scalar:
-        return _sums(self, [tuple(chain.from_iterable(self.rows))])[0]
+        return _sums([tuple(chain.from_iterable(self.rows))])[0]
 
     def __repr__(self):
         return f"Array({list(list(r) for r in self.rows)!r})"
@@ -162,21 +161,19 @@ def diag(p) -> Array:
     )
 
 
-def _sums(a: Array, rows) -> tuple:
-    """Sums of rows (a's rows or columns); if a holds a Fraction, added in
-    scale_rows ints and divided back once, so an integral sum is an int."""
-    if a._ints:
-        return tuple(map(sum, rows))
+def _sums(rows) -> tuple:
+    """Sums of rows of scalars, added in scale_rows ints and divided back
+    once, so an integral sum is an int."""
     D, rows = scale_rows(rows)
     return tuple(unscale_rows([list(map(sum, rows))], D)[0])
 
 
 def row_sums(a: Array) -> tuple:
-    return _sums(a, a.rows)
+    return _sums(a.rows)
 
 
 def col_sums(a: Array) -> tuple:
-    return _sums(a, list(zip(*a.rows)))
+    return _sums(list(zip(*a.rows)))
 
 
 def is_d_tight(a: Array) -> bool:
