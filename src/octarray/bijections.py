@@ -52,19 +52,28 @@ class SSYT(Value):
 
     def __init__(self, rows):
         rows = tuple(tuple(_letter(x) for x in row) for row in rows)
-        for r, row in enumerate(rows):
-            if any(row[i] > row[i + 1] for i in range(len(row) - 1)):
-                raise ValidationError(f"row {r + 1} is not weakly increasing")
-            if r + 1 < len(rows) and len(rows[r + 1]) > len(row):
-                raise ValidationError("row lengths must weakly decrease upwards")
-            if r + 1 < len(rows):
-                above = rows[r + 1]
-                if any(above[i] <= row[i] for i in range(len(above))):
-                    raise ValidationError("columns must increase strictly upwards")
+        if any(len(high) > len(low) for low, high in zip(rows, rows[1:])):
+            raise ValidationError("row lengths must weakly decrease upwards")
+        _semistandard(rows, (0,) * len(rows))
         # rows increase rightwards and columns upwards: rows[0][0] is least
         if rows and rows[0] and rows[0][0] < 1:
             raise ValidationError(f"letter {rows[0][0]} out of range")
         object.__setattr__(self, "rows", rows)
+
+
+def _semistandard(rows, inner) -> None:
+    """Raise unless the rows (French, bottom to top, row j starting after
+    column inner[j - 1]) weakly increase rightwards and their columns
+    strictly increase upwards."""
+    grid = {}
+    for j, (start, row) in enumerate(zip(inner, rows), start=1):
+        if any(x > y for x, y in zip(row, row[1:])):
+            raise ValidationError(f"row {j} is not weakly increasing")
+        for c, x in enumerate(row, start=start + 1):
+            grid[c, j] = x
+    for (c, j), x in grid.items():
+        if (c, j + 1) in grid and grid[c, j + 1] <= x:
+            raise ValidationError(f"column {c} does not increase strictly")
 
 
 def _letter(x) -> int:
@@ -169,17 +178,10 @@ class LRSkewTableau(Value):
             raise ValidationError("one filling row per shape row required")
         if any(i > o for i, o in zip(inner, outer)):
             raise ValidationError("inner shape not contained in outer")
-        grid = {}
-        for j, row in enumerate(rows, start=1):
-            if len(row) != outer[j - 1] - inner[j - 1]:
+        for j, (row, i, o) in enumerate(zip(rows, inner, outer), start=1):
+            if len(row) != o - i:
                 raise ValidationError(f"row {j} has the wrong number of boxes")
-            if any(row[i] > row[i + 1] for i in range(len(row) - 1)):
-                raise ValidationError(f"row {j} is not weakly increasing")
-            for k, x in enumerate(row):
-                grid[(inner[j - 1] + 1 + k, j)] = x
-        for (c, j), x in grid.items():
-            if (c, j + 1) in grid and grid[(c, j + 1)] <= x:
-                raise ValidationError(f"column {c} does not increase strictly")
+        _semistandard(rows, inner)
         word = reading_word_rows(rows)
         if not is_yamanouchi(word):
             raise ValidationError("reading word is not Yamanouchi")
@@ -189,14 +191,6 @@ class LRSkewTableau(Value):
 
     def reading_word(self):
         return reading_word_rows(self.rows)
-
-    def weight(self) -> tuple:
-        counts = {}
-        for row in self.rows:
-            for x in row:
-                counts[x] = counts.get(x, 0) + 1
-        top = max(counts, default=0)
-        return tuple(counts.get(i, 0) for i in range(1, top + 1))
 
 
 def reading_word_rows(rows) -> tuple:
@@ -269,18 +263,26 @@ def rho1(p: StandardPair) -> StandardPair:
 # -- the associator -------------------------------------------------------------
 
 
+def _couple(p1, p2, inverse: bool) -> int:
+    """The size of a couple of standard pairs of one size whose intermediate
+    shapes match: the final shape of p1 is the shape of p2's first block,
+    or for the inverse rearrangement of its second block."""
+    if not (isinstance(p1, StandardPair) and isinstance(p2, StandardPair)):
+        raise ValidationError("association expects a couple of standard pairs")
+    if p1.n != p2.n:
+        raise ValidationError("pair sizes differ")
+    if trim(row_sums(p1.concat())) != trim(shape(p2.b if inverse else p2.a)):
+        raise ValidationError(
+            "couple is not compatible: intermediate shapes disagree"
+        )
+    return p1.n
+
+
 def associate(p1: StandardPair, p2: StandardPair):
     """Rearrange a compatible couple ((a,b), (s,c)) -- final shape of the
     first pair equal to starting shape of the second -- into the couple
     (down-split of b|c, (a, left-condensation of b|c))."""
-    if p1.n != p2.n:
-        raise ValidationError("pair sizes differ")
-    n = p1.n
-    sigma = trim(row_sums(p1.concat()))
-    if trim(shape(p2.a)) != sigma:
-        raise ValidationError(
-            "couple is not compatible: intermediate shapes disagree"
-        )
+    n = _couple(p1, p2, inverse=False)
     down, left = rsk(concat(p1.b, p2.b))
     lt, rest = split(left, n)
     if any(x != 0 for row in rest.rows for x in row):
@@ -294,14 +296,7 @@ def _zeros(n: int, m: int) -> Array:
 
 def associate_inverse(out1: StandardPair, out2: StandardPair):
     """Inverse rearrangement, through reverse propagation."""
-    if out1.n != out2.n:
-        raise ValidationError("pair sizes differ")
-    n = out1.n
-    tau = trim(row_sums(out1.concat()))
-    if trim(shape(out2.b)) != tau:
-        raise ValidationError(
-            "couple is not compatible: intermediate shapes disagree"
-        )
+    n = _couple(out1, out2, inverse=True)
     d = out1.concat()
     l = concat(out2.b, _zeros(n, n))
     bc = rsk_inverse(d, l)

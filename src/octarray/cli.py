@@ -52,7 +52,7 @@ from .octahedron import (
     rsk,
     rsk_inverse,
 )
-from .scalars import scalar_to_json
+from .scalars import parse_scalar, scalar_to_json
 from . import checks, serialize
 
 
@@ -113,10 +113,20 @@ def _emit(obj):
     sys.stdout.write(text + "\n")
 
 
+def _int_arg(text) -> int:
+    """An integer argument: "[-]p" in parse_scalar's grammar, ASCII digits."""
+    try:
+        if "/" not in text:
+            return parse_scalar(text)
+    except ValidationError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _partition_arg(text):
     try:
-        return tuple(int(x) for x in text.split(",") if x != "")
-    except ValueError:
+        return tuple(_int_arg(x) for x in text.split(",") if x != "")
+    except argparse.ArgumentTypeError:
         raise MalformedInput(f"bad partition argument {text!r}")
 
 
@@ -327,10 +337,10 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a randomized verification suite")
     p.add_argument("suite", choices=sorted(checks.SUITES))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--max-mass", type=int)
+    p.add_argument("--seed", type=_int_arg, default=0)
+    p.add_argument("--cases", type=_int_arg)
+    p.add_argument("--n", type=_int_arg)
+    p.add_argument("--max-mass", type=_int_arg)
     p.set_defaults(fn=cmd_verify)
 
     return parser

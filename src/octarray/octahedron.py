@@ -13,7 +13,7 @@ fills everything else.  The ceiling z = m then carries the integral of the
 down-condensation and the wall x = n the integral of the left-condensation,
 which gives a second, independent route to both condensations.  Only this
 module fills prism layers L[z][y][x] = F(x, y, z): array_layers over an
-array; layer_wall reads their walls.
+array, propagate_prism_faces over outside faces; layer_wall reads walls.
 
 The tetrahedron {x, y, z >= 0, x + y + z <= n} propagates along (-1, 1, 1)
 from its ground z = 0 and front wall y = 0, one level s = y + z at a time:
@@ -143,45 +143,35 @@ class PrismFunction(Solid):
     _fields = ("values", "n", "m")
 
 
-def _prism_layers(n: int, m: int, slope, front, shadow) -> list:
+def _zero_layers(n: int, m: int) -> list:
+    """Layers L[z][y][x] of the prism {0 <= x <= n, 0 <= y <= z <= m}, all zero."""
+    return [[[0] * (n + 1) for _ in range(z + 1)] for z in range(m + 1)]
+
+
+def _prism_layers(L: list) -> list:
     """The prism recurrence, filled layer by layer: L[z][y][x] = F(x, y, z).
 
-    slope(x, y), front(x, z) and shadow(y, z) give the faces y = z, y = 0
-    and x = 0.  Shadow overwrites front on their shared edge; slope must
-    agree with both, checked in order of (y, x).
+    The faces of L -- the slope y = z, the front y = 0 and the shadow
+    x = 0 -- are already set; every other point is filled in place.
     """
-    L = [[[None] * (n + 1) for _ in range(z + 1)] for z in range(m + 1)]
-    for z in range(m + 1):
-        L[z][0] = [normalize(front(x, z)) for x in range(n + 1)]
-    for z in range(m + 1):
-        for y in range(z + 1):
-            L[z][y][0] = normalize(shadow(y, z))
-    for y in range(m + 1):
-        row = L[y][y]
-        for x in range(n + 1):
-            v = normalize(slope(x, y))
-            if (x == 0 or y == 0) and row[x] != v:
-                raise ValidationError(f"face data disagree at {(x, y, y)}")
-            row[x] = v
     step = or_step
-    for z in range(1, m + 1):
+    for z in range(1, len(L)):
         below, here = L[z - 1], L[z]
         for y in range(z - 1, 0, -1):
             b, b_low, h, h_up = below[y], below[y - 1], here[y], here[y + 1]
-            for x in range(1, n + 1):
+            for x in range(1, len(h)):
                 h[x] = step(b[x - 1], h[x - 1], b[x], h_up[x], b_low[x - 1])
     return L
 
 
-def _zero(i, j):
-    return 0
-
-
 def array_layers(a: Array) -> list:
     """Layers L[z][y][x] = F(x, y, z) of the prism over a: the double
-    integral of a on the slope face, zeros on the front and the shadow."""
-    f = integrate(a).values
-    return _prism_layers(a.n, a.m, lambda x, y: f[y][x], _zero, _zero)
+    integral of a on the slope face, zeros on the front and the shadow,
+    which meet the slope where the integral vanishes, on the axes."""
+    L = _zero_layers(a.n, a.m)
+    for y, row in enumerate(integrate(a).values):
+        L[y][y] = list(row)
+    return _prism_layers(L)
 
 
 def layer_wall(L: list, x: int) -> list:
@@ -204,9 +194,23 @@ def propagate_prism_faces(n: int, m: int, slope, front, shadow) -> PrismFunction
     """Propagate arbitrary face data through the prism.
 
     slope(x, y) gives F on the face y = z, front(x, z) gives F on y = 0 and
-    shadow(y, z) gives F on x = 0; the three must agree on shared edges.
+    shadow(y, z) gives F on x = 0, each value normalized; shadow overwrites
+    front on their edge, and slope must agree with both, checked in (y, x).
     """
-    return _prism_function(_prism_layers(n, m, slope, front, shadow))
+    L = _zero_layers(n, m)
+    for z in range(m + 1):
+        L[z][0] = [normalize(front(x, z)) for x in range(n + 1)]
+    for z in range(m + 1):
+        for y in range(z + 1):
+            L[z][y][0] = normalize(shadow(y, z))
+    for y in range(m + 1):
+        row = L[y][y]
+        for x in range(n + 1):
+            v = normalize(slope(x, y))
+            if (x == 0 or y == 0) and row[x] != v:
+                raise ValidationError(f"face data disagree at {(x, y, y)}")
+            row[x] = v
+    return _prism_function(_prism_layers(L))
 
 
 def prism_propagate(a: Array) -> PrismFunction:
@@ -272,16 +276,14 @@ def rsk_inverse(d: Array, l: Array) -> Array:
         if fd[j][n] != fl[m][min(j, n)]:
             raise ValidationError("condensations disagree on the shared edge")
 
-    # L[z][y][x] = F(x, y, z): the ceiling z = m, the wall x = n (where they
-    # meet, on the shared edge, they agree by the check above) and the zero
-    # front y = 0, then each layer z - 1 from layer z
-    L = [[[None] * (n + 1) for _ in range(z + 1)] for z in range(m + 1)]
+    # L[z][y][x] = F(x, y, z): zero layers (both integrals vanish on the
+    # front y = 0) under the ceiling z = m and the wall x = n, which agree
+    # on the shared edge by the check above; then each layer z - 1 from z
+    L = _zero_layers(n, m)
     L[m] = [list(row) for row in fd]
     for k in range(m + 1):
         for j in range(k + 1):
             L[k][j][n] = fl[k][min(j, n)]
-    for layer in L:
-        layer[0] = [0] * (n + 1)
     step = or_step
     for z in range(m, 0, -1):
         here, below = L[z], L[z - 1]

@@ -9,15 +9,18 @@ CornerFunction and TriangleFunction constructors and by parse_scalar in
 serialize.decode, one row at a time through checked_row.  A row of exact
 ints (in Array, a whole array of them) passes in one C-level type test; any
 other row is checked per value.
-A string is a scalar only in parse_scalar's grammar "[-]p" or "[-]p/q", in
-the library constructors as in the CLI.  Fractions are made only when a
-"p/q" string is decoded and when a kernel divides its int output back
-(unscale_rows); the kernels' tightness checks and differences run on ints.
+parse_scalar is the one grammar of exact numbers: an int, or a string
+"[-]p" or "[-]p/q" in ASCII digits.  normalize reduces a Fraction and hands
+every other value to parse_scalar, so the library constructors raise the
+CLI's texts for a bad value, and the CLI's integer arguments are read by
+parse_scalar too.  Fractions are made only when a "p/q" string is decoded
+and when a kernel divides its int output back (unscale_rows); the kernels'
+tightness checks and differences run on ints.
 """
 
 import re
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from math import lcm
 
 from .errors import ValidationError
@@ -32,16 +35,13 @@ def checked_row(row, check) -> tuple:
 
 
 def normalize(x) -> Scalar:
-    """Coerce x to an int or a Fraction in lowest terms."""
-    if isinstance(x, bool):
-        raise ValidationError("booleans are not valid masses")
-    if isinstance(x, int):
+    """Coerce x to an int or a Fraction in lowest terms: a Fraction is
+    reduced here, any other value is read by parse_scalar."""
+    if type(x) is int:
         return x
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
-    if isinstance(x, str):
-        return parse_scalar(x)
-    raise ValidationError(f"not an exact scalar: {x!r}")
+    return parse_scalar(x)
 
 
 _SCALAR_STRING = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -103,26 +103,16 @@ def is_integral(x: Scalar) -> bool:
 Partition = tuple
 
 
-def is_partition(p) -> bool:
-    seq = tuple(p)
-    return all(seq[i] >= seq[i + 1] for i in range(len(seq) - 1)) and (
-        not seq or seq[-1] >= 0
-    )
-
-
 def check_partition(p, name: str = "partition") -> Partition:
     seq = tuple(normalize(x) for x in p)
-    if not is_partition(seq):
+    if any(x < y for x, y in zip(seq, seq[1:])) or (seq and seq[-1] < 0):
         raise ValidationError(f"{name} is not weakly decreasing non-negative: {seq}")
     return seq
 
 
 def partial_sums(seq) -> tuple:
     """(0, s1, s1+s2, ...) -- partial sums with a leading zero."""
-    out = [0]
-    for x in seq:
-        out.append(out[-1] + x)
-    return tuple(out)
+    return tuple(accumulate(seq, initial=0))
 
 
 def trim(p) -> Partition:

@@ -272,3 +272,12 @@ def test_ssyt_rejects_letters_below_one():
 def test_letters_must_be_ints(build):
     with pytest.raises(ValidationError, match="is not an integer"):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SSYT([[1, 2, 2], [2, 2]]),
+    lambda: LRSkewTableau((3, 2), (1,), [[2, 2], [1, 2]]),
+], ids=["ssyt", "skew"])
+def test_both_tableaux_name_the_column_that_does_not_increase(build):
+    with pytest.raises(ValidationError, match="^column 2 does not increase strictly$"):
+        build()

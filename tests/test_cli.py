@@ -308,3 +308,58 @@ def test_tableau_over_the_letter_limit_exit_1(cli):
                                        "rows": [[MAX_TABLEAU_LETTERS // 2] * 2]})
     assert (code, err) == (0, "")
     assert len(out.split()) == MAX_TABLEAU_LETTERS
+
+
+NOT_ASCII_INTEGERS = ["2_0", "٢", " 2", "+2", "1/2", "4/2", "x", "9" * 5000]
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_INTEGERS, ids=repr)
+def test_lr_partition_parts_take_ascii_integers_only(cli, text):
+    code, out, err = cli(["lr", f"{text},1", "1,0", "2,1"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "malformed input",
+                               "detail": f"bad partition argument {text + ',1'!r}"}
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--cases", "--n", "--max-mass"])
+@pytest.mark.parametrize("text", NOT_ASCII_INTEGERS, ids=repr)
+def test_verify_integer_flags_take_ascii_integers_only(capsys, flag, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm2", "--cases", "1", flag, text])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"invalid int value: {text!r}" in err
+
+
+def test_integer_arguments_keep_signs_and_leading_zeros(cli):
+    code, out, _ = cli(["lr", "02,01", "1", "3,1,0"])
+    assert (code, json.loads(out)) == (0, {"coefficient": 1})
+    code, out, err = cli(["lr", "-1", "1", "0"])  # reaches the partition check
+    assert (code, json.loads(err)["error"]) == (1, "validation")
+    code, out, err = cli(["verify", "thm2", "--n", "-1"])
+    assert json.loads(err)["detail"] == "--n must be at least 1, got -1"
+    code, out, err = cli(["verify", "thm2", "--seed", "-7", "--cases", "01"])
+    assert (code, err) == (0, "")
+
+
+def _couple_json(p1, p2):
+    return {"first": serialize.encode_pair(p1), "second": serialize.encode_pair(p2)}
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("which", ["first", "second", "both"])
+def test_associate_rejects_antistandard_pairs(cli, inverse, which):
+    from octarray.bijections import associate, to_antistandard
+
+    p1, p2 = checks.random_couple(random.Random(41), 3)
+    if inverse:
+        p1, p2 = associate(p1, p2)
+    if which != "second":
+        p1 = to_antistandard(p1)
+    if which != "first":
+        p2 = to_antistandard(p2)
+    code, out, err = cli(["associate"] + ["--inverse"] * inverse, _couple_json(p1, p2))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "validation",
+                               "detail": "association expects a couple of standard pairs"}

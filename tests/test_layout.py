@@ -66,3 +66,17 @@ def test_no_module_imports_dataclasses_inspect_or_typing():
                 modules.add(node.module.split(".")[0])
     assert "fractions" in modules
     assert modules.isdisjoint({"dataclasses", "inspect", "typing"})
+
+
+def test_prism_fill_normalizes_nothing():
+    """Only propagate_prism_faces takes face values from outside and
+    normalizes them; the recurrence and the fill over an array run on the
+    program's own values."""
+    functions = {node.name: node for node in ast.walk(_trees()["octahedron.py"])
+                 if isinstance(node, ast.FunctionDef)}
+    for name in ("_prism_layers", "array_layers"):
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(functions[name]) if isinstance(node, ast.Call)}
+        assert "normalize" not in called, name
+    assert "normalize" in {node.id for node in ast.walk(functions["propagate_prism_faces"])
+                           if isinstance(node, ast.Name)}

@@ -315,3 +315,19 @@ def test_flats_are_triangulated_by_the_other_flat_families(frame):
         dc = tuple(a + b for a, b in zip(da, db))
         for d in (da, db, dc):
             assert sum(dot(d, nrm) == 0 for nrm in normals) == 2
+
+
+def test_propagate_faces_normalizes_face_values():
+    G = propagate_prism_faces(1, 1, lambda x, y: Fraction(4, 2) * x * y,
+                              lambda x, z: Fraction(0, 3), lambda y, z: 0)
+    assert G.value(1, 1, 1) == 2
+    assert {type(v) for v in G.values.values()} == {int}
+
+
+@pytest.mark.parametrize("face", ["slope", "front", "shadow"])
+@pytest.mark.parametrize("bad", [0.0, False])
+def test_propagate_faces_rejects_inexact_face_values(face, bad):
+    faces = {"slope": lambda x, y: 0, "front": lambda x, z: 0, "shadow": lambda y, z: 0}
+    faces[face] = lambda i, j: bad
+    with pytest.raises(ValidationError, match=f"inexact scalar not allowed: {bad}"):
+        propagate_prism_faces(1, 1, faces["slope"], faces["front"], faces["shadow"])

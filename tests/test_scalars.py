@@ -1,10 +1,16 @@
+import io
+import json
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 
-from octarray.arrays import Array
+from octarray import serialize
+from octarray.arrays import Array, CornerFunction
+from octarray.cli import main
 from octarray.errors import ValidationError
+from octarray.hives import TriangleFunction
 from octarray.scalars import (
     is_integral,
     normalize,
@@ -76,3 +82,34 @@ def test_library_constructors_take_only_the_cli_scalar_strings(text):
 def test_library_constructors_keep_integer_and_fraction_strings():
     assert Array([["3", "-0", "6/4"]]).rows == ((3, 0, Fraction(3, 2)),)
     assert type(normalize("8/2")) is int
+
+
+BAD_SCALARS = {True: "inexact scalar not allowed: True",
+               False: "inexact scalar not allowed: False",
+               1.5: "inexact scalar not allowed: 1.5",
+               None: "bad scalar None",
+               "[1]": "bad scalar [1]",
+               "1e5": "bad scalar string '1e5'",
+               "1/0": "bad scalar string '1/0'"}
+
+
+@pytest.mark.parametrize("bad", list(BAD_SCALARS), ids=repr)
+def test_every_entry_gives_the_cli_text_for_a_bad_scalar(bad, capsys, monkeypatch):
+    """One grammar of exact numbers: the constructors, normalize, decode and
+    the CLI all raise parse_scalar's text."""
+    x = [1] if bad == "[1]" else bad
+    texts = set()
+    for build in (lambda: Array([[x]]), lambda: CornerFunction([[0, 0], [0, x]]),
+                  lambda: TriangleFunction([[0], [0, x]]), lambda: normalize(x),
+                  lambda: parse_scalar(x),
+                  lambda: serialize.decode({"type": "array", "rows": [[x]]})):
+        with pytest.raises(ValidationError) as exc:
+            build()
+        texts.add(str(exc.value))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        json.dumps({"type": "array", "rows": [[x]]})))
+    assert main(["condense", "down"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    texts.add(json.loads(err)["detail"])
+    assert texts == {BAD_SCALARS[bad]}
