@@ -135,10 +135,7 @@ def ssyt_to_dtight(t: SSYT, n: int = None, m: int = None) -> Array:
         m = max(len(rows), 1)
     if len(rows) > m:
         raise ValidationError("tableau has more rows than requested")
-    a = Array(_multiplicities(rows, n, m))
-    if not is_d_tight(a):
-        raise ValidationError("tableau does not encode a tight array")
-    return a
+    return Array(_multiplicities(rows, n, m))
 
 
 def render_ssyt(t: SSYT) -> str:
@@ -290,15 +287,11 @@ def associate(p1: StandardPair, p2: StandardPair):
     return StandardPair(*split(down, n)), StandardPair(p1.a, lt)
 
 
-def _zeros(n: int, m: int) -> Array:
-    return Array([[0] * n for _ in range(m)])
-
-
 def associate_inverse(out1: StandardPair, out2: StandardPair):
     """Inverse rearrangement, through reverse propagation."""
     n = _couple(out1, out2, inverse=True)
     d = out1.concat()
-    l = concat(out2.b, _zeros(n, n))
+    l = concat(out2.b, Array([[0] * n] * n))
     bc = rsk_inverse(d, l)
     b, c = split(bc, n)
     p1 = StandardPair(out2.a, b)
@@ -394,29 +387,3 @@ def rho2_prime(f: TriangleFunction) -> TriangleFunction:
         [[fl.value(v - u, n - u) + c[n - u] for u in range(v + 1)]
          for v in range(n + 1)]
     )
-
-
-__all__ = [
-    "SSYT",
-    "dtight_to_ssyt",
-    "ssyt_to_dtight",
-    "render_ssyt",
-    "is_yamanouchi",
-    "LRSkewTableau",
-    "reading_word_rows",
-    "render_skew",
-    "pair_to_lr_tableau",
-    "lr_tableau_to_pair",
-    "to_antistandard",
-    "to_standard",
-    "commute",
-    "commute_sp",
-    "rho1",
-    "associate",
-    "associate_inverse",
-    "tetra_of_couple",
-    "associate_functional",
-    "com_prime",
-    "hk_wall_h",
-    "rho2_prime",
-]

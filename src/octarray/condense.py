@@ -93,14 +93,3 @@ def shape(a: Array) -> tuple:
 def schutzenberger(a: Array) -> Array:
     """Condense the centrally reversed array down."""
     return condense_down(central_reverse(a))
-
-
-__all__ = [
-    "condense_pair",
-    "condense_down",
-    "condense_left",
-    "condense_right",
-    "condense_up",
-    "shape",
-    "schutzenberger",
-]

@@ -250,22 +250,3 @@ def hive_to_pair(h: TriangleFunction) -> StandardPair:
                     f"negative mixed difference {x} at ({u},{v}); not a pair hive"
                 )
     return StandardPair(diag(lam), Array(rows))
-
-
-__all__ = [
-    "TriangleFunction",
-    "triangle_from_points",
-    "rhombi",
-    "rhombus_violations",
-    "is_supermodular",
-    "is_vs_concave",
-    "is_hs_concave",
-    "is_discrete_concave",
-    "HiveType",
-    "increments",
-    "StandardPair",
-    "AntiStandardPair",
-    "pair_to_hive",
-    "hive_to_pair",
-    "extended_differences",
-]

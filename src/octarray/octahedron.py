@@ -343,26 +343,3 @@ def tetra_slope_wall(F: TetraFunction) -> TriangleFunction:
     return TriangleFunction(
         [[F.value(F.n - v, u, v - u) for u in range(v + 1)] for v in range(F.n + 1)]
     )
-
-
-__all__ = [
-    "or_step",
-    "OctahedronFrame",
-    "PRISM_FRAME",
-    "TETRA_FRAME",
-    "Solid",
-    "is_polarized",
-    "is_flat_concave",
-    "is_polarized_dc",
-    "PrismFunction",
-    "propagate_prism_faces",
-    "prism_propagate",
-    "prism_top",
-    "prism_wall",
-    "rsk",
-    "rsk_inverse",
-    "TetraFunction",
-    "tetra_propagate",
-    "tetra_shadow_wall",
-    "tetra_slope_wall",
-]

@@ -100,10 +100,8 @@ def is_integral(x: Scalar) -> bool:
 
 # -- partitions (weakly decreasing non-negative tuples) ----------------------
 
-Partition = tuple
 
-
-def check_partition(p, name: str = "partition") -> Partition:
+def check_partition(p, name: str = "partition") -> tuple:
     seq = tuple(normalize(x) for x in p)
     if any(x < y for x, y in zip(seq, seq[1:])) or (seq and seq[-1] < 0):
         raise ValidationError(f"{name} is not weakly decreasing non-negative: {seq}")
@@ -115,7 +113,7 @@ def partial_sums(seq) -> tuple:
     return tuple(accumulate(seq, initial=0))
 
 
-def trim(p) -> Partition:
+def trim(p) -> tuple:
     """Drop trailing zeros, for comparing shapes of different widths."""
     seq = list(p)
     while seq and seq[-1] == 0:

@@ -281,3 +281,11 @@ def test_letters_must_be_ints(build):
 def test_both_tableaux_name_the_column_that_does_not_increase(build):
     with pytest.raises(ValidationError, match="^column 2 does not increase strictly$"):
         build()
+
+
+@pytest.mark.parametrize("max_denom", [1, 2, 6], ids=["int", "halves", "sixths"])
+def test_associate_inverse_undoes_associate(max_denom):
+    rng = random.Random(133)
+    for _ in range(30):
+        p1, p2 = random_couple(rng, rng.randint(1, 5), rng.randint(1, 4), max_denom)
+        assert associate_inverse(*associate(p1, p2)) == (p1, p2)

@@ -363,3 +363,43 @@ def test_associate_rejects_antistandard_pairs(cli, inverse, which):
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "validation",
                                "detail": "association expects a couple of standard pairs"}
+
+
+def test_tableau_letter_limit_is_exact(cli):
+    from octarray.bijections import MAX_TABLEAU_LETTERS as limit
+
+    half = limit // 2
+    code, out, err = cli(["tableau"], {"type": "array", "rows": [[half, limit - half]]})
+    assert (code, err, len(out.split())) == (0, "", limit)
+    code, out, err = cli(["tableau"], {"type": "array", "rows": [[half, limit - half + 1]]})
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "validation", "detail": f"tableau would have "
+                               f"{limit + 1} letters, more than MAX_TABLEAU_LETTERS = {limit}"}
+
+
+def test_associate_forward_inverse_and_functional_succeed(cli):
+    from octarray.bijections import associate, associate_functional
+
+    p1, p2 = checks.random_couple(random.Random(43), 3, 3, 2)
+    o1, o2 = associate(p1, p2)
+    code, out, err = cli(["associate"], _couple_json(p1, p2))
+    assert (code, err, json.loads(out)) == (0, "", _couple_json(o1, o2))
+    code, out, err = cli(["associate", "--inverse"], json.loads(out))
+    assert (code, err, json.loads(out)) == (0, "", _couple_json(p1, p2))
+    f, g = pair_to_hive(p1), pair_to_hive(p2)
+    fp, fq = associate_functional(f, g)
+    code, out, err = cli(["associate", "--functional"],
+                         {"f": serialize.encode_triangle(f),
+                          "g": serialize.encode_triangle(g)})
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"p": serialize.encode_triangle(fp),
+                               "q": serialize.encode_triangle(fq)}
+
+
+def test_tableau_of_a_standard_pair(cli):
+    from octarray.bijections import pair_to_lr_tableau, render_skew
+
+    p1, _ = checks.random_couple(random.Random(44), 3)
+    code, out, err = cli(["tableau"], serialize.encode_pair(p1))
+    assert (code, err) == (0, "")
+    assert out == render_skew(pair_to_lr_tableau(p1)) + "\n"

@@ -72,3 +72,20 @@ def test_verify_associativity_report():
 def test_padding_is_harmless():
     assert lr_coefficient((2, 1), (2, 1), (3, 2, 1)) == \
         lr_coefficient((2, 1, 0, 0), (2, 1, 0), (3, 2, 1, 0))
+
+
+@pytest.mark.parametrize("lam, mu, nu, fillings", [
+    ((2, 1, 0), (2, 1, 0), (3, 2, 1), 2),
+    ((3, 2, 1, 0), (2, 2, 1, 0), (5, 3, 2, 1), 8),
+])
+def test_hive_search_completes_a_pinned_number_of_fillings(monkeypatch, lam, mu,
+                                                           nu, fillings):
+    # the search's bounds, not its leaf check, decide how many fillings it
+    # completes: a bound loosened by one completes more of them
+    from octarray import lr
+
+    real, made = lr.TriangleFunction, []
+    monkeypatch.setattr(lr, "TriangleFunction", lambda rows: made.append(rows) or real(rows))
+    hives = enumerate_hives(lam, mu, nu)
+    assert len(made) == fillings
+    assert len(hives) == lr_oracle(lam, mu, nu)

@@ -331,3 +331,22 @@ def test_propagate_faces_rejects_inexact_face_values(face, bad):
     faces[face] = lambda i, j: bad
     with pytest.raises(ValidationError, match=f"inexact scalar not allowed: {bad}"):
         propagate_prism_faces(1, 1, faces["slope"], faces["front"], faces["shadow"])
+
+
+def test_is_polarized_is_false_on_a_perturbed_propagated_prism():
+    F = prism_propagate(Array([[1, 2], [3, 1]]))
+    assert is_polarized(F, PRISM_FRAME)
+    values = dict(F.values)
+    values[1, 1, 2] += 1  # a filled point: the top of one primitive octahedron
+    assert not is_polarized(type(F)(values=values, n=F.n, m=F.m), PRISM_FRAME)
+
+
+def test_is_polarized_is_false_on_a_perturbed_propagated_tetrahedron():
+    fp, gp = random_couple(random.Random(7), 3)
+    f, g = pair_to_hive(fp), pair_to_hive(gp)
+    T = tetra_propagate(lambda x, y: g.value(y, 3 - x),
+                        lambda x, z: f.value(3 - x - z, 3 - x), 3)
+    assert is_polarized(T, TETRA_FRAME)
+    values = dict(T.values)
+    values[0, 1, 1] += Fraction(1, 2)  # a filled point, y and z >= 1
+    assert not is_polarized(type(T)(values=values, n=T.n), TETRA_FRAME)
