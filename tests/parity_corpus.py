@@ -8,10 +8,12 @@ and exit code keeps every digest.  Argparse usage errors and the JSON
 decoder's error texts differ between Python versions, so for those calls
 ("loose" below) only the exit code and stdout are hashed.
 
-Every input is drawn here, from fixed seeds, with the standard library alone:
-the builders below copy the benchmark's input builders and reference
-arithmetic rather than importing them, so no change to the benchmark or to
-the program's code can change what the corpus feeds the CLI.  The calls
+Every input is drawn from fixed seeds with the generators of octarray.checks
+and built with the package's own kernels and JSON encoders.  argv and stdin
+are part of every digest, so a change to what those kernels or encoders
+return changes the digests of the calls they build as well as of the calls
+that run them; the verify suites already replay those generators.  No input
+comes from bench/, so a benchmark change cannot change the corpus.  The calls
 cover every FORMS entry of test_emit.py on the fixtures, integer and rational
 arrays through the four condensations, rsk, rsk --inverse and tableau, couples
 of standard pairs with n = 3..10 through the eight calls of the benchmark's
@@ -31,154 +33,14 @@ import json
 import random
 import sys
 from collections import namedtuple
-from fractions import Fraction
 from pathlib import Path
 
+from octarray import (associate, concat, condense_down, condense_left, increments,
+                      pair_to_hive, to_antistandard)
+from octarray.checks import random_array, random_couple, random_standard_pair
+from octarray.serialize import encode_array, encode_pair, encode_triangle
+
 CORPUS = Path(__file__).with_name("parity_corpus.txt")
-
-# -- reference arithmetic: lists of rows, bottom row first, exact scalars -----
-
-
-def condense_pair(u, v):
-    low = high = prev = 0
-    best = None
-    new_u, new_v = [], []
-    for x, y in zip(u, v):
-        high += y
-        beta = high - low
-        best = beta if best is None or beta > best else best
-        low += x
-        cur = low + best
-        new_u.append(cur - prev)
-        new_v.append(x + y - (cur - prev))
-        prev = cur
-    return new_u, new_v
-
-
-def condense_down(rows):
-    rows = [list(r) for r in rows]
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(rows) - 2, -1, -1):
-            u, v = condense_pair(rows[j], rows[j + 1])
-            if u != rows[j]:
-                rows[j], rows[j + 1] = u, v
-                changed = True
-    return rows
-
-
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]
-
-
-def central_reverse(rows):
-    return [row[::-1] for row in rows[::-1]]
-
-
-def condense_left(rows):
-    return transpose(condense_down(transpose(rows)))
-
-
-def condense_right(rows):
-    return central_reverse(condense_left(central_reverse(rows)))
-
-
-def concat(*blocks):
-    return [sum(parts, []) for parts in zip(*blocks)]
-
-
-def split(rows, *widths):
-    out, start = [], 0
-    for w in widths:
-        out.append([row[start:start + w] for row in rows])
-        start += w
-    return out
-
-
-def row_sums(rows):
-    return [sum(row) for row in rows]
-
-
-def diag(p):
-    return [[p[j] if i == j else 0 for i in range(len(p))] for j in range(len(p))]
-
-
-def integrate(rows):
-    F = [[0] * (len(rows[0]) + 1)]
-    for row in rows:
-        acc, out = 0, [0]
-        for i, x in enumerate(row, start=1):
-            acc += x
-            out.append(F[-1][i] + acc)
-        F.append(out)
-    return F
-
-
-def pair_hive(a, b):
-    n = len(a)
-    F = integrate(concat(a, b))
-    return [[F[v][n + u] for u in range(v + 1)] for v in range(n + 1)]
-
-
-def random_rows(rng, n, m, max_mass, max_denom=1):
-    rows = []
-    for _ in range(m):
-        if max_denom == 1:
-            rows.append([rng.randint(0, max_mass) for _ in range(n)])
-        else:
-            row = []
-            for _ in range(n):
-                q = rng.randint(1, max_denom)
-                row.append(Fraction(rng.randint(0, max_mass * q), q))
-            rows.append(row)
-    return rows
-
-
-def scatter(rng, n, m, total):
-    rows = [[0] * n for _ in range(m)]
-    for _ in range(total):
-        rows[rng.randrange(m)][rng.randrange(n)] += 1
-    return rows
-
-
-def tight_blocks(blocks):
-    """Consecutive blocks of the result form standard pairs."""
-    n = len(blocks[0])
-    parts = [condense_left(b) for b in blocks]
-    return split(condense_down(concat(*parts)), *[n] * len(blocks))
-
-
-def trim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
-
-
-# -- JSON -----------------------------------------------------------------------
-
-
-def scalar(x):
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def array_json(rows):
-    return {"type": "array", "rows": [[scalar(x) for x in row] for row in rows]}
-
-
-def pair_json(a, b, kind="standard"):
-    return {"type": "pair", "kind": kind, "a": array_json(a), "b": array_json(b)}
-
-
-def triangle_json(rows):
-    return {"type": "triangle", "rows": [[scalar(x) for x in row] for row in rows]}
-
-
-def couple_json(p1, p2):
-    return {"first": pair_json(*p1), "second": pair_json(*p2)}
-
 
 # -- the calls ------------------------------------------------------------------
 
@@ -201,39 +63,29 @@ def _fixture_calls():
             for label, text in inputs for argv in forms]
 
 
+def _couple_json(p1, p2):
+    return {"first": encode_pair(p1), "second": encode_pair(p2)}
+
+
 def _array_calls(label, seed, sides, max_mass, max_denom):
     rng = random.Random(seed)
     sizes = [(n, m) for n in sides for m in sides]
     calls = []
     for k, (n, m) in enumerate(sizes):
-        rows = random_rows(rng, n, m, max_mass, max_denom)
-        text = json.dumps(array_json(rows))
-        down, left = condense_down(rows), condense_left(rows)
+        a = random_array(rng, n, m, max_mass, max_denom)
+        text = json.dumps(encode_array(a))
+        down, left = encode_array(condense_down(a)), encode_array(condense_left(a))
         tag = f"{label} s{seed} #{k} {n}x{m}"
         for d in ("down", "left", "right", "up"):
             calls.append(Call(f"{tag}: condense {d}", ["condense", d], text))
         calls.append(Call(f"{tag}: rsk", ["rsk"], text))
         calls.append(Call(f"{tag}: rsk --inverse", ["rsk", "--inverse"],
-                          json.dumps({"d": array_json(down), "l": array_json(left)})))
+                          json.dumps({"d": down, "l": left})))
         if max_denom == 1:
-            calls.append(Call(f"{tag}: tableau", ["tableau"], json.dumps(array_json(down))))
+            calls.append(Call(f"{tag}: tableau", ["tableau"], json.dumps(down)))
             calls.append(Call(f"{tag}: tableau --wall", ["tableau", "--wall"],
-                              json.dumps(array_json(left))))
+                              json.dumps(left)))
     return calls
-
-
-def _couple(rng, n):
-    """A couple ((a, b), (diag(sigma), c)) of standard pairs, as rows."""
-    a, b, c = tight_blocks([random_rows(rng, n, n, 3) for _ in range(3)])
-    return (a, b), (diag(row_sums(concat(a, b))), c)
-
-
-def _associated(p1, p2):
-    """associate's output: the down-split of b|c, and a beside the first n
-    columns of the left-condensation of b|c."""
-    n = len(p1[0])
-    bc = concat(p1[1], p2[1])
-    return tuple(split(condense_down(bc), n, n)), (p1[0], split(condense_left(bc), n, n)[0])
 
 
 def _hives_calls(seed):
@@ -242,46 +94,39 @@ def _hives_calls(seed):
     rng = random.Random(seed)
     calls = []
     for n in range(3, 11):
-        p1, p2 = _couple(rng, n)
-        f, g = pair_hive(*p1), pair_hive(*p2)
-        f_text = json.dumps(triangle_json(f))
+        p1, p2 = random_couple(rng, n)
+        f, g = encode_triangle(pair_to_hive(p1)), encode_triangle(pair_to_hive(p2))
         tag = f"hives s{seed} n={n}"
-        for argv, text in [
-            (["hive", "--from-pair"], json.dumps(pair_json(*p1))),
-            (["hive", "--from-pair"], json.dumps(pair_json(*p2))),
-            (["hive"], f_text),
-            (["associate"], json.dumps(couple_json(p1, p2))),
-            (["associate", "--inverse"], json.dumps(couple_json(*_associated(p1, p2)))),
-            (["associate", "--functional"],
-             json.dumps({"f": triangle_json(f), "g": triangle_json(g)})),
-            (["commute", "--functional"], f_text),
-            (["propagate"], json.dumps(array_json(concat(p1[1], p2[1])))),
-            (["tableau"], json.dumps(pair_json(*p1))),
+        for argv, doc in [
+            (["hive", "--from-pair"], encode_pair(p1)),
+            (["hive", "--from-pair"], encode_pair(p2)),
+            (["hive"], f),
+            (["associate"], _couple_json(p1, p2)),
+            (["associate", "--inverse"], _couple_json(*associate(p1, p2))),
+            (["associate", "--functional"], {"f": f, "g": g}),
+            (["commute", "--functional"], f),
+            (["propagate"], encode_array(concat(p1.b, p2.b))),
+            (["tableau"], encode_pair(p1)),
         ]:
-            calls.append(Call(f"{tag} #{len(calls)}: {' '.join(argv)}", argv, text))
+            calls.append(Call(f"{tag} #{len(calls)}: {' '.join(argv)}", argv,
+                              json.dumps(doc)))
     return calls
 
 
-LR_STRATA = [(4, 14), (4, 16), (4, 18), (5, 10), (5, 12), (5, 14)]
-
-
-def _lr_calls(seed, blocks=2):
-    """lr --oracle on distinct types of random standard pairs."""
+def _lr_calls(seed, per_n=4):
+    """lr --oracle on distinct types of random standard pairs, n = 3..5."""
     rng = random.Random(seed)
-    seen, calls = set(), []
-    for _ in range(blocks):
-        for n, size in LR_STRATA:
-            while True:
-                a, b = tight_blocks(split(scatter(rng, 2 * n, n, size), n, n))
-                lam = row_sums(condense_down(a))
-                mu = row_sums(condense_down(b))
-                nu = row_sums(concat(a, b))
-                key = (trim(lam), trim(mu), trim(nu))
-                if key not in seen:
-                    seen.add(key)
-                    break
-            argv = ["lr"] + [",".join(map(str, p)) for p in (lam, mu, nu)] + ["--oracle"]
-            calls.append(Call(f"lr s{seed} #{len(calls)}: {' '.join(argv)}", argv))
+    types = []
+    for n in (3, 4, 5):
+        wanted = len(types) + per_n
+        while len(types) < wanted:
+            hive_type = increments(pair_to_hive(random_standard_pair(rng, n, 1)))
+            if hive_type not in types:
+                types.append(hive_type)
+    calls = []
+    for k, hive_type in enumerate(types):
+        argv = ["lr"] + [",".join(map(str, p)) for p in hive_type] + ["--oracle"]
+        calls.append(Call(f"lr s{seed} #{k}: {' '.join(argv)}", argv))
     return calls
 
 
@@ -308,8 +153,8 @@ def _error_calls():
     array = json.dumps({"type": "array", "rows": [[2, 3, 1], [1, 1, 5], [1, 2, 2]]})
     big = 10 ** sys.get_int_max_str_digits() - 1
     zeros = lambda k: ",".join(["0"] * k)
-    p1, p2 = _couple(random.Random(41), 3)
-    o1, o2 = _associated(p1, p2)
+    p1, p2 = random_couple(random.Random(41), 3)
+    o1, o2 = associate(p1, p2)
     cases = [
         (["condense", "down"], json.dumps({"rows": "nope"}), False),
         (["condense", "down"], "[1]", False),
@@ -324,13 +169,12 @@ def _error_calls():
         (["condense", "down"], json.dumps({"type": "array", "rows": [[1, -2]]}), False),
         (["condense", "sideways"], array, True),
         (["associate", "--functional", "--inverse"],
-         json.dumps({"f": triangle_json(pair_hive(*p1)),
-                     "g": triangle_json(pair_hive(*p2))}), False),
-        (["hive", "--from-pair", "--to-pair"], json.dumps(pair_json(*p1)), False),
+         json.dumps({"f": encode_triangle(pair_to_hive(p1)),
+                     "g": encode_triangle(pair_to_hive(p2))}), False),
+        (["hive", "--from-pair", "--to-pair"], json.dumps(encode_pair(p1)), False),
         (["tableau"], json.dumps({"type": "array", "rows": [[3000000]]}), False),
         (["tableau"], json.dumps({"type": "array", "rows": [[50000, 50000]]}), False),
-        (["tableau"], json.dumps(pair_json(condense_right(p1[0]), p1[1], "antistandard")),
-         False),
+        (["tableau"], json.dumps(encode_pair(to_antistandard(p1))), False),
         (["lr", "0", "1200", "1200", "--oracle"], "", False),
         (["lr", zeros(31), zeros(31), zeros(31)], "", False),
         (["lr", zeros(50), zeros(50), zeros(50)], "", False),
@@ -355,10 +199,9 @@ def _error_calls():
     for inverse in (False, True):
         q1, q2 = (o1, o2) if inverse else (p1, p2)
         for which in ("first", "second", "both"):
-            pairs = {"first": pair_json(*q1), "second": pair_json(*q2)}
+            pairs = _couple_json(q1, q2)
             for key in (["first", "second"] if which == "both" else [which]):
-                a, b = (q1, q2)[key == "second"]
-                pairs[key] = pair_json(condense_right(a), b, "antistandard")
+                pairs[key] = encode_pair(to_antistandard((q1, q2)[key == "second"]))
             cases.append((["associate"] + ["--inverse"] * inverse, json.dumps(pairs), False))
     return [Call(f"error #{k}: {' '.join(argv)[:60]}", argv, text, loose)
             for k, (argv, text, loose) in enumerate(cases)]

@@ -4,15 +4,15 @@ Each mutant replaces one piece of text in one module of the package.  For
 each, the script copies src/, tests/ and pyproject.toml to a temporary
 directory, applies the mutant there, and runs the test file named for it
 with -x.  Only if that file passes does it run all of tier 1.  A mutant is
-killed when some test fails; every run has a timeout, and a mutant that
-times out counts as a survivor.  The working tree is never modified.
+killed when some test fails; every run has a timeout of TIMEOUT seconds,
+and a mutant that times out counts as a survivor.  The working tree is
+never modified.
 
 Usage, from the root of a checkout (exit code 1 if any mutant survives):
 
-    python tools/mutants.py [--timeout SECONDS] [NAME ...]
+    python tools/mutants.py
 """
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -23,6 +23,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TIER1 = ["--continue-on-collection-errors"]
+TIMEOUT = 600  # seconds for each pytest run
 
 # (name, module, text, replacement, test file that should kill it)
 MUTANTS = [
@@ -104,23 +105,14 @@ def check(mutant, timeout: float) -> str:
         return "survived" if outcome == "passed" else "timed out (a survivor)"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--timeout", type=float, default=600,
-                        help="seconds allowed for each pytest run (default 600)")
-    parser.add_argument("names", nargs="*", help="run only the mutants named")
-    args = parser.parse_args(argv)
-    unknown = set(args.names) - {m[0] for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {sorted(unknown)}")
-    chosen = [m for m in MUTANTS if not args.names or m[0] in args.names]
+def main() -> int:
     survivors = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         start = time.perf_counter()
-        outcome = check(mutant, args.timeout)
+        outcome = check(mutant, TIMEOUT)
         survivors += not outcome.startswith("killed")
         print(f"{mutant[0]}: {outcome} ({time.perf_counter() - start:.1f} s)", flush=True)
-    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 
 
