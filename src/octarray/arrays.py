@@ -176,28 +176,38 @@ def col_sums(a: Array) -> tuple:
     return _sums(list(zip(*a.rows)))
 
 
-def is_d_tight(a: Array) -> bool:
-    """True iff every row pair (j, j+1) satisfies the partial-sum condition:
-    mass of row j in columns < i dominates mass of row j+1 in columns <= i."""
-    for j in range(a.m - 1):
-        low, high = a.rows[j], a.rows[j + 1]
-        acc_low = 0
-        acc_high = 0
-        for i in range(1, a.n + 1):
-            acc_high += high[i - 1]
+def _tight_rows(rows) -> bool:
+    """True iff every pair of consecutive rows (low, high) satisfies the
+    partial-sum condition: mass of low in columns < i dominates mass of
+    high in columns <= i.  Stops at the first failure."""
+    rows = iter(rows)
+    low = next(rows)
+    for high in rows:
+        acc_low = acc_high = 0
+        for x, y in zip(low, high):
+            acc_high += y
             if acc_low < acc_high:
                 return False
-            acc_low += low[i - 1]
+            acc_low += x
+        low = high
     return True
 
 
+def is_d_tight(a: Array) -> bool:
+    """The row scan on the rows of a, bottom to top."""
+    return _tight_rows(a.rows)
+
+
 def is_l_tight(a: Array) -> bool:
-    return is_d_tight(transpose(a))
+    """is_d_tight of the transpose, scanned on the columns of a."""
+    return _tight_rows(zip(*a.rows))
 
 
 def is_r_tight(a: Array) -> bool:
-    return is_l_tight(central_reverse(a))
+    """is_l_tight of the central reverse."""
+    return _tight_rows(zip(*(row[::-1] for row in a.rows[::-1])))
 
 
 def is_u_tight(a: Array) -> bool:
-    return is_d_tight(central_reverse(a))
+    """is_d_tight of the central reverse."""
+    return _tight_rows(row[::-1] for row in a.rows[::-1])

@@ -284,7 +284,7 @@ def associate(p1: StandardPair, p2: StandardPair):
     lt, rest = split(left, n)
     if any(x != 0 for row in rest.rows for x in row):
         raise AssertionError("left condensation spilled past n columns")
-    return StandardPair(*split(down, n)), StandardPair(p1.a, lt)
+    return StandardPair._built(*split(down, n)), StandardPair._built(p1.a, lt)
 
 
 def associate_inverse(out1: StandardPair, out2: StandardPair):
@@ -294,9 +294,9 @@ def associate_inverse(out1: StandardPair, out2: StandardPair):
     l = concat(out2.b, Array([[0] * n] * n))
     bc = rsk_inverse(d, l)
     b, c = split(bc, n)
-    p1 = StandardPair(out2.a, b)
+    p1 = StandardPair._built(out2.a, b)
     sigma = row_sums(p1.concat())
-    p2 = StandardPair(diag(sigma), c)
+    p2 = StandardPair._built(diag(sigma), c)
     return p1, p2
 
 

@@ -24,10 +24,10 @@ from collections import namedtuple
 
 from .arrays import (
     Array,
+    _tight_rows,
     concat,
     diag,
     integrate,
-    is_d_tight,
     is_l_tight,
     is_r_tight,
 )
@@ -170,7 +170,9 @@ def increments(h: TriangleFunction) -> HiveType:
 class _Pair(Value):
     """A pair of equal-sized square arrays: the first condensed to ``side``,
     the second condensed left, their concatenation tight downwards.  The
-    subclasses differ only in ``side``; ``kind`` names them in JSON."""
+    subclasses differ only in ``side``; ``kind`` names them in JSON.  The
+    constructor checks all three, for decoded and outside data alike; only
+    the associator and the pair search build pairs unchecked (``_built``)."""
 
     _fields = ("a", "b")
 
@@ -184,9 +186,19 @@ class _Pair(Value):
             raise ValidationError(f"first component is not condensed {self.side}")
         if not is_l_tight(b):
             raise ValidationError("second component is not condensed left")
-        if not is_d_tight(concat(a, b)):
+        if not _tight_rows(ra + rb for ra, rb in zip(a.rows, b.rows)):
             raise ValidationError("concatenation is not tight downwards")
         self.__dict__.update(a=a, b=b)
+
+    @classmethod
+    def _built(cls, a: Array, b: Array):
+        """A pair built without the checks: the associator is a bijection
+        between compatible couples of standard pairs (Henriques-Kamnitzer,
+        math/0408114), and enumerate_standard_pairs keeps only candidates
+        that have just passed the same checks."""
+        p = object.__new__(cls)
+        p.__dict__.update(a=a, b=b)
+        return p
 
     @property
     def n(self) -> int:

@@ -143,7 +143,7 @@ def enumerate_standard_pairs(lam, mu, nu):
         elif not any(col_left):
             b = Array([list(r) for r in rows])
             if is_l_tight(b) and is_d_tight(concat(a, b)):
-                results.append(StandardPair(a, b))
+                results.append(StandardPair._built(a, b))
     return results
 
 

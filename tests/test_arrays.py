@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,10 @@ from octarray import (
     central_reverse,
     col_sums,
     concat,
+    condense_down,
+    condense_left,
+    condense_right,
+    condense_up,
     diag,
     integrate,
     is_d_tight,
@@ -19,6 +24,7 @@ from octarray import (
     split,
     transpose,
 )
+from octarray.checks import random_array
 
 
 def test_array_basic():
@@ -89,6 +95,36 @@ def test_tightness_predicates():
     assert is_l_tight(transpose(a))
     assert is_r_tight(transpose(central_reverse(a)))
     assert not is_d_tight(Array([[0, 1], [1, 0]]))
+
+
+def _d_tight_by_sums(rows):
+    """Tight downwards by the definition, one prefix sum at a time."""
+    return all(sum(low[:i - 1]) >= sum(high[:i])
+               for low, high in zip(rows, rows[1:])
+               for i in range(1, len(low) + 1))
+
+
+@pytest.mark.parametrize("max_denom", [1, 4], ids=["int", "quarters"])
+def test_row_scans_agree_with_the_array_forms(max_denom):
+    """The four predicates scan rows, columns and their reverses in place;
+    they must agree with the definition on the transposed and reversed
+    arrays, for random arrays and their condensations in each direction."""
+    rng = random.Random(17)
+    shapes = [(1, k) for k in range(1, 6)] + [(k, 1) for k in range(2, 6)]
+    shapes += [(rng.randint(2, 5), rng.randint(2, 5)) for _ in range(40)]
+    seen = set()
+    for n, m in shapes:
+        a = random_array(rng, n, m, 3, max_denom)
+        for x in (a, condense_down(a), condense_left(a), condense_right(a),
+                  condense_up(a)):
+            want_d = _d_tight_by_sums(x.rows)
+            assert is_d_tight(x) == want_d
+            t, r = transpose(x), central_reverse(x)
+            assert is_l_tight(x) == is_d_tight(t) == _d_tight_by_sums(t.rows)
+            assert is_r_tight(x) == is_l_tight(r) == _d_tight_by_sums(transpose(r).rows)
+            assert is_u_tight(x) == is_d_tight(r) == _d_tight_by_sums(r.rows)
+            seen.add(want_d)
+    assert seen == {True, False}
 
 
 def test_d_tight_vanishes_above_diagonal():

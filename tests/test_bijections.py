@@ -12,6 +12,7 @@ from octarray import (
     associate,
     associate_functional,
     associate_inverse,
+    col_sums,
     com_prime,
     commute,
     concat,
@@ -20,6 +21,7 @@ from octarray import (
     condense_left,
     diag,
     dtight_to_ssyt,
+    enumerate_standard_pairs,
     hive_to_pair,
     hk_wall_h,
     is_yamanouchi,
@@ -40,6 +42,7 @@ from octarray import (
 )
 from octarray import serialize
 from octarray.checks import random_array, random_couple, random_standard_pair
+from octarray.lr import _partitions
 
 
 def test_ssyt_from_fixture_arrays(f1, f1_array, f2, f2_array):
@@ -289,3 +292,46 @@ def test_associate_inverse_undoes_associate(max_denom):
     for _ in range(30):
         p1, p2 = random_couple(rng, rng.randint(1, 5), rng.randint(1, 4), max_denom)
         assert associate_inverse(*associate(p1, p2)) == (p1, p2)
+
+
+def _assert_checked(couple):
+    """Each pair of the couple passes the full constructor unchanged."""
+    for p in couple:
+        assert StandardPair(p.a, p.b) == p
+
+
+@pytest.mark.parametrize("max_denom", [1, 4], ids=["int", "quarters"])
+def test_associator_builds_pairs_that_pass_the_full_check(max_denom):
+    rng = random.Random(134)
+    for n in range(1, 7):
+        for _ in range(8):
+            couple = random_couple(rng, n, 3, max_denom)
+            out = associate(*couple)
+            _assert_checked(out)
+            _assert_checked(associate_inverse(*out))
+
+
+def _pairs(lam_total, mu_total, nu):
+    """All integer standard pairs of size 3 with final shape nu and the
+    given masses in their two components."""
+    for lam in _partitions(lam_total, 3, lam_total):
+        for mu in _partitions(mu_total, 3, mu_total):
+            yield from enumerate_standard_pairs(lam, mu, nu)
+
+
+def test_associate_inverse_takes_every_small_output_couple():
+    """Every compatible output couple with n = 3 and |nu| <= 6 (1,028 of
+    them) has a preimage made of checked pairs, which associate maps back."""
+    count = 0
+    for size in range(7):
+        for nu in _partitions(size, 3, size):
+            for k in range(size + 1):
+                for out2 in _pairs(k, size - k, nu):
+                    gamma = tuple(col_sums(out2.b))
+                    for j in range(size - k + 1):
+                        for out1 in _pairs(j, size - k - j, gamma):
+                            back = associate_inverse(out1, out2)
+                            _assert_checked(back)
+                            assert associate(*back) == (out1, out2)
+                            count += 1
+    assert count == 1028

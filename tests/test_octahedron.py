@@ -92,9 +92,14 @@ def test_rsk_inverse_rejects_mismatched_shapes():
         rsk_inverse(d, Array([[5, 0], [0, 0]]))
 
 
-def test_rsk_inverse_rejects_shapes_that_differ_on_the_shared_edge():
-    d = Array([[1, 0], [0, 1]])  # tight downwards, shape (1, 1)
-    l = Array([[2, 0], [0, 0]])  # tight leftwards, shape (2,), same mass
+@pytest.mark.parametrize("d, l", [
+    # d tight downwards, shape (1, 1); l tight leftwards, shape (2,)
+    ([[1, 0], [0, 1]], [[2, 0], [0, 0]]),
+    # the mirror: d's edge mass runs above l's
+    ([[2, 0], [0, 0]], [[1, 0], [0, 1]]),
+], ids=["d-below-l", "d-above-l"])
+def test_rsk_inverse_rejects_shapes_that_differ_on_the_shared_edge(d, l):
+    d, l = Array(d), Array(l)
     with pytest.raises(ValidationError, match="shared edge"):
         rsk_inverse(d, l)
 

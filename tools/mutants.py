@@ -35,9 +35,12 @@ MUTANTS = [
     ("insertion schedule skips the bottom pair", "condense.py",
      "for j in range(k - 1, -1, -1):", "for j in range(k - 1, 0, -1):",
      "test_condense.py"),
-    ("is_d_tight tolerates one unit", "arrays.py",
+    ("the row scan tolerates one unit", "arrays.py",
      "            if acc_low < acc_high:", "            if acc_low < acc_high - 1:",
      "test_arrays.py"),
+    ("is_r_tight skips the central reversal", "arrays.py",
+     "return _tight_rows(zip(*(row[::-1] for row in a.rows[::-1])))",
+     "return _tight_rows(zip(*a.rows))", "test_arrays.py"),
     ("rhombi reverses inequality (i)", "hives.py",
      'if (f0 + f3 < f1 + f2) if kind == "i"', 'if (f0 + f3 > f1 + f2) if kind == "i"',
      "test_hives.py"),
@@ -55,7 +58,10 @@ MUTANTS = [
      "        if x and normalize(frontwall(x, 0)) != F[x, 0, 0]:", "test_octahedron.py"),
     ("shared-edge check is one-sided", "octahedron.py",
      "if fd[j][n] != fl[m][min(j, n)]:", "if fd[j][n] < fl[m][min(j, n)]:",
-     "test_scaled_kernels.py"),
+     "test_octahedron.py"),
+    ("associate_inverse builds its first pair from c", "bijections.py",
+     "    p1 = StandardPair._built(out2.a, b)\n", "    p1 = StandardPair._built(out2.a, c)\n",
+     "test_bijections.py"),
     ("tableau limit off by one", "bijections.py",
      "    if total > MAX_TABLEAU_LETTERS:", "    if total > MAX_TABLEAU_LETTERS + 1:",
      "test_cli.py"),
