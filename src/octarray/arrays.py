@@ -10,11 +10,10 @@ mass in columns 1..i and rows 1..j, so f vanishes on the axes and its mixed
 second differences recover the array.
 """
 
-from fractions import Fraction
 from itertools import accumulate, chain
 
 from .errors import ValidationError
-from .scalars import Scalar, checked_row, normalize, scale_rows, unscale_rows
+from .scalars import Scalar, checked_row, normalize, scale_rows, scaled_to_json, unscale_rows
 from .values import Value
 
 
@@ -92,14 +91,19 @@ class CornerFunction(Value):
         }
 
 
-def integrate(a: Array) -> CornerFunction:
-    """Double integral: f(i, j) = sum of masses in columns <= i, rows <= j."""
-    row = [0] * (a.n + 1)
+def _integral(rows) -> list:
+    """The rows f(., j), j = 0..m, of the double integral of rows of masses."""
+    row = [0] * (len(rows[0]) + 1)
     values = [row]
-    for r in a.rows:
+    for r in rows:
         row = [low + acc for low, acc in zip(row, accumulate(r, initial=0))]
         values.append(row)
-    return CornerFunction(values)
+    return values
+
+
+def integrate(a: Array) -> CornerFunction:
+    """Double integral: f(i, j) = sum of masses in columns <= i, rows <= j."""
+    return CornerFunction(_integral(a.rows))
 
 
 def _mixed_differences(vals, D: int = 1) -> list:
@@ -113,7 +117,7 @@ def _mixed_differences(vals, D: int = 1) -> list:
         if min(row) < 0:
             i, v = next((i, v) for i, v in enumerate(row, 1) if v < 0)
             raise ValidationError(
-                f"negative mixed difference {v if D == 1 else Fraction(v, D)} at "
+                f"negative mixed difference {v if D == 1 else scaled_to_json(v, D)} at "
                 f"box ({i},{j}); the function is not supermodular"
             )
     return rows

@@ -340,7 +340,7 @@ def associate_functional(f: TriangleFunction, g: TriangleFunction):
 def _com_prism(f: TriangleFunction) -> list:
     """Layers of the prism over the reversed concatenation of f's pair."""
     p = hive_to_pair(f)
-    return array_layers(central_reverse(concat(condense_right(p.a), p.b)))
+    return array_layers(central_reverse(concat(condense_right(p.a), p.b)).rows)
 
 
 def _nuop_offsets(f: TriangleFunction) -> list:

@@ -7,10 +7,18 @@ operation), 2 malformed input (bad JSON, missing fields, bad arguments),
 of the input).  Each failure writes {"error": ..., "detail": ...} to
 stderr, apart from argparse's own usage errors.
 
+The array commands (condense in each direction, rsk and rsk --inverse)
+read each array once into its scaled form, (D, rows of ints) with D the lcm
+of its reduced denominators, where every value and the shape are checked
+(serialize.decode_scaled); run the int kernels on those rows; and divide
+back only when writing (serialize.encode_scaled).  They make no Array and no
+Fraction.  rsk --inverse scales d and l to the lcm of their two D.
+
 Output is json.dumps(obj, indent=2) byte for byte, written by _dumps: rows of
 exact ints take one %-format and flat rows of ints and strings one C-encoder
 call; every other value takes json.dumps.  An output integer past the
-interpreter's int-to-str digit limit exits 1 with an error naming the limit.
+interpreter's int-to-str digit limit, or a term of an output "p/q" past it,
+exits 1 with an error naming the limit.
 """
 
 import argparse
@@ -19,8 +27,9 @@ import json
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from math import lcm
 
-from .arrays import Array, row_sums, transpose
+from .arrays import Array, transpose
 from .bijections import (
     associate,
     associate_functional,
@@ -33,7 +42,7 @@ from .bijections import (
     render_skew,
     render_ssyt,
 )
-from .condense import condense_down, condense_left, condense_right, condense_up
+from .condense import down_rows, left_rows, right_rows, up_rows
 from .errors import ValidationError
 from .hives import (
     AntiStandardPair,
@@ -49,10 +58,11 @@ from .octahedron import (
     is_flat_concave,
     prism_propagate,
     prism_top,
-    rsk,
-    rsk_inverse,
+    rsk_inverse_rows,
+    rsk_rows,
 )
-from .scalars import parse_scalar, scalar_to_json
+from .octahedron import rsk, rsk_inverse  # noqa: F401 -- bench/tracing.py wraps cli.rsk*
+from .scalars import parse_scalar, scalar_to_json, too_many_digits
 from . import checks, serialize
 
 
@@ -108,8 +118,7 @@ def _emit(obj):
     try:
         text = _dumps(obj)
     except ValueError:  # an int past the interpreter's int-to-str digit limit
-        raise ValidationError(f"an output integer has more than "
-                              f"{sys.get_int_max_str_digits()} digits")
+        raise too_many_digits() from None
     sys.stdout.write(text + "\n")
 
 
@@ -130,19 +139,24 @@ def _partition_arg(text):
         raise MalformedInput(f"bad partition argument {text!r}")
 
 
+def _rescaled(rows, k: int):
+    """Rows of ints multiplied by k."""
+    return rows if k == 1 else [tuple(x * k for x in row) for row in rows]
+
+
 def cmd_condense(args):
-    a = _decode(_read_json(args), serialize.decode_array)
-    fn = {
-        "down": condense_down,
-        "left": condense_left,
-        "right": condense_right,
-        "up": condense_up,
+    D, rows = _decode(_read_json(args), serialize.decode_scaled)
+    core = {
+        "down": down_rows,
+        "left": left_rows,
+        "right": right_rows,
+        "up": up_rows,
     }[args.direction]
-    c = fn(a)
-    out = serialize.encode_array(c)
+    rows = core(rows)
+    out = serialize.encode_scaled(D, rows)
     if args.direction == "down":
-        # c is down-tight, so its row sums are the shape of a
-        out["shape"] = [scalar_to_json(x) for x in row_sums(c)]
+        # the rows are down-tight, so their sums are the shape of the input
+        out["shape"] = serialize.json_rows(D, [list(map(sum, rows))])[0]
     _emit(out)
 
 
@@ -151,12 +165,15 @@ def cmd_rsk(args):
     if args.inverse:
         if not isinstance(obj, dict) or "d" not in obj or "l" not in obj:
             raise MalformedInput("expected an object with 'd' and 'l' arrays")
-        d = _decode(obj["d"], serialize.decode_array)
-        l = _decode(obj["l"], serialize.decode_array)
-        _emit(serialize.encode_array(rsk_inverse(d, l)))
+        Dd, d = _decode(obj["d"], serialize.decode_scaled)
+        Dl, l = _decode(obj["l"], serialize.decode_scaled)
+        D = lcm(Dd, Dl)
+        rows = rsk_inverse_rows(_rescaled(d, D // Dd), _rescaled(l, D // Dl), D)
+        _emit(serialize.encode_scaled(D, rows))
     else:
-        d, l = rsk(_decode(obj, serialize.decode_array))
-        _emit({"d": serialize.encode_array(d), "l": serialize.encode_array(l)})
+        D, rows = _decode(obj, serialize.decode_scaled)
+        d, l = rsk_rows(rows, D)
+        _emit({"d": serialize.encode_scaled(D, d), "l": serialize.encode_scaled(D, l)})
 
 
 def cmd_propagate(args):

@@ -8,9 +8,15 @@ beta_k = V(k) - U(k-1), the new bottom integral is
     u'(1) + ... + u'(i) = U(i) + max_{k <= i} beta_k,
 
 and v' absorbs whatever is left in each column.
+
+down_rows condenses rows of ints down, and left_rows, right_rows and
+up_rows run it on the transposed or centrally reversed rows; the CLI calls
+them on its scaled rows.  Each condense_* function on an Array scales its
+masses to ints, runs the matching one and divides back.
 """
 
-from .arrays import Array, central_reverse, is_d_tight, row_sums, transpose
+from .arrays import Array, _tight_rows, central_reverse, row_sums
+from .arrays import is_d_tight  # noqa: F401 -- bench/tracing.py counts condense.is_d_tight
 from .errors import ValidationError
 from .scalars import scale_rows, unscale_rows
 
@@ -47,16 +53,15 @@ def condense_pair(u, v):
     return tuple(u_new), tuple(v_new)
 
 
-def condense_down(a: Array) -> Array:
-    """Move mass downwards until the array is tight (the unique fixpoint).
+def down_rows(rows) -> list:
+    """Condense rows of ints down: the int core of all four condensations.
 
-    One insertion pass: rational masses are scaled to integers once, then
-    each row k = 1..m-1 is pushed down through the pairs (k-1, k), (k-2,
-    k-1), ..., (0, 1) on top of the tight rows below it, stopping as soon as
-    a pair is left unchanged.  That is at most m(m-1)/2 calls to
-    condense_pair; the result is checked to be tight and divided back.
+    One insertion pass: each row k = 1..m-1 is pushed down through the
+    pairs (k-1, k), (k-2, k-1), ..., (0, 1) on top of the tight rows below
+    it, stopping as soon as a pair is left unchanged.  That is at most
+    m(m-1)/2 calls to condense_pair; the result is checked to be tight.
     """
-    D, rows = scale_rows(a.rows)
+    rows = list(rows)
     pair = condense_pair
     for k in range(1, len(rows)):
         for j in range(k - 1, -1, -1):
@@ -64,22 +69,53 @@ def condense_down(a: Array) -> Array:
             if u == rows[j]:
                 break
             rows[j], rows[j + 1] = u, v
-    tight = Array(rows)
-    if not is_d_tight(tight):
+    if not _tight_rows(rows):
         raise AssertionError("insertion schedule did not reach a tight array")
-    return tight if D == 1 else Array(unscale_rows(rows, D))
+    return rows
+
+
+def _transposed(rows) -> list:
+    return list(zip(*rows))
+
+
+def _reversed(rows) -> list:
+    return [row[::-1] for row in rows[::-1]]
+
+
+def left_rows(rows) -> list:
+    return _transposed(down_rows(_transposed(rows)))
+
+
+def right_rows(rows) -> list:
+    return _reversed(left_rows(_reversed(rows)))
+
+
+def up_rows(rows) -> list:
+    return _reversed(down_rows(_reversed(rows)))
+
+
+def _condensed(core, a: Array) -> Array:
+    """a condensed by core: rational masses are scaled to ints once, and the
+    result is divided back."""
+    D, rows = scale_rows(a.rows)
+    return Array(unscale_rows(core(rows), D))
+
+
+def condense_down(a: Array) -> Array:
+    """Move mass downwards until the array is tight (the unique fixpoint)."""
+    return _condensed(down_rows, a)
 
 
 def condense_left(a: Array) -> Array:
-    return transpose(condense_down(transpose(a)))
+    return _condensed(left_rows, a)
 
 
 def condense_right(a: Array) -> Array:
-    return central_reverse(condense_left(central_reverse(a)))
+    return _condensed(right_rows, a)
 
 
 def condense_up(a: Array) -> Array:
-    return central_reverse(condense_down(central_reverse(a)))
+    return _condensed(up_rows, a)
 
 
 def shape(a: Array) -> tuple:

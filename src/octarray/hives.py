@@ -236,15 +236,16 @@ def pair_to_hive(p: StandardPair) -> TriangleFunction:
     )
 
 
-def extended_differences(t: TriangleFunction, n: int) -> list:
-    """Mixed differences of t after extending it below its diagonal, where
-    it is constant along rows: rows k = 1..t.n of columns j = 1..n.
+def extended_differences(values, n: int) -> list:
+    """Mixed differences of a triangle function t, given by its rows
+    values[v][u], after extending it below its diagonal, where it is
+    constant along rows: rows k = 1..t.n of columns j = 1..n.
 
     This inverts the integral of an array with no mass in any box (j, k)
     with j > k, such as a left-condensed array or the second component of
     a standard pair.
     """
-    ext = [row[:n + 1] + row[-1:] * (n + 1 - len(row)) for row in t.values]
+    ext = [row[:n + 1] + row[-1:] * (n + 1 - len(row)) for row in values]
     return [
         [h1 - h0 - l1 + l0 for l0, l1, h0, h1 in zip(low, low[1:], high, high[1:])]
         for low, high in zip(ext, ext[1:])
@@ -254,7 +255,7 @@ def extended_differences(t: TriangleFunction, n: int) -> list:
 def hive_to_pair(h: TriangleFunction) -> StandardPair:
     """Inverse of pair_to_hive; raises if h is not a hive of a pair."""
     lam, _, _ = increments(h)
-    rows = extended_differences(h, h.n)
+    rows = extended_differences(h.values, h.n)
     for v, row in enumerate(rows, 1):
         for u, x in enumerate(row, 1):
             if x < 0:

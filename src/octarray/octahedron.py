@@ -12,8 +12,9 @@ faces x = 0 and y = 0, the recurrence
 fills everything else.  The ceiling z = m then carries the integral of the
 down-condensation and the wall x = n the integral of the left-condensation,
 which gives a second, independent route to both condensations.  Only this
-module fills prism layers L[z][y][x] = F(x, y, z): array_layers over an
-array, propagate_prism_faces over outside faces; layer_wall reads walls.
+module fills prism layers L[z][y][x] = F(x, y, z): array_layers over the
+rows of an array, propagate_prism_faces over outside faces; layer_wall reads
+walls.
 
 The tetrahedron {x, y, z >= 0, x + y + z <= n} propagates along (-1, 1, 1)
 from its ground z = 0 and front wall y = 0, one level s = y + z at a time:
@@ -32,14 +33,7 @@ whose top has y, z >= 1, again the filled points, with both side pairs
 inside.  is_polarized checks the property on arbitrary solids.
 """
 
-from .arrays import (
-    Array,
-    CornerFunction,
-    _mixed_differences,
-    integrate,
-    is_d_tight,
-    is_l_tight,
-)
+from .arrays import Array, CornerFunction, _integral, _mixed_differences, _tight_rows
 from .errors import ValidationError
 from .hives import TriangleFunction, extended_differences, rhombi
 from .scalars import Scalar, normalize, scale_rows, unscale_rows
@@ -164,13 +158,13 @@ def _prism_layers(L: list) -> list:
     return L
 
 
-def array_layers(a: Array) -> list:
-    """Layers L[z][y][x] = F(x, y, z) of the prism over a: the double
-    integral of a on the slope face, zeros on the front and the shadow,
-    which meet the slope where the integral vanishes, on the axes."""
-    L = _zero_layers(a.n, a.m)
-    for y, row in enumerate(integrate(a).values):
-        L[y][y] = list(row)
+def array_layers(rows) -> list:
+    """Layers L[z][y][x] = F(x, y, z) of the prism over the array with these
+    rows: its double integral on the slope face, zeros on the front and the
+    shadow, which meet the slope where the integral vanishes, on the axes."""
+    L = _zero_layers(len(rows[0]), len(rows))
+    for y, row in enumerate(_integral(rows)):
+        L[y][y] = row
     return _prism_layers(L)
 
 
@@ -215,7 +209,7 @@ def propagate_prism_faces(n: int, m: int, slope, front, shadow) -> PrismFunction
 
 def prism_propagate(a: Array) -> PrismFunction:
     """Propagate the double integral of an array from the slope face."""
-    return _prism_function(array_layers(a))
+    return _prism_function(array_layers(a.rows))
 
 
 def prism_top(F: PrismFunction) -> CornerFunction:
@@ -232,44 +226,52 @@ def prism_wall(F: PrismFunction) -> TriangleFunction:
     )
 
 
-def rsk(a: Array):
-    """Both condensations of a in one propagation: returns (down, left).
+def rsk_rows(rows, D: int):
+    """rsk on rows of ints: the rows of (down, left), in the same scale.
 
     The ceiling of the prism integrates the down-condensation and the wall
-    integrates the left-condensation.  Rational masses are scaled to ints
-    once; propagation and the differences of ceiling and wall run in ints,
-    and only the masses of the two condensations are divided back.
+    integrates the left-condensation; an error quotes a value divided by D.
     """
-    D, rows = scale_rows(a.rows)
-    L = array_layers(Array(rows))
-    d = Array(unscale_rows(_mixed_differences(L[-1], D), D))
-    wall = TriangleFunction(layer_wall(L, a.n))
-    l = Array(unscale_rows(extended_differences(wall, a.n), D))
+    L = array_layers(rows)
+    n = len(rows[0])
+    d = _mixed_differences(L[-1], D)
+    l = extended_differences(layer_wall(L, n), n)
+    if min(map(min, l)) < 0:
+        raise AssertionError("the wall has a negative mixed difference")
     return d, l
 
 
-def rsk_inverse(d: Array, l: Array) -> Array:
-    """Recover the unique array with the given condensations.
+def rsk(a: Array):
+    """Both condensations of a in one propagation: returns (down, left).
 
-    d must be tight downwards, l tight leftwards, with equal shapes and the
-    matching corner integrals on the shared edge.  Both are scaled to ints
-    first (tightness is invariant under positive scaling), then propagated
+    Rational masses are scaled to ints once; propagation and the
+    differences of ceiling and wall run in ints, and only the masses of the
+    two condensations are divided back.
+    """
+    D, rows = scale_rows(a.rows)
+    d, l = rsk_rows(rows, D)
+    return Array(unscale_rows(d, D)), Array(unscale_rows(l, D))
+
+
+def rsk_inverse_rows(d, l, D: int) -> list:
+    """rsk_inverse on the rows of d and l, ints in one scale: the rows of
+    the array, in the same scale; an error quotes a value divided by D.
+
+    d must be tight downwards, l tight leftwards, of equal sizes and with
+    the matching corner integrals on the shared edge.  They are propagated
     backwards along (-1, 0, -1) from the ceiling and the wall, layer by
     layer; the recovered shadow face x = 0 must vanish, and the slope face
-    must integrate a non-negative array -- both are checked on the ints, and
-    only the masses found are divided back.
+    must integrate a non-negative array.
     """
-    if d.n != l.n or d.m != l.m:
+    m, n = len(d), len(d[0])
+    if n != len(l[0]) or m != len(l):
         raise ValidationError("condensation sizes differ")
-    n, m = d.n, d.m
-    D, rows = scale_rows(d.rows + l.rows)
-    d, l = Array(rows[:m]), Array(rows[m:])
-    if not is_d_tight(d):
+    if not _tight_rows(d):
         raise ValidationError("first argument is not tight downwards")
-    if not is_l_tight(l):
+    if not _tight_rows(zip(*l)):
         raise ValidationError("second argument is not tight leftwards")
-    fd = integrate(d).values
-    fl = integrate(l).values
+    fd = _integral(d)
+    fl = _integral(l)
     # shared edge of ceiling and wall: mass in rows <= j of d must equal
     # mass in columns <= j of l for every j
     for j in range(m + 1):
@@ -280,7 +282,7 @@ def rsk_inverse(d: Array, l: Array) -> Array:
     # front y = 0) under the ceiling z = m and the wall x = n, which agree
     # on the shared edge by the check above; then each layer z - 1 from z
     L = _zero_layers(n, m)
-    L[m] = [list(row) for row in fd]
+    L[m] = fd
     for k in range(m + 1):
         for j in range(k + 1):
             L[k][j][n] = fl[k][min(j, n)]
@@ -297,7 +299,17 @@ def rsk_inverse(d: Array, l: Array) -> Array:
             "not a matching pair"
         )
     slope = [L[y][y] for y in range(m + 1)]
-    return Array(unscale_rows(_mixed_differences(slope, D), D))
+    return _mixed_differences(slope, D)
+
+
+def rsk_inverse(d: Array, l: Array) -> Array:
+    """Recover the unique array with the given condensations.
+
+    Both are scaled to ints first, with one D (tightness is invariant under
+    positive scaling), and only the masses found are divided back.
+    """
+    D, rows = scale_rows(d.rows + l.rows)
+    return Array(unscale_rows(rsk_inverse_rows(rows[:d.m], rows[d.m:], D), D))
 
 
 # -- the tetrahedron ----------------------------------------------------------

@@ -18,7 +18,11 @@ cover every FORMS entry of test_emit.py on the fixtures, integer and rational
 arrays through the four condensations, rsk, rsk --inverse and tableau, couples
 of standard pairs with n = 3..10 through the eight calls of the benchmark's
 hives operation, LR types of standard pairs through lr --oracle, the nine
-verify suites, and the error inputs of test_cli.py.
+verify suites, and the error inputs of test_cli.py.  The encoders only write
+reduced values, so a last group of literal inputs holds what they never
+write: unreduced strings, rows mixing ints and strings, rsk --inverse pairs
+whose d and l have different denominators, and bad scalars, shapes and
+declared sizes, each through the four condensations, rsk and rsk --inverse.
 
 A change that alters output on purpose regenerates the file and names each
 changed call and why it changed.  From the root of a checkout:
@@ -207,6 +211,74 @@ def _error_calls():
             for k, (argv, text, loose) in enumerate(cases)]
 
 
+# literal array rows, bottom row first; each is run through the four
+# condensations and rsk, and given as both d and l to rsk --inverse
+LITERAL_ARRAYS = [
+    ("unreduced", [["2/4", "6/3", "0/7"], ["5/1", "3/9", 1], [0, "4/6", "10/5"]]),
+    ("unreduced integral", [["6/3", "5/1"], ["0/7", "-0/3"]]),
+    ("mixed row", [[1, "1/2", 2], ["3/4", 0, "1"]]),
+    ("int row and string row", [[1, 2, 3], ["1/3", 0, 2]]),
+    ("negative", [[1, "-1/2"]]),
+    ("negative unreduced", [["1/3", 2], [0, "-4/6"]]),
+    ("negative integral", [["1/3", "-4/2"]]),
+    ("zero denominator", [["1/0", 1]]),
+    ("bool", [[True, 1]]),
+    ("float", [[1.5, "1/2"]]),
+    ("ragged", [["1/2", 2], [3]]),
+    ("empty", []),
+    ("empty row", [[]]),
+    ("bad scalar before ragged", [["1/2", 2], ["x"]]),
+    ("bad scalar before negative", [[-1, 2], ["1/0", 1]]),
+    ("ragged before negative", [["-1/2", 2], [1]]),
+]
+
+# literal {"d": ..., "l": ...} objects for rsk --inverse
+LITERAL_PAIRS = [
+    ("d over 2, l over 3", {"d": [["1/2", 1, "2/4"], [0, "1/2", "3/6"]],
+                            "l": [["4/3", 0, 0], ["2/3", "3/3", 0]]}),
+    ("d over 2, l integral", {"d": [["1/2", "1/2"]], "l": [[1, 0]]}),
+    ("d integral, l over 2", {"d": [[1], [0]], "l": [["1/2"], ["2/4"]]}),
+    ("d over 6, l over 10", {"d": [["9/10", "1/3"], [0, 0]],
+                             "l": [["5/6", 0], ["2/5", 0]]}),
+    ("shared edge off by 1/6", {"d": [["5/6", 0], [0, "1/2"]],
+                                "l": [["1/2", 0], ["1/3", "1/6"]]}),
+    ("d not tight", {"d": [[0, "1/2"], ["1/3", 0]], "l": [["1/2", 0], ["1/3", 0]]}),
+    ("l not tight", {"d": [["1/2", 0], [0, 0]], "l": [[0, "1/2"], [0, 0]]}),
+    ("sizes differ", {"d": [["1/2", 0]], "l": [["1/2"], [0]]}),
+    ("bad l", {"d": [["1/2"]], "l": [["1/0"]]}),
+    ("negative l", {"d": [["1/2"]], "l": [["-1/2"]]}),
+    ("declared n of l", {"d": [["1/2"]], "l": {"n": 2, "rows": [["1/2"]]}}),
+    ("declared m of d", {"d": {"m": 3, "rows": [["1/2"]]}, "l": [["1/2"]]}),
+]
+
+
+def _array_doc(rows, **declared):
+    return {"type": "array", **declared, "rows": rows}
+
+
+def _literal_calls():
+    """The literal inputs above, which no encoder writes."""
+    cases = [(label, _array_doc(rows)) for label, rows in LITERAL_ARRAYS]
+    cases += [("declared n=3", _array_doc([[1, "1/2"]], n=3)),
+              ("declared m=2", _array_doc([[1, "1/2"]], m=2)),
+              ("declared n=2 and m=1", _array_doc([["1/2", 1]], n=2, m=1)),
+              ("negative before declared n", _array_doc([[1, "-1/2"]], n=5))]
+    calls = []
+    for label, doc in cases:
+        text = json.dumps(doc)
+        for argv in (["condense", "down"], ["condense", "left"], ["condense", "right"],
+                     ["condense", "up"], ["rsk"]):
+            calls.append(Call(f"literal {label}: {' '.join(argv)}", argv, text))
+        calls.append(Call(f"literal {label}: rsk --inverse", ["rsk", "--inverse"],
+                          json.dumps({"d": doc, "l": doc})))
+    for label, pair in LITERAL_PAIRS:
+        doc = {key: _array_doc(**value) if isinstance(value, dict) else _array_doc(value)
+               for key, value in pair.items()}
+        calls.append(Call(f"literal pair {label}: rsk --inverse", ["rsk", "--inverse"],
+                          json.dumps(doc)))
+    return calls
+
+
 def calls():
     """Every call of the corpus, in file order."""
     out = _fixture_calls()
@@ -215,7 +287,7 @@ def calls():
         out += _array_calls("arrays-rational", seed, (1, 2, 4, 7), 9, 4)
         out += _hives_calls(seed)
         out += _lr_calls(seed)
-    return out + _verify_calls() + _error_calls()
+    return out + _verify_calls() + _error_calls() + _literal_calls()
 
 
 # -- replay -----------------------------------------------------------------------

@@ -188,6 +188,88 @@ def test_decimal_and_exponent_scalar_strings_exit_1(cli, scalar):
                                    "detail": f"bad scalar string {scalar!r}"}
 
 
+def test_rational_output_past_the_digit_limit_exit_1(cli):
+    limit = sys.get_int_max_str_digits()
+    third = "8" * limit + "/3"  # the longest numerator JSON reads; twice it is longer
+    for argv in (["condense", "down"], ["rsk"], ["propagate"]):
+        code, out, err = cli(argv, {"type": "array", "rows": [[third], [third]]})
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "validation",
+            "detail": f"an output integer has more than {limit} digits"}
+
+
+def test_rational_output_at_the_digit_limit_is_written(cli):
+    limit = sys.get_int_max_str_digits()
+    third = "8" * limit + "/3"  # in lowest terms: 8 * limit is not a multiple of 3
+    array = {"type": "array", "rows": [[third], [0]]}
+    code, out, err = cli(["condense", "down"], array)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["rows"], doc["shape"]) == ([[third], [0]], [third, 0])
+    code, out, err = cli(["rsk"], array)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["d"]["rows"] == json.loads(out)["l"]["rows"] == [[third], [0]]
+    code, out, err = cli(["rsk", "--inverse"], {"d": array, "l": array})
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rows"] == [[third], [0]]
+
+
+def test_a_negative_mass_is_quoted_reduced_and_unscaled(cli):
+    for rows, first in (([[1, "-2/4"], ["1/3", -1]], "-1/2"),
+                        ([["1/3", 2], [0, "-4/2"]], "-2"),
+                        ([[0, 1], [-3, "1/2"]], "-3")):
+        array = {"type": "array", "n": 7, "rows": rows}  # the sign comes before n
+        for argv, doc in ((["condense", "down"], array), (["rsk"], array),
+                          (["rsk", "--inverse"], {"d": ARRAY, "l": array})):
+            code, out, err = cli(argv, doc)
+            assert (code, out) == (1, "")
+            assert json.loads(err) == {"error": "validation",
+                                       "detail": f"negative mass {first}"}
+
+
+def test_rsk_inverse_takes_d_and_l_over_different_denominators(cli):
+    d = {"type": "array", "rows": [["1/2", 1, "2/4"], [0, "1/2", "3/6"]]}
+    l = {"type": "array", "rows": [["4/3", 0, 0], ["2/3", "3/3", 0]]}
+    code, out, err = cli(["rsk", "--inverse"], {"d": d, "l": l})
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rows"] == [["1/2", "1/2", "1/3"], [0, 1, "2/3"]]
+    code, out, err = cli(["rsk", "--inverse"], {"d": l, "l": d})
+    assert (code, out) == (1, "")
+
+
+def test_array_commands_make_no_fraction(cli):
+    """The array commands read, condense, propagate and write in scaled
+    ints: no code of the fractions module runs, so no Fraction is made."""
+    import fractions
+
+    def fraction_calls(fn, *args):
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == fractions.__file__:
+                calls.append(frame.f_code.co_name)
+
+        outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            result = fn(*args)
+        finally:
+            sys.setprofile(outer)
+        return calls, result
+
+    assert fraction_calls(fractions.Fraction, 1, 2)[0]  # the counter sees one
+    array = {"type": "array", "rows": [["1/2", 1, "2/3"], [0, "5/4", "6/4"]]}
+    calls, (code, out, err) = fraction_calls(cli, ["rsk"], array)
+    assert (calls, code, err) == ([], 0, "")
+    both = json.loads(out)
+    for argv, doc in [(["rsk", "--inverse"], both)] + [
+            (["condense", direction], array) for direction in ("down", "left", "right", "up")]:
+        calls, (code, out, err) = fraction_calls(cli, argv, doc)
+        assert (calls, code, err) == ([], 0, ""), argv
+    assert json.loads(out)["rows"] != array["rows"]
+
+
 def test_output_past_the_digit_limit_exit_1(cli):
     limit = sys.get_int_max_str_digits()
     big = 10 ** limit - 1  # the longest int JSON reads; twice it is one digit longer
@@ -290,7 +372,7 @@ def test_internal_error_exit_3(cli, monkeypatch):
     def broken(a):
         raise AssertionError("invariant broken")
 
-    monkeypatch.setattr(cli_module, "condense_down", broken)
+    monkeypatch.setattr(cli_module, "down_rows", broken)
     code, out, err = cli(["condense", "down"], ARRAY)
     assert (code, out) == (3, "")
     assert json.loads(err) == {"error": "internal", "detail": "invariant broken"}

@@ -176,4 +176,4 @@ def test_extended_differences_matches_the_closure_definition(rng):
     size = rng.randint(0, 6)
     t = TriangleFunction([[scalar(rng) for _ in range(v + 1)] for v in range(size + 1)])
     for n in {max(size - 2, 0), max(size - 1, 0), size, size + 1, size + 3}:
-        assert extended_differences(t, n) == extended_differences_reference(t, n)
+        assert extended_differences(t.values, n) == extended_differences_reference(t, n)

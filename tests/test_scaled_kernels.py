@@ -62,7 +62,7 @@ def rsk_reference(a):
     ceiling = unscale_rows([[F[x, y, m] for x in range(n + 1)] for y in range(m + 1)], D)
     wall = unscale_rows([[F[n, y, z] for y in range(z + 1)] for z in range(m + 1)], D)
     d = mixed_derivative(CornerFunction(ceiling))
-    l = Array(extended_differences(TriangleFunction(wall), n))
+    l = Array(extended_differences(TriangleFunction(wall).values, n))
     return d, l
 
 

@@ -69,6 +69,13 @@ MUTANTS = [
      "            if top != or_step(pts[p], fa, fa2, fb, fb2):",
      "            if False and top != or_step(pts[p], fa, fa2, fb, fb2):",
      "test_octahedron.py"),
+    ("the scaled reader skips its sign check", "serialize.py",
+     "    if min(map(min, rows)) < 0:", "    if False and min(map(min, rows)) < 0:",
+     "test_cli.py"),
+    ("the writer skips the gcd reduction", "scalars.py",
+     "    g = gcd(v, D)", "    g = 1", "test_serialize.py"),
+    ("rsk --inverse scales l by d's D", "cli.py",
+     "_rescaled(l, D // Dl)", "_rescaled(l, D // Dd)", "test_cli.py"),
 ]
 
 
