@@ -13,6 +13,11 @@ down_rows condenses rows of ints down, and left_rows, right_rows and
 up_rows run it on the transposed or centrally reversed rows; the CLI calls
 them on its scaled rows.  Each condense_* function on an Array scales its
 masses to ints, runs the matching one and divides back.
+
+Tightness forces a triangle of zeros: row j of a down-tight array has no
+mass left of column j (the array form of a semistandard tableau whose row j
+holds no letter below j; Knuth 1970), so its rows j >= n vanish.
+down_rows skips the work this forces.
 """
 
 from .arrays import Array, _tight_rows, central_reverse, row_sums
@@ -31,6 +36,8 @@ def condense_pair(u, v):
     v = tuple(v)
     if len(u) != len(v):
         raise ValidationError("rows of different length")
+    if not u:
+        return (), ()
     # one pass with running sums: U = U(i), V = V(i), f = U(i) + best
     best = v[0]
     U = V = f_prev = 0
@@ -58,17 +65,31 @@ def down_rows(rows) -> list:
 
     One insertion pass: each row k = 1..m-1 is pushed down through the
     pairs (k-1, k), (k-2, k-1), ..., (0, 1) on top of the tight rows below
-    it, stopping as soon as a pair is left unchanged.  That is at most
-    m(m-1)/2 calls to condense_pair; the result is checked to be tight.
+    it, stopping as soon as a pair is left unchanged.  Rows n..k-1 are
+    zero (module docstring), so row k drops straight to row min(k, n).
+    Row j is zero left of column j, and on such a prefix condense_pair
+    moves the upper row down whole and leaves the rest as a call on the
+    tails would; so pair (j, j+1) runs condense_pair on the columns from j
+    on only.  That is at most min(k, n) calls for row k; the result is
+    checked to be tight.
     """
-    rows = list(rows)
+    rows = list(map(tuple, rows))
+    n = len(rows[0])
+    zeros = (0,) * n
     pair = condense_pair
     for k in range(1, len(rows)):
-        for j in range(k - 1, -1, -1):
-            u, v = pair(rows[j], rows[j + 1])
-            if u == rows[j]:
+        top = min(k, n)
+        # rows top..k-1 are zero: the swaps through them exchange two rows
+        rows[top], rows[k] = rows[k], rows[top]
+        v = rows[top]
+        for j in range(top - 1, -1, -1):
+            u = rows[j]
+            tail = u[j:]
+            u_tail, v_tail = pair(tail, v[j:])
+            if u_tail == tail and v[:j] == zeros[:j]:
                 break
-            rows[j], rows[j + 1] = u, v
+            rows[j + 1] = zeros[:j] + v_tail
+            rows[j] = v = v[:j] + u_tail
     if not _tight_rows(rows):
         raise AssertionError("insertion schedule did not reach a tight array")
     return rows

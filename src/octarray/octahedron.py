@@ -16,6 +16,12 @@ module fills prism layers L[z][y][x] = F(x, y, z): array_layers over the
 rows of an array, propagate_prism_faces over outside faces; layer_wall reads
 walls.
 
+Over an array, layer z integrates the down-condensation of the first z
+rows, and row i of a down-tight array has no mass left of column i (the
+array form of a semistandard tableau whose row i holds no letter below i;
+Knuth 1970).  So the triangle x < y of each layer is forced,
+F(x, y, z) = F(x, z, z), and array_layers copies it from the slope.
+
 The tetrahedron {x, y, z >= 0, x + y + z <= n} propagates along (-1, 1, 1)
 from its ground z = 0 and front wall y = 0, one level s = y + z at a time:
 
@@ -24,11 +30,14 @@ from its ground z = 0 and front wall y = 0, one level s = y + z at a time:
 
 Both recurrences are instances of one octahedron rule: on every primitive
 octahedron the sum over the main diagonal equals the larger of the sums over
-the other two diagonals; every fill applies it, as or_step, once per point.
+the other two diagonals; every fill applies it, as or_step, once per point
+it computes: array_layers computes all but the forced triangle, and
+propagate_prism_faces, rsk_inverse_rows and tetra_propagate every point.
 
 A propagated solid is polarized by construction: the primitive octahedra
 that fit in the prism are exactly those whose top (x, y, z) has x >= 1 and
-1 <= y <= z - 1, the points the recurrence fills; in the tetrahedron, those
+1 <= y <= z - 1, the points the recurrence fills (over an array the forced
+triangle holds the values it would compute); in the tetrahedron, those
 whose top has y, z >= 1, again the filled points, with both side pairs
 inside.  is_polarized checks the property on arbitrary solids.
 """
@@ -142,18 +151,26 @@ def _zero_layers(n: int, m: int) -> list:
     return [[[0] * (n + 1) for _ in range(z + 1)] for z in range(m + 1)]
 
 
-def _prism_layers(L: list) -> list:
+def _prism_layers(L: list, over_array: bool = False) -> list:
     """The prism recurrence, filled layer by layer: L[z][y][x] = F(x, y, z).
 
     The faces of L -- the slope y = z, the front y = 0 and the shadow
-    x = 0 -- are already set; every other point is filled in place.
+    x = 0 -- are already set; every other point is filled in place.  With
+    over_array, the faces are those of array_layers, so the forced triangle
+    x < y is copied from the slope (module docstring) and or_step fills
+    only the points with x >= y.
     """
     step = or_step
     for z in range(1, len(L)):
         below, here = L[z - 1], L[z]
+        slope = here[z]
         for y in range(z - 1, 0, -1):
             b, b_low, h, h_up = below[y], below[y - 1], here[y], here[y + 1]
-            for x in range(1, len(h)):
+            start = 1
+            if over_array:
+                h[1:y] = slope[1:y]
+                start = y
+            for x in range(start, len(h)):
                 h[x] = step(b[x - 1], h[x - 1], b[x], h_up[x], b_low[x - 1])
     return L
 
@@ -165,7 +182,7 @@ def array_layers(rows) -> list:
     L = _zero_layers(len(rows[0]), len(rows))
     for y, row in enumerate(_integral(rows)):
         L[y][y] = row
-    return _prism_layers(L)
+    return _prism_layers(L, over_array=True)
 
 
 def layer_wall(L: list, x: int) -> list:

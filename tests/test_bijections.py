@@ -186,8 +186,10 @@ def test_functional_commuter_fills_one_prism(fn, monkeypatch):
         f = pair_to_hive(random_standard_pair(rng, n))
         calls.clear()
         fn(f)
-        # the 2n columns of the reversed concatenation, n rows
-        assert len(calls) == 2 * n * (n * (n - 1) // 2)
+        # the 2n columns of the reversed concatenation, n rows: one step
+        # per point 1 <= y < z <= n, y <= x <= 2n
+        assert len(calls) == sum(2 * n + 1 - y for z in range(2, n + 1)
+                                 for y in range(1, z))
 
 def test_associate_rejects_incompatible_couples():
     p1 = StandardPair(diag((1,)), Array([[1]]))

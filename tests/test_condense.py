@@ -21,7 +21,7 @@ from octarray import (
 )
 from octarray import condense as condense_module
 from octarray import serialize
-from octarray.checks import condense_down_random
+from octarray.checks import condense_down_ascending, condense_down_random, random_array
 
 
 def random_rational_array(rng, n, m, sparse=False, max_denom=12):
@@ -156,3 +156,40 @@ def test_condense_down_makes_at_most_m_choose_2_pair_calls(monkeypatch):
             calls.clear()
             condense_down(random_rational_array(rng, 6, m, sparse))
             assert m - 1 <= len(calls) <= m * (m - 1) // 2
+            # rows 6.. of a tight array vanish, so row k takes min(k, 6) calls
+            assert len(calls) <= sum(min(k, 6) for k in range(m))
+
+
+def test_condense_pair_on_empty_rows():
+    assert condense_pair([], []) == ((), ())
+
+
+def _boundary_arrays(rng):
+    """Integer, quarter-denominator and sparse arrays with m > n, m < n,
+    1 x k and k x 1: the shapes where a forced prefix or a vanished row
+    reaches the edge of the array."""
+    sizes = [(1, 1), (1, 7), (7, 1), (3, 9), (9, 3), (5, 5), (2, 12), (12, 2)]
+    sizes += [(rng.randint(1, 10), rng.randint(1, 10)) for _ in range(12)]
+    for n, m in sizes:
+        yield random_array(rng, n, m, 9)
+        yield random_array(rng, n, m, 5, 4)
+        yield random_rational_array(rng, n, m, sparse=True, max_denom=4)
+
+
+def test_each_direction_equals_the_ascending_schedule():
+    def right_ref(a):
+        return transpose(central_reverse(
+            condense_down_ascending(transpose(central_reverse(a)))))
+
+    def up_ref(a):
+        return central_reverse(condense_down_ascending(central_reverse(a)))
+
+    def left_ref(a):
+        return transpose(condense_down_ascending(transpose(a)))
+
+    rng = random.Random(119)
+    for a in _boundary_arrays(rng):
+        assert condense_down(a) == condense_down_ascending(a)
+        assert condense_left(a) == left_ref(a)
+        assert condense_right(a) == right_ref(a)
+        assert condense_up(a) == up_ref(a)

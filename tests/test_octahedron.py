@@ -27,7 +27,7 @@ from octarray import (
     tetra_slope_wall,
 )
 from octarray.checks import random_array, random_couple
-from octarray.octahedron import or_step
+from octarray.octahedron import array_layers, or_step
 from octarray.scalars import normalize
 
 
@@ -173,7 +173,34 @@ def test_rsk_is_positively_homogeneous():
             )
 
 
-def test_rsk_and_inverse_take_one_or_step_per_interior_point(monkeypatch):
+def free_points(n, m):
+    """The points 1 <= y < z <= m, y <= x <= n that array_layers fills by
+    or_step; the rest of the interior, x < y, is forced by tightness."""
+    return sum(n + 1 - y for z in range(2, m + 1) for y in range(1, min(z, n + 1)))
+
+
+def test_array_layers_equal_the_full_fill_from_the_faces():
+    """Every layer over an array, with its forced triangle copied, equals
+    the fill that takes or_step at every interior point: integer,
+    quarter-denominator and sparse arrays, m > n, m < n, 1 x k and k x 1."""
+    rng = random.Random(219)
+    sizes = [(1, 1), (1, 7), (7, 1), (3, 9), (9, 3), (2, 12), (12, 2)]
+    sizes += [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(10)]
+    for n, m in sizes:
+        sparse = Array([[rng.randint(1, 9) if rng.random() < 0.3 else 0
+                         for _ in range(n)] for _ in range(m)])
+        for a in (random_array(rng, n, m, 9), random_array(rng, n, m, 5, 4), sparse):
+            f = integrate(a)
+            G = propagate_prism_faces(n, m, f.value, lambda x, z: 0, lambda y, z: 0)
+            L = array_layers(a.rows)
+            assert [[len(row) for row in layer] for layer in L] == [
+                [n + 1] * (z + 1) for z in range(m + 1)]
+            for z, layer in enumerate(L):
+                for y, row in enumerate(layer):
+                    assert row == [G.value(x, y, z) for x in range(n + 1)], (a, y, z)
+
+
+def test_rsk_steps_on_free_points_and_inverse_on_every_interior_point(monkeypatch):
     from octarray import octahedron
 
     calls = []
@@ -186,9 +213,11 @@ def test_rsk_and_inverse_take_one_or_step_per_interior_point(monkeypatch):
     monkeypatch.setattr(octahedron, "or_step", counting)
     a = random_array(random.Random(213), 4, 5, 9, 12)
     d, l = rsk(a)
-    assert len(calls) == 4 * (5 * 4 // 2)
+    # layers z = 2..5 take 4, 4 + 3, 4 + 3 + 2 and 4 + 3 + 2 + 1 steps
+    assert len(calls) == free_points(4, 5) == 30
     calls.clear()
     assert rsk_inverse(d, l) == a
+    # the backward fill reaches the shadow face from x = n: n m(m - 1)/2
     assert len(calls) == 4 * (5 * 4 // 2)
 
 

@@ -33,7 +33,12 @@ MUTANTS = [
     ("condense_pair keeps the running min", "condense.py",
      "        if beta > best:", "        if beta < best:", "test_condense.py"),
     ("insertion schedule skips the bottom pair", "condense.py",
-     "for j in range(k - 1, -1, -1):", "for j in range(k - 1, 0, -1):",
+     "for j in range(top - 1, -1, -1):", "for j in range(top - 1, 0, -1):",
+     "test_condense.py"),
+    ("row k drops one row too far", "condense.py",
+     "        top = min(k, n)\n", "        top = min(k, n - 1)\n", "test_condense.py"),
+    ("the unchanged-pair exit ignores the prefix", "condense.py",
+     "if u_tail == tail and v[:j] == zeros[:j]:", "if u_tail == tail:",
      "test_condense.py"),
     ("the row scan tolerates one unit", "arrays.py",
      "            if acc_low < acc_high:", "            if acc_low < acc_high - 1:",
@@ -53,6 +58,10 @@ MUTANTS = [
      "grid[c, j + 1] <= x", "grid[c, j + 1] < x", "test_bijections.py"),
     ("_nuop_offsets does not reverse nu", "bijections.py",
      "partial_sums(nu[::-1])", "partial_sums(nu)", "test_bijections.py"),
+    ("the forward fill starts one column late", "octahedron.py",
+     "                start = y\n", "                start = y + 1\n", "test_octahedron.py"),
+    ("the copied triangle is one column short", "octahedron.py",
+     "h[1:y] = slope[1:y]", "h[1:y - 1] = slope[1:y - 1]", "test_octahedron.py"),
     ("tetrahedron edge check skips x = 0", "octahedron.py",
      "        if normalize(frontwall(x, 0)) != F[x, 0, 0]:",
      "        if x and normalize(frontwall(x, 0)) != F[x, 0, 0]:", "test_octahedron.py"),
