@@ -13,7 +13,7 @@ second differences recover the array.
 from itertools import accumulate, chain
 
 from .errors import ValidationError
-from .scalars import Scalar, checked_row, normalize, scale_rows, scaled_to_json, unscale_rows
+from .scalars import Scalar, checked_row, scale_rows, scaled_to_json, unscale_rows
 from .values import Value
 
 
@@ -21,20 +21,9 @@ class Array(Value):
     _fields = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(map(tuple, rows))
-        ints = set(map(type, chain.from_iterable(rows))) <= {int}
-        if not ints:
-            rows = tuple(checked_row(row, normalize) for row in rows)
-        if not rows or not rows[0]:
-            raise ValidationError("array must have at least one row and column")
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
-            raise ValidationError("ragged array")
-        # a normalized scalar has the sign of its numerator: no Fraction compares
-        low = min(map(min, rows)) if ints else min(x.numerator for r in rows for x in r)
-        if low < 0:
-            raise ValidationError(f"negative mass {next(x for r in rows for x in r if x < 0)}")
-        object.__setattr__(self, "rows", rows)
+        D, rows = scale_rows(rows)
+        check_scaled(D, rows)
+        object.__setattr__(self, "rows", unscale_rows(rows, D))
 
     @property
     def n(self) -> int:
@@ -62,7 +51,7 @@ class CornerFunction(Value):
     _fields = ("values",)  # values[j][i]
 
     def __init__(self, values):
-        values = tuple(checked_row(row, normalize) for row in values)
+        values = tuple(map(checked_row, values))
         if len(values) < 2 or len(values[0]) < 2:
             raise ValidationError("corner function needs at least a 1x1 grid")
         width = len(values[0])
@@ -91,6 +80,20 @@ class CornerFunction(Value):
         }
 
 
+def check_scaled(D: int, rows) -> None:
+    """Raise unless rows of ints scaled by D are an array: at least one row
+    and column, not ragged, and no negative mass; the first negative mass in
+    row-major order is quoted as v / D."""
+    if not rows or not rows[0]:
+        raise ValidationError("array must have at least one row and column")
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise ValidationError("ragged array")
+    if min(map(min, rows)) < 0:
+        v = next(v for row in rows for v in row if v < 0)
+        raise ValidationError(f"negative mass {scaled_to_json(v, D)}")
+
+
 def _integral(rows) -> list:
     """The rows f(., j), j = 0..m, of the double integral of rows of masses."""
     row = [0] * (len(rows[0]) + 1)
@@ -106,13 +109,18 @@ def integrate(a: Array) -> CornerFunction:
     return CornerFunction(_integral(a.rows))
 
 
-def _mixed_differences(vals, D: int = 1) -> list:
-    """Mixed differences of the rows vals[j][i], scaled by D; raises at the
-    first negative box in (j, i) order, quoting its value divided by D."""
-    rows = [
+def _differences(vals) -> list:
+    """Mixed differences of the rows vals[j][i], unchecked."""
+    return [
         [h1 - h0 - l1 + l0 for l0, l1, h0, h1 in zip(low, low[1:], high, high[1:])]
         for low, high in zip(vals, vals[1:])
     ]
+
+
+def _mixed_differences(vals, D: int = 1) -> list:
+    """Mixed differences of the rows vals[j][i], scaled by D; raises at the
+    first negative box in (j, i) order, quoting its value divided by D."""
+    rows = _differences(vals)
     for j, row in enumerate(rows, 1):
         if min(row) < 0:
             i, v = next((i, v) for i, v in enumerate(row, 1) if v < 0)
@@ -151,12 +159,12 @@ def transpose(a: Array) -> Array:
 
 def central_reverse(a: Array) -> Array:
     """Rotate by 180 degrees: box (i, j) goes to (n - i + 1, m - j + 1)."""
-    return Array(tuple(row[::-1] for row in a.rows[::-1]))
+    return Array(_reversed(a.rows))
 
 
 def diag(p) -> Array:
     """Diagonal array of a partition: mass p[k] in box (k+1, k+1)."""
-    p = tuple(normalize(x) for x in p)
+    p = tuple(p)
     n = len(p)
     if n == 0:
         raise ValidationError("empty partition")
@@ -178,6 +186,11 @@ def row_sums(a: Array) -> tuple:
 
 def col_sums(a: Array) -> tuple:
     return _sums(list(zip(*a.rows)))
+
+
+def _reversed(rows) -> list:
+    """The rows turned by 180 degrees: their order and each row reversed."""
+    return [row[::-1] for row in rows[::-1]]
 
 
 def _tight_rows(rows) -> bool:
@@ -209,9 +222,9 @@ def is_l_tight(a: Array) -> bool:
 
 def is_r_tight(a: Array) -> bool:
     """is_l_tight of the central reverse."""
-    return _tight_rows(zip(*(row[::-1] for row in a.rows[::-1])))
+    return _tight_rows(zip(*_reversed(a.rows)))
 
 
 def is_u_tight(a: Array) -> bool:
     """is_d_tight of the central reverse."""
-    return _tight_rows(row[::-1] for row in a.rows[::-1])
+    return _tight_rows(_reversed(a.rows))

@@ -83,6 +83,14 @@ def random_array(rng, n, m, max_mass=6, max_denom=1) -> Array:
     return Array(rows)
 
 
+def random_arrays(rng, cases, max_n, max_m, max_mass, max_denom):
+    """(k, a) for k < cases: a random array of 1..max_n columns and 1..max_m
+    rows, drawn from rng only when the caller asks for the next case."""
+    for k in range(cases):
+        yield k, random_array(rng, rng.randint(1, max_n), rng.randint(1, max_m),
+                              max_mass, max_denom)
+
+
 def random_standard_pair(rng, n, max_mass=3, max_denom=1) -> StandardPair:
     b = condense_left(random_array(rng, n, n, max_mass, max_denom))
     c = condense_left(random_array(rng, n, n, max_mass, max_denom))
@@ -118,10 +126,7 @@ def check_theorem2(cases=300, seed=0, max_n=5, max_m=5, max_mass=6, max_denom=4)
     """One propagation yields both condensations at once."""
     rng = random.Random(seed)
     rep = CheckReport("thm2 (propagation = both condensations)", cases)
-    for k in range(cases):
-        a = random_array(
-            rng, rng.randint(1, max_n), rng.randint(1, max_m), max_mass, max_denom
-        )
+    for k, a in random_arrays(rng, cases, max_n, max_m, max_mass, max_denom):
         d, l = rsk(a)
         if d != condense_down(a):
             rep.failures.append(f"case {k}: ceiling != down-condensation of {a}")
@@ -135,17 +140,11 @@ def check_rsk_bijection(cases=300, inv_cases=100, seed=0, max_n=5, max_m=5,
     """The two condensations determine the array, both ways round."""
     rng = random.Random(seed)
     rep = CheckReport("rsk bijection (round trips)", cases + inv_cases)
-    for k in range(cases):
-        a = random_array(
-            rng, rng.randint(1, max_n), rng.randint(1, max_m), max_mass, max_denom
-        )
+    for k, a in random_arrays(rng, cases, max_n, max_m, max_mass, max_denom):
         d, l = rsk(a)
         if rsk_inverse(d, l) != a:
             rep.failures.append(f"case {k}: inverse(rsk) != id on {a}")
-    for k in range(inv_cases):
-        a = random_array(
-            rng, rng.randint(1, max_n), rng.randint(1, max_m), max_mass, max_denom
-        )
+    for k, a in random_arrays(rng, inv_cases, max_n, max_m, max_mass, max_denom):
         d, l = rsk(a)
         d2, l2 = rsk(rsk_inverse(d, l))
         if (d2, l2) != (d, l):
@@ -185,10 +184,7 @@ def check_shapes(cases=500, seed=0, max_n=5, max_m=5, max_mass=6, max_denom=3):
     not depend on the order in which row pairs are condensed."""
     rng = random.Random(seed)
     rep = CheckReport("shapes (well-defined, schedule-independent)", cases)
-    for k in range(cases):
-        a = random_array(
-            rng, rng.randint(1, max_n), rng.randint(1, max_m), max_mass, max_denom
-        )
+    for k, a in random_arrays(rng, cases, max_n, max_m, max_mass, max_denom):
         d = condense_down(a)
         l = condense_left(a)
         rs, cs = trim(row_sums(d)), trim(col_sums(l))

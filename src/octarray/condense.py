@@ -20,7 +20,7 @@ holds no letter below j; Knuth 1970), so its rows j >= n vanish.
 down_rows skips the work this forces.
 """
 
-from .arrays import Array, _tight_rows, central_reverse, row_sums
+from .arrays import Array, _reversed, _tight_rows, central_reverse, row_sums
 from .arrays import is_d_tight  # noqa: F401 -- bench/tracing.py counts condense.is_d_tight
 from .errors import ValidationError
 from .scalars import scale_rows, unscale_rows
@@ -97,10 +97,6 @@ def down_rows(rows) -> list:
 
 def _transposed(rows) -> list:
     return list(zip(*rows))
-
-
-def _reversed(rows) -> list:
-    return [row[::-1] for row in rows[::-1]]
 
 
 def left_rows(rows) -> list:

@@ -24,6 +24,7 @@ from collections import namedtuple
 
 from .arrays import (
     Array,
+    _differences,
     _tight_rows,
     concat,
     diag,
@@ -33,7 +34,7 @@ from .arrays import (
 )
 from .condense import shape
 from .errors import ValidationError
-from .scalars import Scalar, checked_row, normalize
+from .scalars import Scalar, checked_row
 from .values import Value
 
 
@@ -43,7 +44,7 @@ class TriangleFunction(Value):
     _fields = ("values",)  # values[v][u], len(values[v]) == v + 1
 
     def __init__(self, values):
-        values = tuple(checked_row(row, normalize) for row in values)
+        values = tuple(map(checked_row, values))
         if not values or len(values[0]) != 1:
             raise ValidationError("triangle rows must start with a single apex value")
         for v, row in enumerate(values):
@@ -161,7 +162,7 @@ def increments(h: TriangleFunction) -> HiveType:
     lam = (h.value(0, v) - h.value(0, v - 1) for v in range(1, n + 1))
     mu = (h.value(u, n) - h.value(u - 1, n) for u in range(1, n + 1))
     nu = (h.value(k, k) - h.value(k - 1, k - 1) for k in range(1, n + 1))
-    return HiveType(*(checked_row(seq, normalize) for seq in (lam, mu, nu)))
+    return HiveType(*map(checked_row, (lam, mu, nu)))
 
 
 # -- standard and anti-standard pairs -----------------------------------------
@@ -245,11 +246,7 @@ def extended_differences(values, n: int) -> list:
     with j > k, such as a left-condensed array or the second component of
     a standard pair.
     """
-    ext = [row[:n + 1] + row[-1:] * (n + 1 - len(row)) for row in values]
-    return [
-        [h1 - h0 - l1 + l0 for l0, l1, h0, h1 in zip(low, low[1:], high, high[1:])]
-        for low, high in zip(ext, ext[1:])
-    ]
+    return _differences([row[:n + 1] + row[-1:] * (n + 1 - len(row)) for row in values])
 
 
 def hive_to_pair(h: TriangleFunction) -> StandardPair:

@@ -4,29 +4,27 @@ Masses are non-negative rationals.  We keep integers as plain ints and only
 fall back to Fraction when a value is genuinely fractional, so small examples
 stay readable and fast.
 
-read_scalar is the one grammar of exact numbers: an int, or a string "[-]p"
-or "[-]p/q" in ASCII digits, read to its terms (p, q) in lowest terms.
-parse_scalar makes an int or a Fraction of them; normalize reduces a Fraction
-and hands every other value to parse_scalar, so the library constructors
-raise the CLI's texts for a bad value, and the CLI's integer arguments are
-read by parse_scalar too.  Scalars are checked where they enter an object:
-by normalize in the Array, CornerFunction and TriangleFunction constructors,
-one row at a time through checked_row, and by read_scalar when
-serialize.decode_scaled reads a JSON array.  A row of exact ints passes in
-one C-level type test; any other row is checked per value.
+read_scalar is the one reader of exact values: an int, a Fraction, or a
+string "[-]p" or "[-]p/q" in ASCII digits, read to its terms (p, q) in
+lowest terms.  parse_scalar (also bound as normalize) makes an int or a
+Fraction of them, so the library and the CLI raise the same text for a bad
+value, and the CLI's integer arguments are read by it too.  A row of exact
+ints passes in one C-level type test (checked_row); any other row is read
+per value.
 
 A rational array is an integer array over one common denominator D, the lcm
 of the reduced denominators of its values (scale_rows), since condensation
-and propagation commute with positive scaling.  The array commands of the
-CLI read JSON straight into that form, run the int kernels and write each
-value v / D with scaled_to_json, so they make no Fraction at all; the
-library kernels divide back with unscale_rows.
+and propagation commute with positive scaling.  Every array enters through
+scale_rows and arrays.check_scaled: the Array constructor divides back with
+unscale_rows, while the array commands of the CLI run the int kernels on
+the scaled rows and write each value v / D with scaled_to_json, so they
+make no Fraction at all.
 """
 
 import re
 import sys
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd, lcm
 
 from .errors import ValidationError
@@ -34,29 +32,14 @@ from .errors import ValidationError
 Scalar = int | Fraction
 
 
-def checked_row(row, check) -> tuple:
-    """The row as a tuple, with check applied per value unless all are exact ints."""
-    row = tuple(row)
-    return row if set(map(type, row)) <= {int} else tuple(map(check, row))
-
-
-def normalize(x) -> Scalar:
-    """Coerce x to an int or a Fraction in lowest terms: a Fraction is
-    reduced here, any other value is read by parse_scalar."""
-    if type(x) is int:
-        return x
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    return parse_scalar(x)
-
-
 _SCALAR_STRING = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def read_scalar(x) -> tuple:
-    """The terms (p, q) of a JSON-level scalar, q > 0 and in lowest terms:
-    an int, or a string "[-]p" or "[-]p/q" in ASCII digits.  Decimal and
-    exponent strings are rejected: "1e5000" would be a 5,001-digit integer."""
+    """The terms (p, q) of an exact scalar, q > 0 and in lowest terms: an
+    int, a Fraction, or a string "[-]p" or "[-]p/q" in ASCII digits.
+    Decimal and exponent strings are rejected: "1e5000" would be a
+    5,001-digit integer."""
     if type(x) is int:
         return x, 1
     if isinstance(x, bool) or isinstance(x, float):
@@ -74,13 +57,24 @@ def read_scalar(x) -> tuple:
         except ValueError:  # past the digit limit
             pass
         raise ValidationError(f"bad scalar string {x!r}")
+    if isinstance(x, Fraction):  # after str: a string pays no ABC instance check
+        return x.numerator, x.denominator
     raise ValidationError(f"bad scalar {x!r}")
 
 
 def parse_scalar(x) -> Scalar:
-    """A JSON-level scalar as an int, or a Fraction if it is not integral."""
+    """An exact scalar as an int, or a Fraction if it is not integral."""
     p, q = read_scalar(x)
     return p if q == 1 else Fraction(p, q)
+
+
+normalize = parse_scalar
+
+
+def checked_row(row) -> tuple:
+    """The row as a tuple, each value read by parse_scalar unless all are exact ints."""
+    row = tuple(row)
+    return row if set(map(type, row)) <= {int} else tuple(map(parse_scalar, row))
 
 
 def too_many_digits() -> ValidationError:
@@ -103,44 +97,35 @@ def scaled_to_json(v: int, D: int):
 def scalar_to_json(x: Scalar):
     if type(x) is int:
         return x
-    x = normalize(x)
-    return x if isinstance(x, int) else scaled_to_json(x.numerator, x.denominator)
+    return scaled_to_json(*read_scalar(x))
 
 
-def _terms(x) -> tuple:
-    """(numerator, denominator) of an exact scalar; the denominator is read
-    first, so a value without one fails on it, as the lcm of the denominators
-    did."""
-    q = x.denominator
-    return x.numerator, q
-
-
-def scale_rows(rows, read=_terms):
+def scale_rows(rows):
     """Scale rows of exact scalars to integers: (D, scaled rows).
 
-    read gives the terms (p, q) of a value, q > 0 and in lowest terms; by
-    default its numerator and denominator.  Rows are read in order, and a
-    row of exact ints is taken whole, with q = 1.  D is the lcm of the q
-    (1 on integer input) and each scaled row is a tuple of ints, D times the
-    original.  The piecewise-linear maps of condensation and propagation
+    Rows of exact ints only are taken whole, after one type test over all
+    of them, with D = 1.  Otherwise every value is read by read_scalar, in
+    row-major order, D is the lcm of the reduced denominators q and each
+    value p / q becomes p * (D // q).  The scaled rows are a tuple of tuples
+    of ints.  The piecewise-linear maps of condensation and propagation
     commute with this scaling, so they can run in ints and divide back once
     with unscale_rows.
     """
-    rows = [tuple(row) for row in rows]
-    terms = [None if set(map(type, row)) <= {int} else tuple(map(read, row))
-             for row in rows]
-    D = lcm(*{q for row in terms if row for _, q in row})
-    return D, [row if D == 1 and t is None
-               else tuple(x * D for x in row) if t is None
-               else tuple(p * (D // q) for p, q in t)
-               for row, t in zip(rows, terms)]
+    rows = tuple(map(tuple, rows))
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return 1, rows
+    terms = [tuple(map(read_scalar, row)) for row in rows]
+    D = lcm(*{q for row in terms for _, q in row})
+    return D, tuple(tuple(p * (D // q) for p, q in row) for row in terms)
 
 
 def unscale_rows(rows, D: int):
-    """Divide rows scaled by scale_rows back by D; integral values are ints."""
+    """Divide rows scaled by scale_rows back by D, into a tuple of tuples
+    unless D = 1; integral values are ints."""
     if D == 1:
         return rows
-    return [[v // D if v % D == 0 else Fraction(v, D) for v in row] for row in rows]
+    return tuple(tuple([v // D if v % D == 0 else Fraction(v, D) for v in row])
+                 for row in rows)
 
 
 def is_integral(x: Scalar) -> bool:

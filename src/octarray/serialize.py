@@ -3,20 +3,21 @@
 Scalars are plain JSON integers or strings of the form ``"p/q"``.  Array
 rows are listed bottom row first, matching the in-memory layout.
 
-Arrays cross the boundary in scaled form: decode_scaled reads one JSON
-array into (D, rows of ints), each value once through read_scalar, with D
-the lcm of the reduced denominators, and checks the rows there; encode_scaled
-writes such rows back, each value v / D reduced by scaled_to_json.  The CLI's
-array commands run their int kernels between the two, so no Array and no
-Fraction is made; decode_array and encode_array are the same reader and
-writer around an Array, and encode_triangle uses the same writer.
+Every value is read once, by the reader the library uses
+(scalars.read_scalar), and every array is checked once, by the check the
+Array constructor uses (arrays.check_scaled).  decode_scaled reads one JSON
+array into (D, rows of ints), with D the lcm of the reduced denominators,
+and encode_scaled writes such rows back, each value v / D reduced by
+scaled_to_json; the CLI's array commands run their int kernels between the
+two, so no Array and no Fraction is made.  decode_array and decode_triangle
+are the constructors themselves, and encode_array and encode_triangle use
+the same writer.
 """
 
-from .arrays import Array
+from .arrays import Array, check_scaled
 from .errors import ValidationError
 from .hives import AntiStandardPair, StandardPair, TriangleFunction
-from .scalars import (checked_row, parse_scalar, read_scalar, scale_rows, scaled_to_json,
-                      unscale_rows)
+from .scalars import scale_rows, scaled_to_json
 
 
 def json_rows(D: int, rows) -> list:
@@ -65,33 +66,32 @@ def _rows_of(obj) -> list:
     return rows
 
 
-def decode_scaled(obj: dict):
-    """An array object as (D, rows of ints scaled by D), checked as Array
-    checks its rows: every scalar, in row-major order, then the shape and
-    the signs, then the declared n and m."""
-    D, rows = scale_rows(_rows_of(obj), read_scalar)
-    if not rows or not rows[0]:
-        raise ValidationError("array must have at least one row and column")
-    n, m = len(rows[0]), len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValidationError("ragged array")
-    if min(map(min, rows)) < 0:
-        v = next(v for row in rows for v in row if v < 0)
-        raise ValidationError(f"negative mass {scaled_to_json(v, D)}")
+def _declared(obj: dict, n: int, m: int) -> None:
+    """Raise if the object declares an n or an m that its rows do not have."""
     if "n" in obj and obj["n"] != n:
         raise ValidationError(f"declared n={obj['n']} but rows have {n} columns")
     if "m" in obj and obj["m"] != m:
         raise ValidationError(f"declared m={obj['m']} but there are {m} rows")
+
+
+def decode_scaled(obj: dict):
+    """An array object as (D, rows of ints scaled by D), checked as Array
+    checks its rows: every scalar, in row-major order, then the shape and
+    the signs, then the declared n and m."""
+    D, rows = scale_rows(_rows_of(obj))
+    check_scaled(D, rows)
+    _declared(obj, len(rows[0]), len(rows))
     return D, rows
 
 
 def decode_array(obj: dict) -> Array:
-    D, rows = decode_scaled(obj)
-    return Array(unscale_rows(rows, D))
+    a = Array(_rows_of(obj))
+    _declared(obj, a.n, a.m)
+    return a
 
 
 def decode_triangle(obj: dict) -> TriangleFunction:
-    return TriangleFunction([checked_row(row, parse_scalar) for row in _rows_of(obj)])
+    return TriangleFunction(_rows_of(obj))
 
 
 def decode_pair(obj: dict):

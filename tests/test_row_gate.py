@@ -1,12 +1,13 @@
 """The scalar row gate against test-local copies of the per-value loops it
 replaced.
 
-Array, CornerFunction, TriangleFunction and serialize.decode check a row of
-exact ints in one type test and every other row value by value.  Each test
-draws rows that mix ints (negatives too) with bools, integral and proper
-Fractions, "p/q" strings, "1/0", floats, None and an int subclass, and
-asserts the same values, the same type per value, and the same exception
-type and text as the per-value loops.  With hypothesis installed the
+Array, CornerFunction, TriangleFunction and serialize.decode take exact ints
+after one type test (over the whole array for Array, per row for the
+others) and read every other value one by one.  Each test draws rows that
+mix ints (negatives too) with bools, integral and proper Fractions, "p/q"
+strings, "1/0", floats, None and an int subclass, and asserts the same
+values, the same type per value, and the same exception type and text as
+the per-value loops.  With hypothesis installed the
 generator is drawn by hypothesis; without it, a seeded loop runs the same
 test body.
 """
@@ -22,6 +23,7 @@ from octarray.hives import TriangleFunction
 from octarray.scalars import (
     normalize,
     parse_scalar,
+    read_scalar,
     scalar_to_json,
     scale_rows,
     unscale_rows,
@@ -145,8 +147,9 @@ def scalar_to_json_by_value(x):
 
 
 def scale_rows_by_values(rows):
-    D = lcm(*(x.denominator for row in rows for x in row))
-    return D, [tuple(x.numerator * (D // x.denominator) for x in row) for row in rows]
+    terms = [[read_scalar(x) for x in row] for row in rows]
+    D = lcm(*(q for row in terms for _, q in row))
+    return D, tuple(tuple(p * (D // q) for p, q in row) for row in terms)
 
 
 # -- the tests --------------------------------------------------------------------

@@ -17,6 +17,7 @@ from octarray.scalars import (
     parse_scalar,
     partial_sums,
     scalar_to_json,
+    scale_rows,
     trim,
 )
 
@@ -25,6 +26,18 @@ def test_normalize_collapses_integral_fractions():
     assert normalize(Fraction(4, 2)) == 2
     assert isinstance(normalize(Fraction(4, 2)), int)
     assert normalize(Fraction(1, 2)) == Fraction(1, 2)
+
+
+def test_parse_scalar_reads_a_fraction_in_lowest_terms():
+    assert parse_scalar(Fraction(2, 4)) == Fraction(1, 2)
+    assert type(parse_scalar(Fraction(4, 2))) is int
+    assert normalize is parse_scalar
+
+
+def test_scale_rows_reads_every_value():
+    with pytest.raises(ValidationError, match="^inexact scalar not allowed: True$"):
+        scale_rows([[True]])
+    assert scale_rows([[1, "1/2"], [Fraction(2, 3), 0]]) == (6, ((6, 3), (4, 0)))
 
 
 def test_parse_scalar():
@@ -95,13 +108,13 @@ BAD_SCALARS = {True: "inexact scalar not allowed: True",
 
 @pytest.mark.parametrize("bad", list(BAD_SCALARS), ids=repr)
 def test_every_entry_gives_the_cli_text_for_a_bad_scalar(bad, capsys, monkeypatch):
-    """One grammar of exact numbers: the constructors, normalize, decode and
-    the CLI all raise parse_scalar's text."""
+    """One reader of exact values: the constructors, normalize, scale_rows,
+    decode and the CLI all raise parse_scalar's text."""
     x = [1] if bad == "[1]" else bad
     texts = set()
     for build in (lambda: Array([[x]]), lambda: CornerFunction([[0, 0], [0, x]]),
                   lambda: TriangleFunction([[0], [0, x]]), lambda: normalize(x),
-                  lambda: parse_scalar(x),
+                  lambda: parse_scalar(x), lambda: scale_rows([[x]]),
                   lambda: serialize.decode({"type": "array", "rows": [[x]]})):
         with pytest.raises(ValidationError) as exc:
             build()

@@ -44,7 +44,7 @@ MUTANTS = [
      "            if acc_low < acc_high:", "            if acc_low < acc_high - 1:",
      "test_arrays.py"),
     ("is_r_tight skips the central reversal", "arrays.py",
-     "return _tight_rows(zip(*(row[::-1] for row in a.rows[::-1])))",
+     "return _tight_rows(zip(*_reversed(a.rows)))",
      "return _tight_rows(zip(*a.rows))", "test_arrays.py"),
     ("rhombi reverses inequality (i)", "hives.py",
      'if (f0 + f3 < f1 + f2) if kind == "i"', 'if (f0 + f3 > f1 + f2) if kind == "i"',
@@ -78,9 +78,15 @@ MUTANTS = [
      "            if top != or_step(pts[p], fa, fa2, fb, fb2):",
      "            if False and top != or_step(pts[p], fa, fa2, fb, fb2):",
      "test_octahedron.py"),
-    ("the scaled reader skips its sign check", "serialize.py",
+    ("the array check skips its sign check", "arrays.py",
      "    if min(map(min, rows)) < 0:", "    if False and min(map(min, rows)) < 0:",
-     "test_cli.py"),
+     "test_row_gate.py"),
+    ("the all-int gate admits bool", "scalars.py",
+     "<= {int}:\n        return 1, rows", "<= {int, bool}:\n        return 1, rows",
+     "test_scalars.py"),
+    ("read_scalar reads a Fraction as an integer", "scalars.py",
+     "        return x.numerator, x.denominator\n", "        return x.numerator, 1\n",
+     "test_scalars.py"),
     ("the writer skips the gcd reduction", "scalars.py",
      "    g = gcd(v, D)", "    g = 1", "test_serialize.py"),
     ("rsk --inverse scales l by d's D", "cli.py",
