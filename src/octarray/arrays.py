@@ -5,12 +5,23 @@ An Array has n columns and m rows; rows are stored bottom to top, so
 coordinates the rest of the package works in: column i in 1..n, row j in
 1..m.
 
+An Array keeps one state: its masses as ints over one denominator, ``D``
+and ``ints``, with D the least common denominator of the masses, so equal
+arrays have equal state.  ``rows`` is read off it on first use: ints, and
+Fractions only where a mass is not integral.  Condensation, propagation
+and the rearrangements below commute with positive scaling, so they run on
+the ints and hand their result over D to Array._scaled, which reduces it
+by the gcd of D and every value and reads nothing again.  Only Array(rows)
+reads and checks values (scalars.scale_rows, then check_scaled).
+
 A CornerFunction is the double integral of an array: f(i, j) is the total
 mass in columns 1..i and rows 1..j, so f vanishes on the axes and its mixed
 second differences recover the array.
 """
 
-from itertools import accumulate, chain
+from functools import cached_property
+from itertools import accumulate
+from math import gcd, lcm
 
 from .errors import ValidationError
 from .scalars import Scalar, checked_row, scale_rows, scaled_to_json, unscale_rows
@@ -18,20 +29,39 @@ from .values import Value
 
 
 class Array(Value):
-    _fields = ("rows",)
+    _fields = ("D", "ints")
 
     def __init__(self, rows):
-        D, rows = scale_rows(rows)
-        check_scaled(D, rows)
-        object.__setattr__(self, "rows", unscale_rows(rows, D))
+        D, ints = scale_rows(rows)
+        check_scaled(D, ints)
+        self.__dict__.update(D=D, ints=ints)
+
+    @classmethod
+    def _scaled(cls, D: int, rows):
+        """The array of rows of ints over D that the library computed, reduced
+        by the gcd of D and every value and not checked."""
+        rows = tuple(map(tuple, rows))
+        g = D
+        for row in rows:  # the gcd of D and every value, which is soon 1
+            if g == 1:
+                break
+            g = gcd(g, *row)
+        if g != 1:
+            D, rows = D // g, tuple(tuple([v // g for v in row]) for row in rows)
+        return cls._built(D, rows)
+
+    @cached_property
+    def rows(self) -> tuple:
+        """The masses, divided back from the state on first use."""
+        return unscale_rows(self.ints, self.D)
 
     @property
     def n(self) -> int:
-        return len(self.rows[0])
+        return len(self.ints[0])
 
     @property
     def m(self) -> int:
-        return len(self.rows)
+        return len(self.ints)
 
     def mass(self, i: int, j: int) -> Scalar:
         if not (1 <= i <= self.n and 1 <= j <= self.m):
@@ -39,16 +69,29 @@ class Array(Value):
         return self.rows[j - 1][i - 1]
 
     def total(self) -> Scalar:
-        return _sums([tuple(chain.from_iterable(self.rows))])[0]
+        return unscale_rows([(sum(map(sum, self.ints)),)], self.D)[0][0]
 
     def __repr__(self):
         return f"Array({list(list(r) for r in self.rows)!r})"
 
 
-class CornerFunction(Value):
-    """Values f(i, j) for 0 <= i <= n, 0 <= j <= m, zero on the axes."""
+class Grid(Value):
+    """A function given by rows of exact values, values[j][i] at the point
+    (i, j)."""
 
-    _fields = ("values",)  # values[j][i]
+    _fields = ("values",)
+
+    @classmethod
+    def _built(cls, values):
+        """Rows of exact values the library computed, kept as they are."""
+        return super()._built(tuple(map(tuple, values)))
+
+    def points(self) -> dict:
+        return {(i, j): x for j, row in enumerate(self.values) for i, x in enumerate(row)}
+
+
+class CornerFunction(Grid):
+    """Values f(i, j) for 0 <= i <= n, 0 <= j <= m, zero on the axes."""
 
     def __init__(self, values):
         values = tuple(map(checked_row, values))
@@ -71,13 +114,6 @@ class CornerFunction(Value):
 
     def value(self, i: int, j: int) -> Scalar:
         return self.values[j][i]
-
-    def points(self) -> dict:
-        return {
-            (i, j): self.values[j][i]
-            for j in range(self.m + 1)
-            for i in range(self.n + 1)
-        }
 
 
 def check_scaled(D: int, rows) -> None:
@@ -106,7 +142,7 @@ def _integral(rows) -> list:
 
 def integrate(a: Array) -> CornerFunction:
     """Double integral: f(i, j) = sum of masses in columns <= i, rows <= j."""
-    return CornerFunction(_integral(a.rows))
+    return CornerFunction._built(unscale_rows(_integral(a.ints), a.D))
 
 
 def _differences(vals) -> list:
@@ -117,7 +153,7 @@ def _differences(vals) -> list:
     ]
 
 
-def _mixed_differences(vals, D: int = 1) -> list:
+def _mixed_differences(vals, D: int) -> list:
     """Mixed differences of the rows vals[j][i], scaled by D; raises at the
     first negative box in (j, i) order, quoting its value divided by D."""
     rows = _differences(vals)
@@ -125,7 +161,7 @@ def _mixed_differences(vals, D: int = 1) -> list:
         if min(row) < 0:
             i, v = next((i, v) for i, v in enumerate(row, 1) if v < 0)
             raise ValidationError(
-                f"negative mixed difference {v if D == 1 else scaled_to_json(v, D)} at "
+                f"negative mixed difference {scaled_to_json(v, D)} at "
                 f"box ({i},{j}); the function is not supermodular"
             )
     return rows
@@ -133,59 +169,57 @@ def _mixed_differences(vals, D: int = 1) -> list:
 
 def mixed_derivative(f: CornerFunction) -> Array:
     """Inverse of integrate; raises if some mixed difference is negative."""
-    return Array(_mixed_differences(f.values))
+    D, vals = scale_rows(f.values)
+    return Array._scaled(D, _mixed_differences(vals, D))
+
+
+def _over(a: Array, D: int) -> tuple:
+    """The masses of a as ints over D, a multiple of a.D."""
+    k = D // a.D
+    return a.ints if k == 1 else tuple(tuple([x * k for x in row]) for row in a.ints)
 
 
 def concat(a: Array, b: Array) -> Array:
     """Place b to the right of a; both must have the same number of rows."""
     if a.m != b.m:
         raise ValidationError(f"row count mismatch: {a.m} vs {b.m}")
-    return Array(tuple(ra + rb for ra, rb in zip(a.rows, b.rows)))
+    D = lcm(a.D, b.D)
+    return Array._scaled(D, [ra + rb for ra, rb in zip(_over(a, D), _over(b, D))])
 
 
 def split(a: Array, i: int):
     """Split after column i into a left and a right array."""
     if not (1 <= i < a.n):
         raise ValidationError(f"cannot split {a.n} columns at {i}")
-    left = Array(tuple(row[:i] for row in a.rows))
-    right = Array(tuple(row[i:] for row in a.rows))
+    left = Array._scaled(a.D, [row[:i] for row in a.ints])
+    right = Array._scaled(a.D, [row[i:] for row in a.ints])
     return left, right
 
 
 def transpose(a: Array) -> Array:
     """Reflect in the main diagonal: box (i, j) goes to box (j, i)."""
-    return Array(tuple(zip(*a.rows)))
+    return Array._scaled(a.D, zip(*a.ints))
 
 
 def central_reverse(a: Array) -> Array:
     """Rotate by 180 degrees: box (i, j) goes to (n - i + 1, m - j + 1)."""
-    return Array(_reversed(a.rows))
+    return Array._scaled(a.D, _reversed(a.ints))
 
 
 def diag(p) -> Array:
     """Diagonal array of a partition: mass p[k] in box (k+1, k+1)."""
     p = tuple(p)
-    n = len(p)
-    if n == 0:
+    if not p:
         raise ValidationError("empty partition")
-    return Array(
-        tuple(tuple(p[j] if i == j else 0 for i in range(n)) for j in range(n))
-    )
-
-
-def _sums(rows) -> tuple:
-    """Sums of rows of scalars, added in scale_rows ints and divided back
-    once, so an integral sum is an int."""
-    D, rows = scale_rows(rows)
-    return tuple(unscale_rows([list(map(sum, rows))], D)[0])
+    return Array([[x if i == j else 0 for i in range(len(p))] for j, x in enumerate(p)])
 
 
 def row_sums(a: Array) -> tuple:
-    return _sums(a.rows)
+    return unscale_rows([tuple(map(sum, a.ints))], a.D)[0]
 
 
 def col_sums(a: Array) -> tuple:
-    return _sums(list(zip(*a.rows)))
+    return unscale_rows([tuple(map(sum, zip(*a.ints)))], a.D)[0]
 
 
 def _reversed(rows) -> list:
@@ -211,20 +245,21 @@ def _tight_rows(rows) -> bool:
 
 
 def is_d_tight(a: Array) -> bool:
-    """The row scan on the rows of a, bottom to top."""
-    return _tight_rows(a.rows)
+    """The row scan on the rows of a, bottom to top; tightness does not
+    change under positive scaling, so it scans the ints."""
+    return _tight_rows(a.ints)
 
 
 def is_l_tight(a: Array) -> bool:
     """is_d_tight of the transpose, scanned on the columns of a."""
-    return _tight_rows(zip(*a.rows))
+    return _tight_rows(zip(*a.ints))
 
 
 def is_r_tight(a: Array) -> bool:
     """is_l_tight of the central reverse."""
-    return _tight_rows(zip(*_reversed(a.rows)))
+    return _tight_rows(zip(*_reversed(a.ints)))
 
 
 def is_u_tight(a: Array) -> bool:
     """is_d_tight of the central reverse."""
-    return _tight_rows(_reversed(a.rows))
+    return _tight_rows(_reversed(a.ints))

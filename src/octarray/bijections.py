@@ -37,7 +37,7 @@ from .hives import (
 )
 from .octahedron import (TetraFunction, array_layers, layer_wall, rsk,
                          rsk_inverse, tetra_propagate, tetra_slope_wall)
-from .scalars import check_partition, is_integral, partial_sums, trim
+from .scalars import check_partition, partial_sums, scale_rows, trim, unscale_rows
 from .values import Value
 
 
@@ -88,21 +88,21 @@ MAX_TABLEAU_LETTERS = 100_000
 multiplicity, not with the size of the input array."""
 
 
-def _letters(rows, message) -> list:
-    """Letter rows of multiplicity rows: row j holds the letter i with
-    multiplicity a(i, j).  Raises ValidationError(message) on a row that
-    is not integral, and names MAX_TABLEAU_LETTERS if the total
-    multiplicity exceeds it."""
-    if any(not is_integral(x) for row in rows for x in row):
+def _letters(a: Array, message) -> list:
+    """Letter rows of the array a: row j holds the letter i with
+    multiplicity a(i, j).  Raises ValidationError(message) if a is not
+    integral, and names MAX_TABLEAU_LETTERS if the total multiplicity
+    exceeds it."""
+    if a.D != 1:
         raise ValidationError(message)
-    total = sum(sum(row) for row in rows)
+    total = sum(map(sum, a.ints))
     if total > MAX_TABLEAU_LETTERS:
         raise ValidationError(
             f"tableau would have {total} letters, more than "
             f"MAX_TABLEAU_LETTERS = {MAX_TABLEAU_LETTERS}"
         )
-    return [[i for i, mult in enumerate(row, 1) for _ in range(int(mult))]
-            for row in rows]
+    return [[i for i, mult in enumerate(row, 1) for _ in range(mult)]
+            for row in a.ints]
 
 
 def _multiplicities(letter_rows, n, m) -> list:
@@ -121,7 +121,7 @@ def dtight_to_ssyt(a: Array) -> SSYT:
     """The tableau whose row j holds the letter i with multiplicity a(i, j)."""
     if not is_d_tight(a):
         raise ValidationError("array is not tight downwards")
-    rows = _letters(a.rows, "tableau multiplicities must be integers")
+    rows = _letters(a, "tableau multiplicities must be integers")
     while rows and not rows[-1]:
         rows.pop()
     return SSYT(rows)
@@ -212,7 +212,7 @@ def pair_to_lr_tableau(p: StandardPair) -> LRSkewTableau:
     fashion) and keep the second block's letters, shifted down by n."""
     lam = shape(p.a)
     outer = row_sums(p.concat())
-    return LRSkewTableau(outer, lam, _letters(p.b.rows, "pair is not integral"))
+    return LRSkewTableau(outer, lam, _letters(p.b, "pair is not integral"))
 
 
 def lr_tableau_to_pair(t: LRSkewTableau) -> StandardPair:
@@ -282,7 +282,7 @@ def associate(p1: StandardPair, p2: StandardPair):
     n = _couple(p1, p2, inverse=False)
     down, left = rsk(concat(p1.b, p2.b))
     lt, rest = split(left, n)
-    if any(x != 0 for row in rest.rows for x in row):
+    if any(map(any, rest.ints)):
         raise AssertionError("left condensation spilled past n columns")
     return StandardPair._built(*split(down, n)), StandardPair._built(p1.a, lt)
 
@@ -291,7 +291,7 @@ def associate_inverse(out1: StandardPair, out2: StandardPair):
     """Inverse rearrangement, through reverse propagation."""
     n = _couple(out1, out2, inverse=True)
     d = out1.concat()
-    l = concat(out2.b, Array([[0] * n] * n))
+    l = concat(out2.b, Array._scaled(1, [[0] * n] * n))
     bc = rsk_inverse(d, l)
     b, c = split(bc, n)
     p1 = StandardPair._built(out2.a, b)
@@ -308,10 +308,10 @@ def tetra_of_couple(f: TriangleFunction, g: TriangleFunction) -> TetraFunction:
     walls onto the hive grid, and the shared increments meet along the edge
     y = z = 0.
     """
-    n = f.n
+    n, F, G = f.n, f.values, g.values
     return tetra_propagate(
-        lambda x, y: g.value(y, n - x),
-        lambda x, z: f.value(n - x - z, n - x),
+        lambda x, y: G[n - x][y],
+        lambda x, z: F[n - x][n - x - z],
         n,
     )
 
@@ -319,28 +319,34 @@ def tetra_of_couple(f: TriangleFunction, g: TriangleFunction) -> TetraFunction:
 def associate_functional(f: TriangleFunction, g: TriangleFunction):
     """The associator on triangle functions, by one propagation through the
     tetrahedron of the couple (tetra_of_couple).  The shadow wall then
-    carries the first output hive and the slope wall the second.
+    carries the first output hive and the slope wall the second.  The
+    propagation runs on the values of f and g as ints over one D, and the
+    two walls are divided back.
     """
     n = f.n
     if g.n != n:
         raise ValidationError("triangle sizes differ")
     if increments(f).nu != increments(g).lam:
         raise ValidationError("hives are not compatible along the shared edge")
-    T = tetra_of_couple(f, g)
-    base = T.value(0, 0, n)
-    p = TriangleFunction(
-        [[T.value(0, u, n - v) - base for u in range(v + 1)] for v in range(n + 1)]
-    )
-    return p, tetra_slope_wall(T)
+    D, rows = scale_rows(f.values + g.values)
+    T = tetra_of_couple(TriangleFunction._built(rows[:n + 1]),
+                        TriangleFunction._built(rows[n + 1:]))
+    V = T.values
+    base = V[0, 0, n]
+    p = [[V[0, u, n - v] - base for u in range(v + 1)] for v in range(n + 1)]
+    q = tetra_slope_wall(T).values
+    return tuple(TriangleFunction._built(unscale_rows(w, D)) for w in (p, q))
 
 
 # -- the functional commuter ----------------------------------------------------
 
 
-def _com_prism(f: TriangleFunction) -> list:
-    """Layers of the prism over the reversed concatenation of f's pair."""
+def _com_prism(f: TriangleFunction):
+    """(D, layers) of the prism over the reversed concatenation of f's pair,
+    filled in its ints over D."""
     p = hive_to_pair(f)
-    return array_layers(central_reverse(concat(condense_right(p.a), p.b)).rows)
+    c = central_reverse(concat(condense_right(p.a), p.b))
+    return c.D, array_layers(c.ints)
 
 
 def _nuop_offsets(f: TriangleFunction) -> list:
@@ -355,8 +361,9 @@ def com_prime(f: TriangleFunction) -> TriangleFunction:
     """The commuter on hives: propagate the reversed concatenation through
     the doubled prism and read the ceiling on the right-hand triangle."""
     n = f.n
-    ceiling = _com_prism(f)[n]
-    out = TriangleFunction([ceiling[v][n:n + v + 1] for v in range(n + 1)])
+    D, L = _com_prism(f)
+    out = TriangleFunction._built(
+        unscale_rows([row[n:n + v + 1] for v, row in enumerate(L[n])], D))
     lam, mu, nu = increments(f)
     got = increments(out)
     if got != (mu, lam, nu):
@@ -369,7 +376,8 @@ def hk_wall_h(f: TriangleFunction) -> TriangleFunction:
     renormalised by the reversed diagonal increments.  Its increments are
     (-reversed(nu), mu, -reversed(lam)), and rotating it by
     h(i, j) = result(n-j, n-j+i) recovers com_prime(f)."""
-    wall = layer_wall(_com_prism(f), f.n)
+    D, L = _com_prism(f)
+    wall = unscale_rows(layer_wall(L, f.n), D)
     return TriangleFunction(
         [[v + c for v in row] for row, c in zip(wall, _nuop_offsets(f))]
     )

@@ -69,18 +69,17 @@ class CheckReport(Value, mutable=True):
 # -- random instance builders --------------------------------------------------
 
 
+def random_mass(rng, max_mass, max_denom):
+    """A mass k / q with q <= max_denom and k / q <= max_mass."""
+    if max_denom <= 1:
+        return rng.randint(0, max_mass)
+    q = rng.randint(1, max_denom)
+    return Fraction(rng.randint(0, max_mass * q), q)
+
+
 def random_array(rng, n, m, max_mass=6, max_denom=1) -> Array:
-    rows = []
-    for _ in range(m):
-        row = []
-        for _ in range(n):
-            if max_denom > 1:
-                q = rng.randint(1, max_denom)
-                row.append(Fraction(rng.randint(0, max_mass * q), q))
-            else:
-                row.append(rng.randint(0, max_mass))
-        rows.append(row)
-    return Array(rows)
+    return Array([[random_mass(rng, max_mass, max_denom) for _ in range(n)]
+                  for _ in range(m)])
 
 
 def random_arrays(rng, cases, max_n, max_m, max_mass, max_denom):

@@ -2,17 +2,17 @@
 
 Reads JSON from stdin (or ``--input FILE``), writes JSON to stdout.
 Exit codes: 0 success, 1 domain error (invalid object for the requested
-operation), 2 malformed input (bad JSON, missing fields, bad arguments),
-3 internal error (an AssertionError: a broken invariant of the program, not
-of the input).  Each failure writes {"error": ..., "detail": ...} to
-stderr, apart from argparse's own usage errors.
+operation), 2 malformed input (bad JSON, JSON nested deeper than
+MAX_JSON_DEPTH, missing fields, bad arguments), 3 internal error (an
+AssertionError: a broken invariant of the program, not of the input).  Each
+failure writes {"error": ..., "detail": ...} to stderr, apart from
+argparse's own usage errors.
 
-The array commands (condense in each direction, rsk and rsk --inverse)
-read each array once into its scaled form, (D, rows of ints) with D the lcm
-of its reduced denominators, where every value and the shape are checked
-(serialize.decode_scaled); run the int kernels on those rows; and divide
-back only when writing (serialize.encode_scaled).  They make no Array and no
-Fraction.  rsk --inverse scales d and l to the lcm of their two D.
+Every array is read once, by serialize.decode_array, into an Array whose
+state is its masses as ints over their least common denominator D.  The
+array commands (condense in each direction, rsk, rsk --inverse and
+propagate) run the kernels on those ints and write each value v / D with
+serialize.encode_array or scaled_to_json, so they make no Fraction.
 
 Output is json.dumps(obj, indent=2) byte for byte, written by _dumps: rows of
 exact ints take one %-format and flat rows of ints and strings one C-encoder
@@ -25,9 +25,9 @@ import argparse
 import functools
 import json
 import sys
-from itertools import chain
+import re
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
-from math import lcm
 
 from .arrays import Array, transpose
 from .bijections import (
@@ -42,7 +42,7 @@ from .bijections import (
     render_skew,
     render_ssyt,
 )
-from .condense import down_rows, left_rows, right_rows, up_rows
+from .condense import condense_down, condense_left, condense_right, condense_up
 from .errors import ValidationError
 from .hives import (
     AntiStandardPair,
@@ -55,25 +55,51 @@ from .hives import (
 from .lr import lr_coefficient, lr_oracle
 from .octahedron import (
     PRISM_FRAME,
+    array_layers,
     is_flat_concave,
-    prism_propagate,
-    prism_top,
-    rsk_inverse_rows,
-    rsk_rows,
+    prism_function,
+    prism_points,
+    rsk,
+    rsk_inverse,
 )
-from .octahedron import rsk, rsk_inverse  # noqa: F401 -- bench/tracing.py wraps cli.rsk*
-from .scalars import parse_scalar, scalar_to_json, too_many_digits
+from .scalars import parse_scalar, scalar_to_json, scaled_to_json, too_many_digits
 from . import checks, serialize
+
+MAX_JSON_DEPTH = 100
+"""The deepest nesting of JSON lists and objects the CLI reads; its deepest
+valid input, a couple of pairs, nests 5 deep.  Where the JSON decoder itself
+gives up depends on the interpreter (about 1,000 levels on 3.11 and 10,000
+on 3.13), so the CLI checks this limit first, and every interpreter rejects
+deeper input with the same exit code and text."""
+
+_NOT_BRACKETS = r'"(?:[^"\\]|\\.)*"?|[^][{}"]+'  # JSON strings and runs of other text
+
+
+def _too_deep(text: str) -> bool:
+    """True iff the brackets of text, those inside strings aside, nest
+    deeper than MAX_JSON_DEPTH.  Each level opens one bracket, so a text
+    with at most MAX_JSON_DEPTH opening brackets passes on two counts."""
+    if text.count("[") + text.count("{") <= MAX_JSON_DEPTH:
+        return False
+    brackets = re.sub(_NOT_BRACKETS, "", text)
+    depths = accumulate(1 if c in "[{" else -1 for c in brackets)
+    return max(depths, default=0) > MAX_JSON_DEPTH
 
 
 def _read_json(args):
     try:
         if args.input and args.input != "-":
             with open(args.input) as fh:
-                return json.load(fh)
-        return json.load(sys.stdin)
-    except (OSError, ValueError, RecursionError) as exc:  # bad, too long or too deep
+                text = fh.read()
+        else:
+            text = sys.stdin.read()
+        if not _too_deep(text):
+            return json.loads(text)
+    except RecursionError:  # the decoder's own depth limit, past MAX_JSON_DEPTH
+        pass
+    except (OSError, ValueError) as exc:  # bad or too long
         raise MalformedInput(str(exc))
+    raise MalformedInput(f"JSON input nests deeper than MAX_JSON_DEPTH = {MAX_JSON_DEPTH}")
 
 
 class MalformedInput(Exception):
@@ -85,6 +111,13 @@ def _decode(obj, decoder):
         return decoder(obj)
     except (KeyError, TypeError) as exc:
         raise MalformedInput(f"bad input object: {exc}")
+
+
+def _decode_both(obj, a: str, b: str, decoder, kind: str) -> tuple:
+    """The members a and b of the input object, each decoded, a first."""
+    if not isinstance(obj, dict) or a not in obj or b not in obj:
+        raise MalformedInput(f"expected an object with '{a}' and '{b}' {kind}")
+    return _decode(obj[a], decoder), _decode(obj[b], decoder)
 
 
 @functools.cache
@@ -139,58 +172,49 @@ def _partition_arg(text):
         raise MalformedInput(f"bad partition argument {text!r}")
 
 
-def _rescaled(rows, k: int):
-    """Rows of ints multiplied by k."""
-    return rows if k == 1 else [tuple(x * k for x in row) for row in rows]
-
-
 def cmd_condense(args):
-    D, rows = _decode(_read_json(args), serialize.decode_scaled)
-    core = {
-        "down": down_rows,
-        "left": left_rows,
-        "right": right_rows,
-        "up": up_rows,
+    a = _decode(_read_json(args), serialize.decode_array)
+    condense = {
+        "down": condense_down,
+        "left": condense_left,
+        "right": condense_right,
+        "up": condense_up,
     }[args.direction]
-    rows = core(rows)
-    out = serialize.encode_scaled(D, rows)
+    c = condense(a)
+    out = serialize.encode_array(c)
     if args.direction == "down":
         # the rows are down-tight, so their sums are the shape of the input
-        out["shape"] = serialize.json_rows(D, [list(map(sum, rows))])[0]
+        out["shape"] = serialize.json_rows(c.D, [list(map(sum, c.ints))])[0]
     _emit(out)
 
 
 def cmd_rsk(args):
     obj = _read_json(args)
     if args.inverse:
-        if not isinstance(obj, dict) or "d" not in obj or "l" not in obj:
-            raise MalformedInput("expected an object with 'd' and 'l' arrays")
-        Dd, d = _decode(obj["d"], serialize.decode_scaled)
-        Dl, l = _decode(obj["l"], serialize.decode_scaled)
-        D = lcm(Dd, Dl)
-        rows = rsk_inverse_rows(_rescaled(d, D // Dd), _rescaled(l, D // Dl), D)
-        _emit(serialize.encode_scaled(D, rows))
+        d, l = _decode_both(obj, "d", "l", serialize.decode_array, "arrays")
+        _emit(serialize.encode_array(rsk_inverse(d, l)))
     else:
-        D, rows = _decode(obj, serialize.decode_scaled)
-        d, l = rsk_rows(rows, D)
-        _emit({"d": serialize.encode_scaled(D, d), "l": serialize.encode_scaled(D, l)})
+        d, l = rsk(_decode(obj, serialize.decode_array))
+        _emit({"d": serialize.encode_array(d), "l": serialize.encode_array(l)})
 
 
 def cmd_propagate(args):
     a = _decode(_read_json(args), serialize.decode_array)
-    F = prism_propagate(a)
-    top = prism_top(F)
-    n, m, V = F.n, F.m, F.values
+    # the prism is filled in a's ints; the rhombus inequalities do not
+    # change under positive scaling, so the solid of the same layers
+    # answers polarized_concave
+    L, D = array_layers(a.ints), a.D
+    values = prism_points(L)  # in sorted (x, y, z) order
+    if D != 1:
+        values = [[x, y, z, scaled_to_json(v, D)] for x, y, z, v in values]
     _emit({
-        "n": n,
-        "m": m,
-        "values": [[x, y, z, scalar_to_json(V[x, y, z])]  # in sorted (x, y, z) order
-                   for x in range(n + 1) for y in range(m + 1)
-                   for z in range(y, m + 1)],
-        "top": [[scalar_to_json(v) for v in row] for row in top.values],
+        "n": a.n,
+        "m": a.m,
+        "values": values,
+        "top": serialize.json_rows(D, L[-1]),  # the ceiling layer z = m
         # the recurrence fills every octahedron's top: polarized by construction
         "polarized": True,
-        "polarized_concave": is_flat_concave(F, PRISM_FRAME),
+        "polarized_concave": is_flat_concave(prism_function(L), PRISM_FRAME),
     })
 
 
@@ -208,14 +232,10 @@ def cmd_hive(args):
     if args.to_pair:
         _emit(serialize.encode_pair(hive_to_pair(f)))
         return
-    lam, mu, nu = increments(f)
     _emit({
         "concave": is_discrete_concave(f),
-        "increments": {
-            "lam": [scalar_to_json(x) for x in lam],
-            "mu": [scalar_to_json(x) for x in mu],
-            "nu": [scalar_to_json(x) for x in nu],
-        },
+        "increments": {side: [scalar_to_json(x) for x in steps]
+                       for side, steps in increments(f)._asdict().items()},
     })
 
 
@@ -235,27 +255,19 @@ def cmd_associate(args):
         raise MalformedInput("--functional and --inverse exclude each other")
     obj = _read_json(args)
     if args.functional:
-        if not isinstance(obj, dict) or "f" not in obj or "g" not in obj:
-            raise MalformedInput("expected an object with 'f' and 'g' triangles")
-        f = _decode(obj["f"], serialize.decode_triangle)
-        g = _decode(obj["g"], serialize.decode_triangle)
+        f, g = _decode_both(obj, "f", "g", serialize.decode_triangle, "triangles")
         p, q = associate_functional(f, g)
         _emit({"p": serialize.encode_triangle(p),
                "q": serialize.encode_triangle(q)})
         return
-    if not isinstance(obj, dict) or "first" not in obj or "second" not in obj:
-        raise MalformedInput("expected an object with 'first' and 'second' pairs")
-    p1 = _decode(obj["first"], serialize.decode_pair)
-    p2 = _decode(obj["second"], serialize.decode_pair)
+    p1, p2 = _decode_both(obj, "first", "second", serialize.decode_pair, "pairs")
     fn = associate_inverse if args.inverse else associate
     o1, o2 = fn(p1, p2)
     _emit({"first": serialize.encode_pair(o1), "second": serialize.encode_pair(o2)})
 
 
 def cmd_lr(args):
-    lam = _partition_arg(args.lam)
-    mu = _partition_arg(args.mu)
-    nu = _partition_arg(args.nu)
+    lam, mu, nu = map(_partition_arg, (args.lam, args.mu, args.nu))
     out = {"coefficient": lr_coefficient(lam, mu, nu)}
     if args.oracle:
         out["oracle"] = lr_oracle(lam, mu, nu)

@@ -10,9 +10,10 @@ beta_k = V(k) - U(k-1), the new bottom integral is
 and v' absorbs whatever is left in each column.
 
 down_rows condenses rows of ints down, and left_rows, right_rows and
-up_rows run it on the transposed or centrally reversed rows; the CLI calls
-them on its scaled rows.  Each condense_* function on an Array scales its
-masses to ints, runs the matching one and divides back.
+up_rows run it on the transposed or centrally reversed rows.  Condensation
+commutes with positive scaling, so each condense_* function runs the
+matching one on an Array's ints and hands the rows, over the same D, to
+Array._scaled.
 
 Tightness forces a triangle of zeros: row j of a down-tight array has no
 mass left of column j (the array form of a semistandard tableau whose row j
@@ -23,7 +24,6 @@ down_rows skips the work this forces.
 from .arrays import Array, _reversed, _tight_rows, central_reverse, row_sums
 from .arrays import is_d_tight  # noqa: F401 -- bench/tracing.py counts condense.is_d_tight
 from .errors import ValidationError
-from .scalars import scale_rows, unscale_rows
 
 
 def condense_pair(u, v):
@@ -95,12 +95,8 @@ def down_rows(rows) -> list:
     return rows
 
 
-def _transposed(rows) -> list:
-    return list(zip(*rows))
-
-
 def left_rows(rows) -> list:
-    return _transposed(down_rows(_transposed(rows)))
+    return list(zip(*down_rows(zip(*rows))))
 
 
 def right_rows(rows) -> list:
@@ -111,28 +107,21 @@ def up_rows(rows) -> list:
     return _reversed(down_rows(_reversed(rows)))
 
 
-def _condensed(core, a: Array) -> Array:
-    """a condensed by core: rational masses are scaled to ints once, and the
-    result is divided back."""
-    D, rows = scale_rows(a.rows)
-    return Array(unscale_rows(core(rows), D))
-
-
 def condense_down(a: Array) -> Array:
     """Move mass downwards until the array is tight (the unique fixpoint)."""
-    return _condensed(down_rows, a)
+    return Array._scaled(a.D, down_rows(a.ints))
 
 
 def condense_left(a: Array) -> Array:
-    return _condensed(left_rows, a)
+    return Array._scaled(a.D, left_rows(a.ints))
 
 
 def condense_right(a: Array) -> Array:
-    return _condensed(right_rows, a)
+    return Array._scaled(a.D, right_rows(a.ints))
 
 
 def condense_up(a: Array) -> Array:
-    return _condensed(up_rows, a)
+    return Array._scaled(a.D, up_rows(a.ints))
 
 
 def shape(a: Array) -> tuple:

@@ -21,27 +21,28 @@ flats of a solid.
 """
 
 from collections import namedtuple
+from operator import sub
 
 from .arrays import (
     Array,
+    Grid,
     _differences,
-    _tight_rows,
+    _integral,
     concat,
     diag,
-    integrate,
+    is_d_tight,
     is_l_tight,
     is_r_tight,
 )
 from .condense import shape
 from .errors import ValidationError
-from .scalars import Scalar, checked_row
+from .scalars import Scalar, checked_row, unscale_rows
 from .values import Value
 
 
-class TriangleFunction(Value):
-    """Values h(u, v) on 0 <= u <= v <= n, stored as rows indexed by v."""
-
-    _fields = ("values",)  # values[v][u], len(values[v]) == v + 1
+class TriangleFunction(Grid):
+    """Values h(u, v) on 0 <= u <= v <= n, stored as rows indexed by v:
+    values[v][u], len(values[v]) == v + 1."""
 
     def __init__(self, values):
         values = tuple(map(checked_row, values))
@@ -60,13 +61,6 @@ class TriangleFunction(Value):
         if not (0 <= u <= v <= self.n):
             raise ValidationError(f"point ({u},{v}) outside triangle of size {self.n}")
         return self.values[v][u]
-
-    def points(self) -> dict:
-        return {
-            (u, v): self.values[v][u]
-            for v in range(self.n + 1)
-            for u in range(v + 1)
-        }
 
 
 def triangle_from_points(n: int, pts) -> TriangleFunction:
@@ -158,11 +152,9 @@ HiveType = namedtuple("HiveType", "lam mu nu")
 def increments(h: TriangleFunction) -> HiveType:
     """Boundary increments (left side, top side, diagonal) of a triangle;
     an integral increment is an int."""
-    n = h.n
-    lam = (h.value(0, v) - h.value(0, v - 1) for v in range(1, n + 1))
-    mu = (h.value(u, n) - h.value(u - 1, n) for u in range(1, n + 1))
-    nu = (h.value(k, k) - h.value(k - 1, k - 1) for k in range(1, n + 1))
-    return HiveType(*map(checked_row, (lam, mu, nu)))
+    rows = h.values
+    sides = ([row[0] for row in rows], rows[-1], [row[-1] for row in rows])
+    return HiveType(*(checked_row(map(sub, s[1:], s)) for s in sides))
 
 
 # -- standard and anti-standard pairs -----------------------------------------
@@ -173,7 +165,10 @@ class _Pair(Value):
     the second condensed left, their concatenation tight downwards.  The
     subclasses differ only in ``side``; ``kind`` names them in JSON.  The
     constructor checks all three, for decoded and outside data alike; only
-    the associator and the pair search build pairs unchecked (``_built``)."""
+    the associator and the pair search build pairs unchecked (``_built``):
+    the associator is a bijection between compatible couples of standard
+    pairs (Henriques-Kamnitzer, math/0408114), and enumerate_standard_pairs
+    keeps only candidates that have just passed the same checks."""
 
     _fields = ("a", "b")
 
@@ -187,19 +182,9 @@ class _Pair(Value):
             raise ValidationError(f"first component is not condensed {self.side}")
         if not is_l_tight(b):
             raise ValidationError("second component is not condensed left")
-        if not _tight_rows(ra + rb for ra, rb in zip(a.rows, b.rows)):
+        if not is_d_tight(concat(a, b)):
             raise ValidationError("concatenation is not tight downwards")
         self.__dict__.update(a=a, b=b)
-
-    @classmethod
-    def _built(cls, a: Array, b: Array):
-        """A pair built without the checks: the associator is a bijection
-        between compatible couples of standard pairs (Henriques-Kamnitzer,
-        math/0408114), and enumerate_standard_pairs keeps only candidates
-        that have just passed the same checks."""
-        p = object.__new__(cls)
-        p.__dict__.update(a=a, b=b)
-        return p
 
     @property
     def n(self) -> int:
@@ -229,12 +214,13 @@ class AntiStandardPair(_Pair):
 
 
 def pair_to_hive(p: StandardPair) -> TriangleFunction:
-    """h(u, v) = integral of the concatenation over columns <= n+u, rows <= v."""
-    f = integrate(p.concat())
+    """h(u, v) = integral of the concatenation over columns <= n+u, rows <= v:
+    row v of the triangle is a slice of row v of the integral."""
+    c = p.concat()
     n = p.n
-    return TriangleFunction(
-        [[f.value(n + u, v) for u in range(v + 1)] for v in range(n + 1)]
-    )
+    f = _integral(c.ints)
+    return TriangleFunction._built(
+        unscale_rows([row[n:n + v + 1] for v, row in enumerate(f)], c.D))
 
 
 def extended_differences(values, n: int) -> list:

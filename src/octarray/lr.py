@@ -66,7 +66,7 @@ def enumerate_hives(lam, mu, nu):
     k = 0
     while k >= 0:
         if k == len(interior):  # a complete filling
-            h = TriangleFunction(
+            h = TriangleFunction._built(
                 [[values[(u, v)] for u in range(v + 1)] for v in range(n + 1)]
             )
             if is_discrete_concave(h):
@@ -141,7 +141,7 @@ def enumerate_standard_pairs(lam, mu, nu):
             if i == j:
                 row_left = rsums[j + 1]
         elif not any(col_left):
-            b = Array([list(r) for r in rows])
+            b = Array._scaled(1, rows)
             if is_l_tight(b) and is_d_tight(concat(a, b)):
                 results.append(StandardPair._built(a, b))
     return results

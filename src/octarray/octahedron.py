@@ -13,8 +13,13 @@ fills everything else.  The ceiling z = m then carries the integral of the
 down-condensation and the wall x = n the integral of the left-condensation,
 which gives a second, independent route to both condensations.  Only this
 module fills prism layers L[z][y][x] = F(x, y, z): array_layers over the
-rows of an array, propagate_prism_faces over outside faces; layer_wall reads
-walls.
+rows of an array, propagate_prism_faces over outside faces.  layer_wall
+reads walls, prism_points every point in sorted order, and prism_function
+makes a solid of the layers.  Over an Array the layers are filled in its
+ints and divided back only where a value is read.  The restrictions to a
+ceiling or a wall take their rows through scalars.checked_row: a solid
+filled from rational faces sums Fractions, which stay Fractions where the
+sum is integral.
 
 Over an array, layer z integrates the down-condensation of the first z
 rows, and row i of a down-tight array has no mass left of column i (the
@@ -32,7 +37,7 @@ Both recurrences are instances of one octahedron rule: on every primitive
 octahedron the sum over the main diagonal equals the larger of the sums over
 the other two diagonals; every fill applies it, as or_step, once per point
 it computes: array_layers computes all but the forced triangle, and
-propagate_prism_faces, rsk_inverse_rows and tetra_propagate every point.
+propagate_prism_faces, rsk_inverse and tetra_propagate every point.
 
 A propagated solid is polarized by construction: the primitive octahedra
 that fit in the prism are exactly those whose top (x, y, z) has x >= 1 and
@@ -42,10 +47,12 @@ whose top has y, z >= 1, again the filled points, with both side pairs
 inside.  is_polarized checks the property on arbitrary solids.
 """
 
-from .arrays import Array, CornerFunction, _integral, _mixed_differences, _tight_rows
+from math import lcm
+
+from .arrays import Array, CornerFunction, _integral, _mixed_differences, _over, _tight_rows
 from .errors import ValidationError
 from .hives import TriangleFunction, extended_differences, rhombi
-from .scalars import Scalar, normalize, scale_rows, unscale_rows
+from .scalars import Scalar, checked_row, normalize, unscale_rows
 from .values import Value
 
 
@@ -190,7 +197,15 @@ def layer_wall(L: list, x: int) -> list:
     return [[row[x] for row in layer] for layer in L]
 
 
-def _prism_function(L: list) -> PrismFunction:
+def prism_points(L: list) -> list:
+    """[x, y, z, F(x, y, z)] for every point of the layers L, in sorted
+    (x, y, z) order."""
+    n, m = len(L[0][0]) - 1, len(L) - 1
+    return [[x, y, z, L[z][y][x]]
+            for x in range(n + 1) for y in range(m + 1) for z in range(y, m + 1)]
+
+
+def prism_function(L: list) -> PrismFunction:
     """The solid of the layers L, one point per value."""
     F = {
         (x, y, z): v
@@ -221,58 +236,49 @@ def propagate_prism_faces(n: int, m: int, slope, front, shadow) -> PrismFunction
             if (x == 0 or y == 0) and row[x] != v:
                 raise ValidationError(f"face data disagree at {(x, y, y)}")
             row[x] = v
-    return _prism_function(_prism_layers(L))
+    return prism_function(_prism_layers(L))
 
 
 def prism_propagate(a: Array) -> PrismFunction:
-    """Propagate the double integral of an array from the slope face."""
-    return _prism_function(array_layers(a.rows))
+    """Propagate the double integral of an array from the slope face: the
+    layers are filled in a's ints and divided back by its D."""
+    return prism_function([unscale_rows(layer, a.D) for layer in array_layers(a.ints)])
 
 
 def prism_top(F: PrismFunction) -> CornerFunction:
     """Restriction to the ceiling z = m."""
-    return CornerFunction(
-        [[F.value(x, y, F.m) for x in range(F.n + 1)] for y in range(F.m + 1)]
-    )
+    V, n, m = F.values, F.n, F.m
+    return CornerFunction._built(
+        checked_row(V[x, y, m] for x in range(n + 1)) for y in range(m + 1))
 
 
 def prism_wall(F: PrismFunction) -> TriangleFunction:
     """Restriction to the wall x = n, as a triangle in (y, z)."""
-    return TriangleFunction(
-        [[F.value(F.n, y, z) for y in range(z + 1)] for z in range(F.m + 1)]
-    )
+    V, n = F.values, F.n
+    return TriangleFunction._built(
+        checked_row(V[n, y, z] for y in range(z + 1)) for z in range(F.m + 1))
 
 
-def rsk_rows(rows, D: int):
-    """rsk on rows of ints: the rows of (down, left), in the same scale.
+def rsk(a: Array):
+    """Both condensations of a in one propagation, on its ints: returns
+    (down, left).
 
     The ceiling of the prism integrates the down-condensation and the wall
     integrates the left-condensation; an error quotes a value divided by D.
     """
-    L = array_layers(rows)
-    n = len(rows[0])
-    d = _mixed_differences(L[-1], D)
+    L = array_layers(a.ints)
+    n = a.n
+    d = _mixed_differences(L[-1], a.D)
     l = extended_differences(layer_wall(L, n), n)
     if min(map(min, l)) < 0:
         raise AssertionError("the wall has a negative mixed difference")
-    return d, l
+    return Array._scaled(a.D, d), Array._scaled(a.D, l)
 
 
-def rsk(a: Array):
-    """Both condensations of a in one propagation: returns (down, left).
-
-    Rational masses are scaled to ints once; propagation and the
-    differences of ceiling and wall run in ints, and only the masses of the
-    two condensations are divided back.
-    """
-    D, rows = scale_rows(a.rows)
-    d, l = rsk_rows(rows, D)
-    return Array(unscale_rows(d, D)), Array(unscale_rows(l, D))
-
-
-def rsk_inverse_rows(d, l, D: int) -> list:
-    """rsk_inverse on the rows of d and l, ints in one scale: the rows of
-    the array, in the same scale; an error quotes a value divided by D.
+def rsk_inverse(d: Array, l: Array) -> Array:
+    """Recover the unique array with the given condensations, on their ints
+    over the lcm of their two D (tightness is invariant under positive
+    scaling); an error quotes a value divided by that D.
 
     d must be tight downwards, l tight leftwards, of equal sizes and with
     the matching corner integrals on the shared edge.  They are propagated
@@ -280,6 +286,8 @@ def rsk_inverse_rows(d, l, D: int) -> list:
     layer; the recovered shadow face x = 0 must vanish, and the slope face
     must integrate a non-negative array.
     """
+    D = lcm(d.D, l.D)
+    d, l = _over(d, D), _over(l, D)
     m, n = len(d), len(d[0])
     if n != len(l[0]) or m != len(l):
         raise ValidationError("condensation sizes differ")
@@ -316,17 +324,7 @@ def rsk_inverse_rows(d, l, D: int) -> list:
             "not a matching pair"
         )
     slope = [L[y][y] for y in range(m + 1)]
-    return _mixed_differences(slope, D)
-
-
-def rsk_inverse(d: Array, l: Array) -> Array:
-    """Recover the unique array with the given condensations.
-
-    Both are scaled to ints first, with one D (tightness is invariant under
-    positive scaling), and only the masses found are divided back.
-    """
-    D, rows = scale_rows(d.rows + l.rows)
-    return Array(unscale_rows(rsk_inverse_rows(rows[:d.m], rows[d.m:], D), D))
+    return Array._scaled(D, _mixed_differences(slope, D))
 
 
 # -- the tetrahedron ----------------------------------------------------------
@@ -362,13 +360,13 @@ def tetra_propagate(ground, frontwall, n: int) -> TetraFunction:
 
 def tetra_shadow_wall(F: TetraFunction) -> TriangleFunction:
     """Restriction to x = 0, as a triangle: value(u, v) = F(0, u, v - u)."""
-    return TriangleFunction(
-        [[F.value(0, u, v - u) for u in range(v + 1)] for v in range(F.n + 1)]
-    )
+    V = F.values
+    return TriangleFunction._built(
+        checked_row(V[0, u, v - u] for u in range(v + 1)) for v in range(F.n + 1))
 
 
 def tetra_slope_wall(F: TetraFunction) -> TriangleFunction:
     """Restriction to x + y + z = n: value(u, v) = F(n - v, u, v - u)."""
-    return TriangleFunction(
-        [[F.value(F.n - v, u, v - u) for u in range(v + 1)] for v in range(F.n + 1)]
-    )
+    V, n = F.values, F.n
+    return TriangleFunction._built(
+        checked_row(V[n - v, u, v - u] for u in range(v + 1)) for v in range(n + 1))

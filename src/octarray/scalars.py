@@ -10,15 +10,14 @@ lowest terms.  parse_scalar (also bound as normalize) makes an int or a
 Fraction of them, so the library and the CLI raise the same text for a bad
 value, and the CLI's integer arguments are read by it too.  A row of exact
 ints passes in one C-level type test (checked_row); any other row is read
-per value.
+per value.  An error quotes at most a few dozen characters of a bad value.
 
 A rational array is an integer array over one common denominator D, the lcm
 of the reduced denominators of its values (scale_rows), since condensation
-and propagation commute with positive scaling.  Every array enters through
-scale_rows and arrays.check_scaled: the Array constructor divides back with
-unscale_rows, while the array commands of the CLI run the int kernels on
-the scaled rows and write each value v / D with scaled_to_json, so they
-make no Fraction at all.
+and propagation commute with positive scaling.  The Array constructor reads
+its rows once, through scale_rows and arrays.check_scaled, and keeps the
+scaled ints as its state; the kernels run on them, and a value is divided
+back only where it is read: unscale_rows makes ints and Fractions, and scaled_to_json writes v / D as JSON with no Fraction at all.
 """
 
 import re
@@ -56,10 +55,18 @@ def read_scalar(x) -> tuple:
                     return p // g, q // g
         except ValueError:  # past the digit limit
             pass
-        raise ValidationError(f"bad scalar string {x!r}")
+        raise ValidationError(f"bad scalar string {_quoted(x)}")
     if isinstance(x, Fraction):  # after str: a string pays no ABC instance check
         return x.numerator, x.denominator
-    raise ValidationError(f"bad scalar {x!r}")
+    raise ValidationError(f"bad scalar {_quoted(x)}")
+
+
+def _quoted(x) -> str:
+    """repr(x) with long strings, numbers and lists cut and deep nesting
+    elided (reprlib), so an error quotes a few dozen characters at most."""
+    import reprlib  # on the error path only: valid input pays no import
+
+    return reprlib.repr(x)
 
 
 def parse_scalar(x) -> Scalar:
@@ -126,10 +133,6 @@ def unscale_rows(rows, D: int):
         return rows
     return tuple(tuple([v // D if v % D == 0 else Fraction(v, D) for v in row])
                  for row in rows)
-
-
-def is_integral(x: Scalar) -> bool:
-    return isinstance(x, int) or x.denominator == 1
 
 
 # -- partitions (weakly decreasing non-negative tuples) ----------------------

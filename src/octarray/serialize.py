@@ -5,16 +5,14 @@ rows are listed bottom row first, matching the in-memory layout.
 
 Every value is read once, by the reader the library uses
 (scalars.read_scalar), and every array is checked once, by the check the
-Array constructor uses (arrays.check_scaled).  decode_scaled reads one JSON
-array into (D, rows of ints), with D the lcm of the reduced denominators,
-and encode_scaled writes such rows back, each value v / D reduced by
-scaled_to_json; the CLI's array commands run their int kernels between the
-two, so no Array and no Fraction is made.  decode_array and decode_triangle
-are the constructors themselves, and encode_array and encode_triangle use
-the same writer.
+Array constructor uses (arrays.check_scaled): decode_array and
+decode_triangle are the constructors themselves.  encode_array writes an
+Array's state, its ints over D, each value v / D reduced by scaled_to_json,
+so reading and writing a rational array makes no Fraction; encode_triangle
+uses the same writer.
 """
 
-from .arrays import Array, check_scaled
+from .arrays import Array
 from .errors import ValidationError
 from .hives import AntiStandardPair, StandardPair, TriangleFunction
 from .scalars import scale_rows, scaled_to_json
@@ -27,13 +25,8 @@ def json_rows(D: int, rows) -> list:
     return [[scaled_to_json(v, D) for v in row] for row in rows]
 
 
-def encode_scaled(D: int, rows) -> dict:
-    """The JSON array of rows of ints scaled by D."""
-    return {"type": "array", "n": len(rows[0]), "m": len(rows), "rows": json_rows(D, rows)}
-
-
 def encode_array(a: Array) -> dict:
-    return encode_scaled(*scale_rows(a.rows))
+    return {"type": "array", "n": a.n, "m": a.m, "rows": json_rows(a.D, a.ints)}
 
 
 def encode_triangle(f: TriangleFunction) -> dict:
@@ -74,17 +67,10 @@ def _declared(obj: dict, n: int, m: int) -> None:
         raise ValidationError(f"declared m={obj['m']} but there are {m} rows")
 
 
-def decode_scaled(obj: dict):
-    """An array object as (D, rows of ints scaled by D), checked as Array
-    checks its rows: every scalar, in row-major order, then the shape and
-    the signs, then the declared n and m."""
-    D, rows = scale_rows(_rows_of(obj))
-    check_scaled(D, rows)
-    _declared(obj, len(rows[0]), len(rows))
-    return D, rows
-
-
 def decode_array(obj: dict) -> Array:
+    """An array object, checked as Array checks its rows: every scalar, in
+    row-major order, then the shape and the signs; then the declared n and
+    m."""
     a = Array(_rows_of(obj))
     _declared(obj, a.n, a.m)
     return a

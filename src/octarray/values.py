@@ -2,7 +2,9 @@
 triangle functions, pairs, tableaux, frames, solids): immutable, equal to
 an instance of their own class with equal ``_fields``, hashed by them and
 shown as ``Name(field=value, ...)``.  Fields live in ``__dict__``, so
-pickle and copy restore them; the verify reports pass ``mutable=True``."""
+pickle and copy restore them; the verify reports pass ``mutable=True``.
+A class's constructor reads and checks what it is given; ``_built`` takes
+fields the library has computed itself and reads nothing again."""
 
 
 class Value:
@@ -18,6 +20,13 @@ class Value:
         if len(args) + len(kwargs) != len(fields) or fields.keys() != set(self._fields):
             raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
         self.__dict__.update(fields)
+
+    @classmethod
+    def _built(cls, *fields):
+        """An instance with these fields, taken as they are."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(zip(cls._fields, fields))
+        return obj
 
     def _key(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))

@@ -167,9 +167,10 @@ def _error_calls():
         (["hive", "--from-pair"],
          json.dumps({"type": "pair", "kind": "standard", "a": [1], "b": [2]}), False),
         (["condense", "down"], '{"type": "array", "rows": [[%s]]}' % ("7" * 5000), True),
-        (["condense", "down"], "[" * 100_000 + "]" * 100_000, True),
+        # past MAX_JSON_DEPTH, which the CLI checks itself: strict digests
+        (["condense", "down"], "[" * 100_000 + "]" * 100_000, False),
         (["condense", "down"],
-         '{"type": "array", "rows": [%s]}' % ("[" * 5000 + "]" * 5000), True),
+         '{"type": "array", "rows": [%s]}' % ("[" * 5000 + "]" * 5000), False),
         (["condense", "down"], json.dumps({"type": "array", "rows": [[1, -2]]}), False),
         (["condense", "sideways"], array, True),
         (["associate", "--functional", "--inverse"],

@@ -337,3 +337,17 @@ def test_associate_inverse_takes_every_small_output_couple():
                             assert associate(*back) == (out1, out2)
                             count += 1
     assert count == 1028
+
+
+@pytest.mark.parametrize("cases, max_denom", [(400, 1), (300, 12)],
+                         ids=["int", "twelfths"])
+def test_com_prime_of_the_hive_is_the_hive_of_the_commuted_pair(cases, max_denom):
+    """The commutor read two ways: the functional commuter on the hive of a
+    standard pair is the hive of the commuted pair.  This guards both hive
+    read-outs, the slices of pair_to_hive and the ceiling of com_prime, and
+    the repr checks that both give integral values as ints."""
+    rng = random.Random(2121)
+    for _ in range(cases):
+        p = random_standard_pair(rng, rng.randint(1, 5), 3, max_denom)
+        got, want = com_prime(pair_to_hive(p)), pair_to_hive(commute_sp(p))
+        assert (got, repr(got)) == (want, repr(want)), p

@@ -9,7 +9,7 @@ import pytest
 
 import octarray
 from octarray import checks, pair_to_hive, serialize
-from octarray.cli import main
+from octarray.cli import MAX_JSON_DEPTH, main
 
 ARRAY = {"type": "array", "rows": [[2, 3, 1], [1, 1, 5], [1, 2, 2]]}
 
@@ -263,7 +263,7 @@ def test_array_commands_make_no_fraction(cli):
     calls, (code, out, err) = fraction_calls(cli, ["rsk"], array)
     assert (calls, code, err) == ([], 0, "")
     both = json.loads(out)
-    for argv, doc in [(["rsk", "--inverse"], both)] + [
+    for argv, doc in [(["rsk", "--inverse"], both), (["propagate"], array)] + [
             (["condense", direction], array) for direction in ("down", "left", "right", "up")]:
         calls, (code, out, err) = fraction_calls(cli, argv, doc)
         assert (calls, code, err) == ([], 0, ""), argv
@@ -281,16 +281,71 @@ def test_output_past_the_digit_limit_exit_1(cli):
         assert f"more than {limit} digits" in doc["detail"]
 
 
-def test_json_nested_past_the_recursion_limit_exit_2(capsys, monkeypatch):
+TOO_DEEP = {"error": "malformed input",
+            "detail": f"JSON input nests deeper than MAX_JSON_DEPTH = {MAX_JSON_DEPTH}"}
+
+
+def _nested(depth: int) -> str:
+    """An array object whose one mass is a list: the object, the rows and
+    the row nest three levels, and the mass nests the rest, depth in all."""
+    k = depth - 3
+    return '{"type": "array", "rows": [[%s]]}' % ("[" * k + "]" * k)
+
+
+def _stdin_call(capsys, monkeypatch, argv, text):
     import io
 
-    for text in ("[" * 100_000 + "]" * 100_000,
-                 '{"type": "array", "rows": [%s]}' % ("[" * 5000 + "]" * 5000)):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-        assert main(["condense", "down"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert json.loads(err)["error"] == "malformed input"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, json.loads(err) if err else None
+
+
+def test_json_nested_past_the_recursion_limit_exit_2(capsys, monkeypatch):
+    # past where the decoder of any interpreter gives up, and past 3.11's
+    # but not 3.13's: the same exit code and text on every interpreter
+    for text in ("[" * 100_000 + "]" * 100_000, _nested(5003)):
+        got = _stdin_call(capsys, monkeypatch, ["condense", "down"], text)
+        assert got == (2, "", TOO_DEEP)
+
+
+def test_json_nested_at_the_depth_limit_is_read(capsys, monkeypatch):
+    # the reader sees the mass and rejects it, quoting only its outer levels
+    code, out, err = _stdin_call(capsys, monkeypatch, ["condense", "down"],
+                                 _nested(MAX_JSON_DEPTH))
+    assert (code, out, err["error"]) == (1, "", "validation")
+    assert err["detail"] == "bad scalar [[[[[[[...]]]]]]]"
+
+
+@pytest.mark.parametrize("argv", [["condense", "down"], ["rsk", "--inverse"], ["hive"]])
+def test_json_nested_past_the_depth_limit_exit_2(capsys, monkeypatch, argv):
+    for text in (_nested(MAX_JSON_DEPTH + 1),
+                 # where no command looks, and before the error the command gives
+                 '{"type": "bogus", "junk": %s}' % ("[" * 99 + "{}" + "]" * 99)):
+        assert _stdin_call(capsys, monkeypatch, argv, text) == (2, "", TOO_DEEP)
+
+
+def test_brackets_inside_json_strings_do_not_nest(capsys, monkeypatch):
+    # a string of 301 opening brackets, an escaped quote and a backslash
+    text = json.dumps({"type": "array", "rows": [["[{" * 150 + '["\\']]})
+    code, out, err = _stdin_call(capsys, monkeypatch, ["condense", "down"], text)
+    assert (code, out, err["error"]) == (1, "", "validation")
+    # the error quotes the two ends of the 303-character string only
+    assert err["detail"] == r"""bad scalar string '[{[{[{[{[{[{...{[{[{[{[{["\\'"""
+
+
+def test_a_recursion_error_of_the_decoder_gives_the_depth_text(capsys, monkeypatch):
+    import io
+
+    def too_deep(text):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(json, "loads", too_deep)
+        patched.setattr(sys, "stdin", io.StringIO(json.dumps(ARRAY)))
+        code = main(["condense", "down"])
+    out, err = capsys.readouterr()
+    assert (code, out, json.loads(err)) == (2, "", TOO_DEEP)
 
 
 def test_tableau_of_a_triangle_exit_1(cli):
@@ -372,7 +427,7 @@ def test_internal_error_exit_3(cli, monkeypatch):
     def broken(a):
         raise AssertionError("invariant broken")
 
-    monkeypatch.setattr(cli_module, "down_rows", broken)
+    monkeypatch.setattr(cli_module, "condense_down", broken)
     code, out, err = cli(["condense", "down"], ARRAY)
     assert (code, out) == (3, "")
     assert json.loads(err) == {"error": "internal", "detail": "invariant broken"}

@@ -84,8 +84,8 @@ def test_hive_search_completes_a_pinned_number_of_fillings(monkeypatch, lam, mu,
     # completes: a bound loosened by one completes more of them
     from octarray import lr
 
-    real, made = lr.TriangleFunction, []
-    monkeypatch.setattr(lr, "TriangleFunction", lambda rows: made.append(rows) or real(rows))
+    real, made = lr.is_discrete_concave, []  # one leaf check per completed filling
+    monkeypatch.setattr(lr, "is_discrete_concave", lambda h: made.append(h) or real(h))
     hives = enumerate_hives(lam, mu, nu)
     assert len(made) == fillings
     assert len(hives) == lr_oracle(lam, mu, nu)

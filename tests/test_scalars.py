@@ -12,7 +12,6 @@ from octarray.cli import main
 from octarray.errors import ValidationError
 from octarray.hives import TriangleFunction
 from octarray.scalars import (
-    is_integral,
     normalize,
     parse_scalar,
     partial_sums,
@@ -68,11 +67,6 @@ def test_parse_scalar_keeps_signed_strings():
 def test_scalar_json_round_trip():
     for x in [0, 7, Fraction(2, 3)]:
         assert parse_scalar(scalar_to_json(x)) == x
-
-
-def test_is_integral():
-    assert is_integral(5)
-    assert not is_integral(Fraction(1, 3))
 
 
 def test_partial_sums_has_leading_zero():

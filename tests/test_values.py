@@ -32,8 +32,10 @@ PRISM_FRAME_FIELDS = (
 
 # (factory, repr, the field tuple it hashes as, or None where hash raises TypeError)
 FROZEN = [
+    # an array's fields are its state: the masses as ints over their least
+    # common denominator D
     (lambda: Array([[1, 0], [Fraction(1, 2), 2]]),
-     "Array([[1, 0], [Fraction(1, 2), 2]])", (((1, 0), (Fraction(1, 2), 2)),)),
+     "Array([[1, 0], [Fraction(1, 2), 2]])", (2, ((2, 0), (1, 4)))),
     (lambda: CornerFunction([[0, 0], [0, Fraction(3, 2)]]),
      "CornerFunction(values=((0, 0), (0, Fraction(3, 2))))",
      (((0, 0), (0, Fraction(3, 2))),)),

@@ -44,8 +44,8 @@ MUTANTS = [
      "            if acc_low < acc_high:", "            if acc_low < acc_high - 1:",
      "test_arrays.py"),
     ("is_r_tight skips the central reversal", "arrays.py",
-     "return _tight_rows(zip(*_reversed(a.rows)))",
-     "return _tight_rows(zip(*a.rows))", "test_arrays.py"),
+     "return _tight_rows(zip(*_reversed(a.ints)))",
+     "return _tight_rows(zip(*a.ints))", "test_arrays.py"),
     ("rhombi reverses inequality (i)", "hives.py",
      'if (f0 + f3 < f1 + f2) if kind == "i"', 'if (f0 + f3 > f1 + f2) if kind == "i"',
      "test_hives.py"),
@@ -89,8 +89,14 @@ MUTANTS = [
      "test_scalars.py"),
     ("the writer skips the gcd reduction", "scalars.py",
      "    g = gcd(v, D)", "    g = 1", "test_serialize.py"),
-    ("rsk --inverse scales l by d's D", "cli.py",
-     "_rescaled(l, D // Dl)", "_rescaled(l, D // Dd)", "test_cli.py"),
+    ("rsk --inverse scales l by d's D", "octahedron.py",
+     "    d, l = _over(d, D), _over(l, D)\n",
+     "    d, l = _over(d, D), _over(l, D // d.D * l.D)\n", "test_cli.py"),
+    ("the state skips its gcd reduction", "arrays.py",
+     "        if g != 1:\n", "        if False:\n", "test_state.py"),
+    ("pair_to_hive slices one column off", "hives.py",
+     "[row[n:n + v + 1] for v, row in enumerate(f)]",
+     "[row[n:n + v] for v, row in enumerate(f)]", "test_hives.py"),
 ]
 
 
