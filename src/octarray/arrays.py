@@ -5,18 +5,20 @@ An Array has n columns and m rows; rows are stored bottom to top, so
 coordinates the rest of the package works in: column i in 1..n, row j in
 1..m.
 
-An Array keeps one state: its masses as ints over one denominator, ``D``
-and ``ints``, with D the least common denominator of the masses, so equal
-arrays have equal state.  ``rows`` is read off it on first use: ints, and
-Fractions only where a mass is not integral.  Condensation, propagation
-and the rearrangements below commute with positive scaling, so they run on
-the ints and hand their result over D to Array._scaled, which reduces it
-by the gcd of D and every value and reads nothing again.  Only Array(rows)
-reads and checks values (scalars.scale_rows, then check_scaled).
-
 A CornerFunction is the double integral of an array: f(i, j) is the total
 mass in columns 1..i and rows 1..j, so f vanishes on the axes and its mixed
 second differences recover the array.
+
+An Array, a CornerFunction and a hives.TriangleFunction keep one state,
+_Scaled: their values as ints over one denominator, ``D`` and ``ints``,
+with D the least common denominator of the values, so equal grids have
+equal state.  ``Array.rows`` and the functions' ``values`` are read off it
+on first use: ints, and Fractions only where a value is not integral.
+Integration, condensation, propagation and the rearrangements below commute
+with positive scaling, so they run on the ints and hand their result over D
+to _scaled, which reduces it by the gcd of D and every value and reads
+nothing again.  Only the public constructors read values: scale_rows, then
+the class's _check.
 """
 
 from functools import cached_property
@@ -24,21 +26,23 @@ from itertools import accumulate
 from math import gcd, lcm
 
 from .errors import ValidationError
-from .scalars import Scalar, checked_row, scale_rows, scaled_to_json, unscale_rows
+from .scalars import Scalar, scale_rows, scaled_to_json, unscale_rows
 from .values import Value
 
 
-class Array(Value):
+class _Scaled(Value):
+    """Rows of exact values as ints over their least common denominator D."""
+
     _fields = ("D", "ints")
 
     def __init__(self, rows):
         D, ints = scale_rows(rows)
-        check_scaled(D, ints)
+        self._check(D, ints)
         self.__dict__.update(D=D, ints=ints)
 
     @classmethod
     def _scaled(cls, D: int, rows):
-        """The array of rows of ints over D that the library computed, reduced
+        """The grid of rows of ints over D that the library computed, reduced
         by the gcd of D and every value and not checked."""
         rows = tuple(map(tuple, rows))
         g = D
@@ -50,10 +54,27 @@ class Array(Value):
             D, rows = D // g, tuple(tuple([v // g for v in row]) for row in rows)
         return cls._built(D, rows)
 
-    @cached_property
-    def rows(self) -> tuple:
-        """The masses, divided back from the state on first use."""
+    def _unscaled(self) -> tuple:
+        """The values, divided back from the state on first use."""
         return unscale_rows(self.ints, self.D)
+
+
+class Array(_Scaled):
+    rows = cached_property(_Scaled._unscaled)
+
+    @staticmethod
+    def _check(D: int, rows) -> None:
+        """Raise unless rows of ints scaled by D are an array: at least one
+        row and column, not ragged, and no negative mass; the first negative
+        mass in row-major order is quoted as v / D."""
+        if not rows or not rows[0]:
+            raise ValidationError("array must have at least one row and column")
+        width = len(rows[0])
+        if any(len(row) != width for row in rows):
+            raise ValidationError("ragged array")
+        if min(map(min, rows)) < 0:
+            v = next(v for row in rows for v in row if v < 0)
+            raise ValidationError(f"negative mass {scaled_to_json(v, D)}")
 
     @property
     def n(self) -> int:
@@ -75,59 +96,47 @@ class Array(Value):
         return f"Array({list(list(r) for r in self.rows)!r})"
 
 
-class Grid(Value):
+class Grid(_Scaled):
     """A function given by rows of exact values, values[j][i] at the point
     (i, j)."""
 
-    _fields = ("values",)
+    values = cached_property(_Scaled._unscaled)
 
-    @classmethod
-    def _built(cls, values):
-        """Rows of exact values the library computed, kept as they are."""
-        return super()._built(tuple(map(tuple, values)))
+    @property
+    def n(self) -> int:
+        """The last row holds the values at i = 0..n."""
+        return len(self.ints[-1]) - 1
 
     def points(self) -> dict:
         return {(i, j): x for j, row in enumerate(self.values) for i, x in enumerate(row)}
+
+    def value(self, i: int, j: int) -> Scalar:
+        if not (0 <= j < len(self.ints) and 0 <= i < len(self.ints[j])):
+            raise ValidationError(f"point ({i},{j}) outside {self._domain}")
+        return self.values[j][i]
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(values={self.values!r})"
 
 
 class CornerFunction(Grid):
     """Values f(i, j) for 0 <= i <= n, 0 <= j <= m, zero on the axes."""
 
-    def __init__(self, values):
-        values = tuple(map(checked_row, values))
-        if len(values) < 2 or len(values[0]) < 2:
-            raise ValidationError("corner function needs at least a 1x1 grid")
-        width = len(values[0])
-        if any(len(row) != width for row in values):
-            raise ValidationError("ragged corner function")
-        if any(x != 0 for x in values[0]) or any(row[0] != 0 for row in values):
-            raise ValidationError("corner function must vanish on the axes")
-        object.__setattr__(self, "values", values)
+    _domain = property(lambda self: f"{self.n}x{self.m} corner function")
 
-    @property
-    def n(self) -> int:
-        return len(self.values[0]) - 1
+    @staticmethod
+    def _check(D: int, ints) -> None:
+        if len(ints) < 2 or len(ints[0]) < 2:
+            raise ValidationError("corner function needs at least a 1x1 grid")
+        width = len(ints[0])
+        if any(len(row) != width for row in ints):
+            raise ValidationError("ragged corner function")
+        if any(ints[0]) or any(row[0] for row in ints):
+            raise ValidationError("corner function must vanish on the axes")
 
     @property
     def m(self) -> int:
-        return len(self.values) - 1
-
-    def value(self, i: int, j: int) -> Scalar:
-        return self.values[j][i]
-
-
-def check_scaled(D: int, rows) -> None:
-    """Raise unless rows of ints scaled by D are an array: at least one row
-    and column, not ragged, and no negative mass; the first negative mass in
-    row-major order is quoted as v / D."""
-    if not rows or not rows[0]:
-        raise ValidationError("array must have at least one row and column")
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise ValidationError("ragged array")
-    if min(map(min, rows)) < 0:
-        v = next(v for row in rows for v in row if v < 0)
-        raise ValidationError(f"negative mass {scaled_to_json(v, D)}")
+        return len(self.ints) - 1
 
 
 def _integral(rows) -> list:
@@ -142,7 +151,7 @@ def _integral(rows) -> list:
 
 def integrate(a: Array) -> CornerFunction:
     """Double integral: f(i, j) = sum of masses in columns <= i, rows <= j."""
-    return CornerFunction._built(unscale_rows(_integral(a.ints), a.D))
+    return CornerFunction._scaled(a.D, _integral(a.ints))
 
 
 def _differences(vals) -> list:
@@ -153,28 +162,31 @@ def _differences(vals) -> list:
     ]
 
 
-def _mixed_differences(vals, D: int) -> list:
-    """Mixed differences of the rows vals[j][i], scaled by D; raises at the
-    first negative box in (j, i) order, quoting its value divided by D."""
-    rows = _differences(vals)
+def _nonnegative(rows, D: int, where: str) -> list:
+    """The rows of mixed differences scaled by D, rows[j - 1][i - 1] at the
+    box (i, j); raises at the first negative one in (j, i) order, quoting its
+    value divided by D and the box as where.format(i, j)."""
     for j, row in enumerate(rows, 1):
         if min(row) < 0:
             i, v = next((i, v) for i, v in enumerate(row, 1) if v < 0)
-            raise ValidationError(
-                f"negative mixed difference {scaled_to_json(v, D)} at "
-                f"box ({i},{j}); the function is not supermodular"
-            )
+            raise ValidationError(f"negative mixed difference {scaled_to_json(v, D)} "
+                                  f"at {where.format(i, j)}")
     return rows
+
+
+def _mixed_differences(vals, D: int) -> list:
+    """Mixed differences of the rows vals[j][i], scaled by D and checked."""
+    rows = _differences(vals)
+    return _nonnegative(rows, D, "box ({},{}); the function is not supermodular")
 
 
 def mixed_derivative(f: CornerFunction) -> Array:
     """Inverse of integrate; raises if some mixed difference is negative."""
-    D, vals = scale_rows(f.values)
-    return Array._scaled(D, _mixed_differences(vals, D))
+    return Array._scaled(f.D, _mixed_differences(f.ints, f.D))
 
 
-def _over(a: Array, D: int) -> tuple:
-    """The masses of a as ints over D, a multiple of a.D."""
+def _over(a: _Scaled, D: int) -> tuple:
+    """The values of a as ints over D, a multiple of a.D."""
     k = D // a.D
     return a.ints if k == 1 else tuple(tuple([x * k for x in row]) for row in a.ints)
 

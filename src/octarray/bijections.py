@@ -15,8 +15,11 @@ triangle functions via three-dimensional propagation; those are
 implemented here as well, on prisms filled and read by octahedron.py.
 """
 
+from math import lcm
+
 from .arrays import (
     Array,
+    _over,
     central_reverse,
     concat,
     diag,
@@ -37,7 +40,7 @@ from .hives import (
 )
 from .octahedron import (TetraFunction, array_layers, layer_wall, rsk,
                          rsk_inverse, tetra_propagate, tetra_slope_wall)
-from .scalars import check_partition, partial_sums, scale_rows, trim, unscale_rows
+from .scalars import check_partition, partial_sums, trim, unscale_rows
 from .values import Value
 
 
@@ -321,21 +324,21 @@ def associate_functional(f: TriangleFunction, g: TriangleFunction):
     tetrahedron of the couple (tetra_of_couple).  The shadow wall then
     carries the first output hive and the slope wall the second.  The
     propagation runs on the values of f and g as ints over one D, and the
-    two walls are divided back.
+    two walls are handed back over D.
     """
     n = f.n
     if g.n != n:
         raise ValidationError("triangle sizes differ")
     if increments(f).nu != increments(g).lam:
         raise ValidationError("hives are not compatible along the shared edge")
-    D, rows = scale_rows(f.values + g.values)
-    T = tetra_of_couple(TriangleFunction._built(rows[:n + 1]),
-                        TriangleFunction._built(rows[n + 1:]))
+    D = lcm(f.D, g.D)
+    T = tetra_of_couple(TriangleFunction._built(1, _over(f, D)),
+                        TriangleFunction._built(1, _over(g, D)))
     V = T.values
     base = V[0, 0, n]
     p = [[V[0, u, n - v] - base for u in range(v + 1)] for v in range(n + 1)]
-    q = tetra_slope_wall(T).values
-    return tuple(TriangleFunction._built(unscale_rows(w, D)) for w in (p, q))
+    q = tetra_slope_wall(T).ints
+    return TriangleFunction._scaled(D, p), TriangleFunction._scaled(D, q)
 
 
 # -- the functional commuter ----------------------------------------------------
@@ -362,8 +365,7 @@ def com_prime(f: TriangleFunction) -> TriangleFunction:
     the doubled prism and read the ceiling on the right-hand triangle."""
     n = f.n
     D, L = _com_prism(f)
-    out = TriangleFunction._built(
-        unscale_rows([row[n:n + v + 1] for v, row in enumerate(L[n])], D))
+    out = TriangleFunction._scaled(D, [row[n:n + v + 1] for v, row in enumerate(L[n])])
     lam, mu, nu = increments(f)
     got = increments(out)
     if got != (mu, lam, nu):

@@ -1,8 +1,10 @@
 """Triangular grids, rhombus inequalities and the pair/hive correspondence.
 
-A TriangleFunction lives on the points (u, v) with 0 <= u <= v <= n.  Its
-boundary increments are read along the left side (u = 0), the top side
-(v = n) and the diagonal (u = v).
+A TriangleFunction lives on the points (u, v) with 0 <= u <= v <= n.  It
+keeps the state of every exact grid (arrays._Scaled), its values as ints
+over their least common denominator D, and the pair/hive maps and the
+boundary increments, read along the left side (u = 0), the top side (v = n)
+and the diagonal (u = v), run on those ints.
 
 Rhombus inequalities are checked by one engine, ``rhombi``, on any point
 set triangulated by edge directions da, db and da + db: each pair of
@@ -28,6 +30,7 @@ from .arrays import (
     Grid,
     _differences,
     _integral,
+    _nonnegative,
     concat,
     diag,
     is_d_tight,
@@ -36,7 +39,7 @@ from .arrays import (
 )
 from .condense import shape
 from .errors import ValidationError
-from .scalars import Scalar, checked_row, unscale_rows
+from .scalars import unscale_rows
 from .values import Value
 
 
@@ -44,23 +47,15 @@ class TriangleFunction(Grid):
     """Values h(u, v) on 0 <= u <= v <= n, stored as rows indexed by v:
     values[v][u], len(values[v]) == v + 1."""
 
-    def __init__(self, values):
-        values = tuple(map(checked_row, values))
-        if not values or len(values[0]) != 1:
+    _domain = property(lambda self: f"triangle of size {self.n}")
+
+    @staticmethod
+    def _check(D: int, ints) -> None:
+        if not ints or len(ints[0]) != 1:
             raise ValidationError("triangle rows must start with a single apex value")
-        for v, row in enumerate(values):
+        for v, row in enumerate(ints):
             if len(row) != v + 1:
                 raise ValidationError(f"triangle row {v} has {len(row)} entries")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n(self) -> int:
-        return len(self.values) - 1
-
-    def value(self, u: int, v: int) -> Scalar:
-        if not (0 <= u <= v <= self.n):
-            raise ValidationError(f"point ({u},{v}) outside triangle of size {self.n}")
-        return self.values[v][u]
 
 
 def triangle_from_points(n: int, pts) -> TriangleFunction:
@@ -150,11 +145,11 @@ HiveType = namedtuple("HiveType", "lam mu nu")
 
 
 def increments(h: TriangleFunction) -> HiveType:
-    """Boundary increments (left side, top side, diagonal) of a triangle;
-    an integral increment is an int."""
-    rows = h.values
+    """Boundary increments (left side, top side, diagonal) of a triangle,
+    taken on its ints and divided back; an integral increment is an int."""
+    rows = h.ints
     sides = ([row[0] for row in rows], rows[-1], [row[-1] for row in rows])
-    return HiveType(*(checked_row(map(sub, s[1:], s)) for s in sides))
+    return HiveType(*unscale_rows([tuple(map(sub, s[1:], s)) for s in sides], h.D))
 
 
 # -- standard and anti-standard pairs -----------------------------------------
@@ -219,8 +214,7 @@ def pair_to_hive(p: StandardPair) -> TriangleFunction:
     c = p.concat()
     n = p.n
     f = _integral(c.ints)
-    return TriangleFunction._built(
-        unscale_rows([row[n:n + v + 1] for v, row in enumerate(f)], c.D))
+    return TriangleFunction._scaled(c.D, [row[n:n + v + 1] for v, row in enumerate(f)])
 
 
 def extended_differences(values, n: int) -> list:
@@ -237,12 +231,6 @@ def extended_differences(values, n: int) -> list:
 
 def hive_to_pair(h: TriangleFunction) -> StandardPair:
     """Inverse of pair_to_hive; raises if h is not a hive of a pair."""
-    lam, _, _ = increments(h)
-    rows = extended_differences(h.values, h.n)
-    for v, row in enumerate(rows, 1):
-        for u, x in enumerate(row, 1):
-            if x < 0:
-                raise ValidationError(
-                    f"negative mixed difference {x} at ({u},{v}); not a pair hive"
-                )
-    return StandardPair(diag(lam), Array(rows))
+    rows = extended_differences(h.ints, h.n)
+    _nonnegative(rows, h.D, "({},{}); not a pair hive")
+    return StandardPair(diag(increments(h).lam), Array._scaled(h.D, rows))

@@ -40,7 +40,7 @@ def enumerate_hives(lam, mu, nu):
     The boundary is forced; interior points are filled one at a time in a
     fixed scan order with an explicit stack, bounded below by
     supermodularity and above by the strip inequalities, with a full rhombus
-    check on every completed hive.
+    check on every completed filling; only the hives among them are built.
     Returns a deterministically ordered list of TriangleFunctions.
     """
     lam, mu, nu = _integer_type(lam, mu, nu)
@@ -65,12 +65,10 @@ def enumerate_hives(lam, mu, nu):
     tops = [None] * len(interior)  # the stack: upper bounds of points 0..k
     k = 0
     while k >= 0:
-        if k == len(interior):  # a complete filling
-            h = TriangleFunction._built(
-                [[values[(u, v)] for u in range(v + 1)] for v in range(n + 1)]
-            )
-            if is_discrete_concave(h):
-                results.append(h)
+        if k == len(interior):  # a complete filling: values holds every point
+            if is_discrete_concave(values):
+                results.append(TriangleFunction._built(1, tuple(
+                    tuple([values[(u, v)] for u in range(v + 1)]) for v in range(n + 1))))
             k -= 1
             continue
         u, v = p = interior[k]
@@ -88,7 +86,7 @@ def enumerate_hives(lam, mu, nu):
             k -= 1
         else:
             k += 1
-    results.sort(key=lambda h: h.values)
+    results.sort(key=lambda h: h.ints)
     return results
 
 

@@ -15,11 +15,12 @@ which gives a second, independent route to both condensations.  Only this
 module fills prism layers L[z][y][x] = F(x, y, z): array_layers over the
 rows of an array, propagate_prism_faces over outside faces.  layer_wall
 reads walls, prism_points every point in sorted order, and prism_function
-makes a solid of the layers.  Over an Array the layers are filled in its
-ints and divided back only where a value is read.  The restrictions to a
-ceiling or a wall take their rows through scalars.checked_row: a solid
-filled from rational faces sums Fractions, which stay Fractions where the
-sum is integral.
+makes a solid of the layers; cli.cmd_propagate also reads the ceiling
+L[-1], and bijections.com_prime a slice of L[n].  Over an Array the layers
+are filled in its ints and divided back only where a value is read.  The
+restrictions to a ceiling or a wall read their rows with scalars.scale_rows
+and check nothing: a solid filled from rational faces sums Fractions, which
+stay Fractions where the sum is integral.
 
 Over an array, layer z integrates the down-condensation of the first z
 rows, and row i of a down-tight array has no mass left of column i (the
@@ -52,7 +53,7 @@ from math import lcm
 from .arrays import Array, CornerFunction, _integral, _mixed_differences, _over, _tight_rows
 from .errors import ValidationError
 from .hives import TriangleFunction, extended_differences, rhombi
-from .scalars import Scalar, checked_row, normalize, unscale_rows
+from .scalars import Scalar, normalize, scale_rows, unscale_rows
 from .values import Value
 
 
@@ -248,15 +249,15 @@ def prism_propagate(a: Array) -> PrismFunction:
 def prism_top(F: PrismFunction) -> CornerFunction:
     """Restriction to the ceiling z = m."""
     V, n, m = F.values, F.n, F.m
-    return CornerFunction._built(
-        checked_row(V[x, y, m] for x in range(n + 1)) for y in range(m + 1))
+    return CornerFunction._scaled(*scale_rows(
+        [V[x, y, m] for x in range(n + 1)] for y in range(m + 1)))
 
 
 def prism_wall(F: PrismFunction) -> TriangleFunction:
     """Restriction to the wall x = n, as a triangle in (y, z)."""
     V, n = F.values, F.n
-    return TriangleFunction._built(
-        checked_row(V[n, y, z] for y in range(z + 1)) for z in range(F.m + 1))
+    return TriangleFunction._scaled(*scale_rows(
+        [V[n, y, z] for y in range(z + 1)] for z in range(F.m + 1)))
 
 
 def rsk(a: Array):
@@ -361,12 +362,12 @@ def tetra_propagate(ground, frontwall, n: int) -> TetraFunction:
 def tetra_shadow_wall(F: TetraFunction) -> TriangleFunction:
     """Restriction to x = 0, as a triangle: value(u, v) = F(0, u, v - u)."""
     V = F.values
-    return TriangleFunction._built(
-        checked_row(V[0, u, v - u] for u in range(v + 1)) for v in range(F.n + 1))
+    return TriangleFunction._scaled(*scale_rows(
+        [V[0, u, v - u] for u in range(v + 1)] for v in range(F.n + 1)))
 
 
 def tetra_slope_wall(F: TetraFunction) -> TriangleFunction:
     """Restriction to x + y + z = n: value(u, v) = F(n - v, u, v - u)."""
     V, n = F.values, F.n
-    return TriangleFunction._built(
-        checked_row(V[n - v, u, v - u] for u in range(v + 1)) for v in range(n + 1))
+    return TriangleFunction._scaled(*scale_rows(
+        [V[n - v, u, v - u] for u in range(v + 1)] for v in range(n + 1)))

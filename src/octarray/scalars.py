@@ -8,16 +8,18 @@ read_scalar is the one reader of exact values: an int, a Fraction, or a
 string "[-]p" or "[-]p/q" in ASCII digits, read to its terms (p, q) in
 lowest terms.  parse_scalar (also bound as normalize) makes an int or a
 Fraction of them, so the library and the CLI raise the same text for a bad
-value, and the CLI's integer arguments are read by it too.  A row of exact
-ints passes in one C-level type test (checked_row); any other row is read
-per value.  An error quotes at most a few dozen characters of a bad value.
+value, and the CLI's integer arguments are read by it too.  An error quotes
+at most a few dozen characters of a bad value.
 
-A rational array is an integer array over one common denominator D, the lcm
-of the reduced denominators of its values (scale_rows), since condensation
-and propagation commute with positive scaling.  The Array constructor reads
-its rows once, through scale_rows and arrays.check_scaled, and keeps the
-scaled ints as its state; the kernels run on them, and a value is divided
-back only where it is read: unscale_rows makes ints and Fractions, and scaled_to_json writes v / D as JSON with no Fraction at all.
+A rational grid is an integer grid over one common denominator D, the lcm
+of the reduced denominators of its values, since integration, condensation
+and propagation commute with positive scaling.  scale_rows is the one row
+reader: it takes rows of exact ints whole, after one C-level type test, and
+reads any other rows per value.  Every grid (an Array, a CornerFunction or
+a TriangleFunction) reads its rows through it once and keeps the scaled
+ints; a value is divided back only where it is read: unscale_rows makes
+ints and Fractions, and scaled_to_json writes v / D as JSON with no
+Fraction at all.
 """
 
 import re
@@ -76,12 +78,6 @@ def parse_scalar(x) -> Scalar:
 
 
 normalize = parse_scalar
-
-
-def checked_row(row) -> tuple:
-    """The row as a tuple, each value read by parse_scalar unless all are exact ints."""
-    row = tuple(row)
-    return row if set(map(type, row)) <= {int} else tuple(map(parse_scalar, row))
 
 
 def too_many_digits() -> ValidationError:

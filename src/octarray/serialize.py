@@ -4,9 +4,9 @@ Scalars are plain JSON integers or strings of the form ``"p/q"``.  Array
 rows are listed bottom row first, matching the in-memory layout.
 
 Every value is read once, by the reader the library uses
-(scalars.read_scalar), and every array is checked once, by the check the
-Array constructor uses (arrays.check_scaled): decode_array and
-decode_triangle are the constructors themselves.  encode_array writes an
+(scalars.scale_rows), and every array and triangle is checked once, by its
+constructor: decode_array and decode_triangle call the constructors
+themselves, then check the declared sizes.  encode_array writes an
 Array's state, its ints over D, each value v / D reduced by scaled_to_json,
 so reading and writing a rational array makes no Fraction; encode_triangle
 uses the same writer.
@@ -15,7 +15,7 @@ uses the same writer.
 from .arrays import Array
 from .errors import ValidationError
 from .hives import AntiStandardPair, StandardPair, TriangleFunction
-from .scalars import scale_rows, scaled_to_json
+from .scalars import scaled_to_json
 
 
 def json_rows(D: int, rows) -> list:
@@ -30,11 +30,7 @@ def encode_array(a: Array) -> dict:
 
 
 def encode_triangle(f: TriangleFunction) -> dict:
-    return {
-        "type": "triangle",
-        "n": f.n,
-        "rows": json_rows(*scale_rows(f.values)),
-    }
+    return {"type": "triangle", "n": f.n, "rows": json_rows(f.D, f.ints)}
 
 
 def encode_pair(p) -> dict:
@@ -59,12 +55,12 @@ def _rows_of(obj) -> list:
     return rows
 
 
-def _declared(obj: dict, n: int, m: int) -> None:
-    """Raise if the object declares an n or an m that its rows do not have."""
-    if "n" in obj and obj["n"] != n:
-        raise ValidationError(f"declared n={obj['n']} but rows have {n} columns")
-    if "m" in obj and obj["m"] != m:
-        raise ValidationError(f"declared m={obj['m']} but there are {m} rows")
+def _declared(obj: dict, key: str, size: int, rows: str) -> None:
+    """Raise unless the size the object declares under key, if any, is an
+    exact int equal to size; rows says what the rows have, {} for size."""
+    declared = obj.get(key, size)
+    if type(declared) is not int or declared != size:
+        raise ValidationError(f"declared {key}={declared!r} but {rows.format(size)}")
 
 
 def decode_array(obj: dict) -> Array:
@@ -72,12 +68,16 @@ def decode_array(obj: dict) -> Array:
     row-major order, then the shape and the signs; then the declared n and
     m."""
     a = Array(_rows_of(obj))
-    _declared(obj, a.n, a.m)
+    _declared(obj, "n", a.n, "rows have {} columns")
+    _declared(obj, "m", a.m, "there are {} rows")
     return a
 
 
 def decode_triangle(obj: dict) -> TriangleFunction:
-    return TriangleFunction(_rows_of(obj))
+    """A triangle object, checked as TriangleFunction checks it, then its n."""
+    f = TriangleFunction(_rows_of(obj))
+    _declared(obj, "n", f.n, "the rows make a triangle of size {}")
+    return f
 
 
 def decode_pair(obj: dict):

@@ -17,12 +17,15 @@ comes from bench/, so a benchmark change cannot change the corpus.  The calls
 cover every FORMS entry of test_emit.py on the fixtures, integer and rational
 arrays through the four condensations, rsk, rsk --inverse and tableau, couples
 of standard pairs with n = 3..10 through the eight calls of the benchmark's
-hives operation, LR types of standard pairs through lr --oracle, the nine
-verify suites, and the error inputs of test_cli.py.  The encoders only write
+hives operation, couples with masses k / q, q <= 4 and n = 1..6 through
+the hive, association and commutation calls and propagate, LR types of
+standard pairs through lr --oracle, the nine verify suites, and the error
+inputs of test_cli.py.  The encoders only write
 reduced values, so a last group of literal inputs holds what they never
 write: unreduced strings, rows mixing ints and strings, rsk --inverse pairs
 whose d and l have different denominators, and bad scalars, shapes and
-declared sizes, each through the four condensations, rsk and rsk --inverse.
+declared sizes, each through the four condensations, rsk and rsk --inverse,
+and triangles with declared sizes through hive and commute --functional.
 
 A change that alters output on purpose regenerates the file and names each
 changed call and why it changed.  From the root of a checkout:
@@ -111,6 +114,31 @@ def _hives_calls(seed):
             (["commute", "--functional"], f),
             (["propagate"], encode_array(concat(p1.b, p2.b))),
             (["tableau"], encode_pair(p1)),
+        ]:
+            calls.append(Call(f"{tag} #{len(calls)}: {' '.join(argv)}", argv,
+                              json.dumps(doc)))
+    return calls
+
+
+def _rational_hives_calls(seed):
+    """Couples of standard pairs with masses k / q, q <= 4 and n = 1..6,
+    through the hive, association and commutation calls and propagate, so
+    that rational triangles are written and read."""
+    rng = random.Random(seed)
+    calls = []
+    for n in range(1, 7):
+        p1, p2 = random_couple(rng, n, 3, 4)
+        f, g = encode_triangle(pair_to_hive(p1)), encode_triangle(pair_to_hive(p2))
+        tag = f"rational hives s{seed} n={n}"
+        for argv, doc in [
+            (["hive", "--from-pair"], encode_pair(p1)),
+            (["hive"], f),
+            (["hive", "--to-pair"], f),
+            (["associate"], _couple_json(p1, p2)),
+            (["associate", "--functional"], {"f": f, "g": g}),
+            (["commute"], encode_pair(p1)),
+            (["commute", "--functional"], f),
+            (["propagate"], encode_array(concat(p1.b, p2.b))),
         ]:
             calls.append(Call(f"{tag} #{len(calls)}: {' '.join(argv)}", argv,
                               json.dumps(doc)))
@@ -253,6 +281,17 @@ LITERAL_PAIRS = [
 ]
 
 
+# literal triangle objects with declared sizes, each through hive, hive
+# --to-pair and commute --functional
+LITERAL_TRIANGLES = [
+    ("declared n=7", {"type": "triangle", "n": 7, "rows": [[0], [1, 2]]}),
+    ("declared n=1", {"type": "triangle", "n": 1, "rows": [[0], ["1/2", 2]]}),
+    ("declared n=true", {"type": "triangle", "n": True, "rows": [[0], [1, 2]]}),
+    ('declared n="1"', {"type": "triangle", "n": "1", "rows": [[0], [1, 2]]}),
+    ("declared n=1.0", {"type": "triangle", "n": 1.0, "rows": [[0], [1, 2]]}),
+]
+
+
 def _array_doc(rows, **declared):
     return {"type": "array", **declared, "rows": rows}
 
@@ -263,7 +302,10 @@ def _literal_calls():
     cases += [("declared n=3", _array_doc([[1, "1/2"]], n=3)),
               ("declared m=2", _array_doc([[1, "1/2"]], m=2)),
               ("declared n=2 and m=1", _array_doc([["1/2", 1]], n=2, m=1)),
-              ("negative before declared n", _array_doc([[1, "-1/2"]], n=5))]
+              ("negative before declared n", _array_doc([[1, "-1/2"]], n=5)),
+              ("declared n=true", _array_doc([["1/2"]], n=True)),
+              ("declared m=1.0", _array_doc([["1/2", 1]], m=1.0)),
+              ('declared n="2"', _array_doc([[1, "1/2"]], n="2"))]
     calls = []
     for label, doc in cases:
         text = json.dumps(doc)
@@ -277,6 +319,10 @@ def _literal_calls():
                for key, value in pair.items()}
         calls.append(Call(f"literal pair {label}: rsk --inverse", ["rsk", "--inverse"],
                           json.dumps(doc)))
+    for label, doc in LITERAL_TRIANGLES:
+        for argv in (["hive"], ["hive", "--to-pair"], ["commute", "--functional"]):
+            calls.append(Call(f"literal triangle {label}: {' '.join(argv)}", argv,
+                              json.dumps(doc)))
     return calls
 
 
@@ -288,6 +334,7 @@ def calls():
         out += _array_calls("arrays-rational", seed, (1, 2, 4, 7), 9, 4)
         out += _hives_calls(seed)
         out += _lr_calls(seed)
+    out += _rational_hives_calls(3)
     return out + _verify_calls() + _error_calls() + _literal_calls()
 
 

@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from octarray import (
     Array,
+    TriangleFunction,
     ValidationError,
     central_reverse,
     col_sums,
@@ -142,3 +144,18 @@ def test_sums_of_rational_arrays_are_ints_where_integral():
     assert row_sums(b) == (Fraction(4, 3), Fraction(2, 3))
     assert list(map(type, col_sums(b))) == [int, int] and col_sums(b) == (1, 1)
     assert type(b.total()) is int and b.total() == 2
+
+
+def test_a_grid_value_outside_the_grid_raises_naming_the_point():
+    f = integrate(Array([[1, 2], [3, 4]]))
+    assert (f.value(0, 2), f.value(2, 0), f.value(2, 2)) == (0, 0, 10)
+    for i, j in [(-1, 0), (0, -1), (3, 0), (5, 0), (0, 3), (-1, -1)]:
+        text = f"point ({i},{j}) outside 2x2 corner function"
+        with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+            f.value(i, j)
+    h = TriangleFunction([[0], [1, 2]])
+    assert (h.value(0, 1), h.value(1, 1)) == (1, 2)
+    for u, v in [(1, 0), (-1, 1), (0, 2), (2, 1)]:
+        text = f"point ({u},{v}) outside triangle of size 1"
+        with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+            h.value(u, v)

@@ -540,3 +540,15 @@ def test_tableau_of_a_standard_pair(cli):
     code, out, err = cli(["tableau"], serialize.encode_pair(p1))
     assert (code, err) == (0, "")
     assert out == render_skew(pair_to_lr_tableau(p1)) + "\n"
+
+
+def test_hive_rejects_a_triangle_whose_declared_n_is_not_its_size(cli):
+    triangle = {"type": "triangle", "rows": [[0], [1, 2]], "n": 7}
+    for argv in (["hive"], ["hive", "--to-pair"], ["commute", "--functional"]):
+        code, out, err = cli(argv, triangle)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "validation",
+            "detail": "declared n=7 but the rows make a triangle of size 1"}
+    code, out, _ = cli(["hive"], dict(triangle, n=1))
+    assert code == 0 and json.loads(out)["increments"]["nu"] == [2]

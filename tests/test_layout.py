@@ -1,6 +1,8 @@
-"""The layer layout L[z][y][x] of the prism is known to octahedron.py alone:
-other modules fill and read prisms through its public functions.  Importing
-the CLI loads no introspection module."""
+"""Only octahedron.py fills the prism's layers L[z][y][x]: other modules fill
+prisms through its public functions, and the layers it returns are indexed
+outside it in two places only, cli.cmd_propagate (the ceiling L[-1]) and
+bijections.com_prime (a slice of L[n]).  Importing the CLI loads no
+introspection module."""
 
 import ast
 import os

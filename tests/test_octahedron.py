@@ -8,6 +8,7 @@ from octarray import (
     PRISM_FRAME,
     TETRA_FRAME,
     Array,
+    CornerFunction,
     ValidationError,
     condense_down,
     condense_left,
@@ -384,3 +385,25 @@ def test_is_polarized_is_false_on_a_perturbed_propagated_tetrahedron():
     values = dict(T.values)
     values[0, 1, 1] += Fraction(1, 2)  # a filled point, y and z >= 1
     assert not is_polarized(type(T)(values=values, n=T.n), TETRA_FRAME)
+
+
+def test_walls_read_the_values_of_any_faces_and_check_nothing():
+    # a ceiling that does not vanish on the axes is no corner function that
+    # CornerFunction accepts; prism_top and prism_wall read it all the same
+    P = propagate_prism_faces(1, 1, slope=lambda x, y: 1, front=lambda x, z: 1,
+                              shadow=lambda y, z: 1)
+    assert prism_top(P).values == ((1, 1), (1, 1))
+    assert prism_wall(P).values == ((1,), (1, 1))
+    with pytest.raises(ValidationError, match="must vanish on the axes"):
+        CornerFunction(prism_top(P).values)
+    F = Fraction
+    g = lambda x, y, z: F(x * x + 2 * y + z, 2) + 1
+    P = propagate_prism_faces(2, 2, slope=lambda x, y: g(x, y, y),
+                              front=lambda x, z: g(x, 0, z), shadow=lambda y, z: g(0, y, z))
+    top, wall = prism_top(P), prism_wall(P)
+    assert top.values == ((2, F(5, 2), 4), (3, F(7, 2), 5), (4, F(9, 2), 6))
+    assert wall.values == ((3,), (F(7, 2), F(9, 2)), (4, 5, 6))
+    # a sum of Fractions that is integral is read as an int
+    assert {type(v) for v in top.values[0][::2] + wall.values[2]} == {int}
+    assert repr(top) == ("CornerFunction(values=((2, Fraction(5, 2), 4), "
+                         "(3, Fraction(7, 2), 5), (4, Fraction(9, 2), 6)))")

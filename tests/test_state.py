@@ -1,12 +1,11 @@
 """Equal values have equal state.
 
-Every value the library computes reaches its class through a private
-constructor (Array._scaled, CornerFunction._built, TriangleFunction._built)
+Every grid the library computes reaches its class through one private
+constructor (_scaled, shared by Array, CornerFunction and TriangleFunction)
 that reads nothing again.  Each such result must equal, hash like and print
-like the public constructor applied to its public rows or values: an
-Array's state is reduced to the least common denominator, so a rational
-result that happens to be integral is the int-built array, and integral
-values are ints.
+like the public constructor applied to its public rows or values: the state
+is reduced to the least common denominator, so a rational result that
+happens to be integral is the int-built grid, and integral values are ints.
 """
 
 import random
@@ -119,7 +118,9 @@ def test_state_is_reduced_whatever_the_denominator_given():
 
 
 def test_triangles_and_corner_functions_keep_what_they_are_given():
-    h = TriangleFunction._built([[0], [1, 2]])
-    assert h.values == ((0,), (1, 2)) and h == TriangleFunction([[0], [1, 2]])
-    f = CornerFunction._built([[0, 0], [0, 1]])
-    assert f.values == ((0, 0), (0, 1)) and hash(f) == hash(CornerFunction([[0, 0], [0, 1]]))
+    h = TriangleFunction._scaled(2, [[0], [2, 4]])
+    assert (h.D, h.ints, h.values) == (1, ((0,), (1, 2)), ((0,), (1, 2)))
+    assert h == TriangleFunction([[0], [1, 2]])
+    f = CornerFunction._scaled(6, [[0, 0], [0, 3]])
+    assert (f.D, f.ints, f.values) == (2, ((0, 0), (0, 1)), ((0, 0), (0, Fraction(1, 2))))
+    assert hash(f) == hash(CornerFunction([[0, 0], [0, Fraction(1, 2)]]))

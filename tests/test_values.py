@@ -32,15 +32,15 @@ PRISM_FRAME_FIELDS = (
 
 # (factory, repr, the field tuple it hashes as, or None where hash raises TypeError)
 FROZEN = [
-    # an array's fields are its state: the masses as ints over their least
-    # common denominator D
+    # the fields of an array, a corner function and a triangle function are
+    # their state: the values as ints over their least common denominator D
     (lambda: Array([[1, 0], [Fraction(1, 2), 2]]),
      "Array([[1, 0], [Fraction(1, 2), 2]])", (2, ((2, 0), (1, 4)))),
     (lambda: CornerFunction([[0, 0], [0, Fraction(3, 2)]]),
      "CornerFunction(values=((0, 0), (0, Fraction(3, 2))))",
-     (((0, 0), (0, Fraction(3, 2))),)),
+     (2, ((0, 0), (0, 3)))),
     (lambda: TriangleFunction([[0], [1, 2]]),
-     "TriangleFunction(values=((0,), (1, 2)))", (((0,), (1, 2)),)),
+     "TriangleFunction(values=((0,), (1, 2)))", (1, ((0,), (1, 2)))),
     (lambda: StandardPair(Array([[1]]), Array([[2]])),
      "StandardPair(a=Array([[1]]), b=Array([[2]]))", (Array([[1]]), Array([[2]]))),
     (lambda: AntiStandardPair(Array([[1]]), Array([[2]])),

@@ -79,7 +79,7 @@ MUTANTS = [
      "            if False and top != or_step(pts[p], fa, fa2, fb, fb2):",
      "test_octahedron.py"),
     ("the array check skips its sign check", "arrays.py",
-     "    if min(map(min, rows)) < 0:", "    if False and min(map(min, rows)) < 0:",
+     "        if min(map(min, rows)) < 0:", "        if False and min(map(min, rows)) < 0:",
      "test_row_gate.py"),
     ("the all-int gate admits bool", "scalars.py",
      "<= {int}:\n        return 1, rows", "<= {int, bool}:\n        return 1, rows",
@@ -97,6 +97,12 @@ MUTANTS = [
     ("pair_to_hive slices one column off", "hives.py",
      "[row[n:n + v + 1] for v, row in enumerate(f)]",
      "[row[n:n + v] for v, row in enumerate(f)]", "test_hives.py"),
+    ("the shared view skips its divide-back by D", "arrays.py",
+     "        return unscale_rows(self.ints, self.D)\n", "        return self.ints\n",
+     "test_state.py"),
+    ("increments returns the scaled ints", "hives.py",
+     "HiveType(*unscale_rows([tuple(map(sub, s[1:], s)) for s in sides], h.D))",
+     "HiveType(*[tuple(map(sub, s[1:], s)) for s in sides])", "test_hives.py"),
 ]
 
 
