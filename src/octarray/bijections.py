@@ -40,7 +40,7 @@ from .hives import (
 )
 from .octahedron import (TetraFunction, array_layers, layer_wall, rsk,
                          rsk_inverse, tetra_propagate, tetra_slope_wall)
-from .scalars import check_partition, partial_sums, trim, unscale_rows
+from .scalars import check_partition, trim
 from .values import Value
 
 
@@ -352,12 +352,12 @@ def _com_prism(f: TriangleFunction):
     return c.D, array_layers(c.ints)
 
 
-def _nuop_offsets(f: TriangleFunction) -> list:
-    """The renormalisation by the reversed diagonal increments: at row j,
-    |nu| minus the sum of the last j entries of nu."""
-    nu = increments(f).nu
-    total = sum(nu)
-    return [total - s for s in partial_sums(nu[::-1])]
+def _nuop_offsets(f: TriangleFunction, D: int) -> list:
+    """The renormalisation by the reversed diagonal increments, as ints over
+    D, a multiple of f.D: at row j, |nu| minus the sum of the last j entries
+    of nu, which is f(n-j, n-j) - f(0, 0)."""
+    k, apex = D // f.D, f.ints[0][0]
+    return [(row[-1] - apex) * k for row in reversed(f.ints)]
 
 
 def com_prime(f: TriangleFunction) -> TriangleFunction:
@@ -379,10 +379,10 @@ def hk_wall_h(f: TriangleFunction) -> TriangleFunction:
     (-reversed(nu), mu, -reversed(lam)), and rotating it by
     h(i, j) = result(n-j, n-j+i) recovers com_prime(f)."""
     D, L = _com_prism(f)
-    wall = unscale_rows(layer_wall(L, f.n), D)
-    return TriangleFunction(
-        [[v + c for v in row] for row, c in zip(wall, _nuop_offsets(f))]
-    )
+    E = lcm(D, f.D)
+    k = E // D
+    return TriangleFunction._scaled(E, [[v * k + c for v in row] for row, c in
+                                        zip(layer_wall(L, f.n), _nuop_offsets(f, E))])
 
 
 def rho2_prime(f: TriangleFunction) -> TriangleFunction:
@@ -392,8 +392,7 @@ def rho2_prime(f: TriangleFunction) -> TriangleFunction:
     n = f.n
     b = hive_to_pair(f).b
     fl = integrate(transpose(schutzenberger(transpose(b))))
-    c = _nuop_offsets(f)
-    return TriangleFunction(
-        [[fl.value(v - u, n - u) + c[n - u] for u in range(v + 1)]
-         for v in range(n + 1)]
-    )
+    E = lcm(fl.D, f.D)
+    F, c = _over(fl, E), _nuop_offsets(f, E)
+    return TriangleFunction._scaled(
+        E, [[F[n - u][v - u] + c[n - u] for u in range(v + 1)] for v in range(n + 1)])

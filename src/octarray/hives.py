@@ -67,6 +67,20 @@ def triangle_from_points(n: int, pts) -> TriangleFunction:
 # -- the rhombus rule ----------------------------------------------------------
 
 
+def _rhombus_rules(da, db, kinds=("i", "ii", "iii")) -> list:
+    """The table of rhombi below: (kind, e1, e2, e3, outer) for each kind.
+    The rhombus at p has the corners p, p+e1, p+e2 and p+e3, e3 = e1 + e2;
+    it holds if f(p) + f(p+e3) >= f(p+e1) + f(p+e2) when outer, and if the
+    reverse holds when not."""
+    dc = tuple(a + b for a, b in zip(da, db))
+    edges = {"i": (da, db), "ii": (db, dc), "iii": (da, dc)}
+    rules = []
+    for kind in kinds:
+        e1, e2 = edges[kind]
+        rules.append((kind, e1, e2, tuple(a + b for a, b in zip(e1, e2)), kind == "i"))
+    return rules
+
+
 def rhombi(pts: dict, da, db, kinds=("i", "ii", "iii")):
     """Lazily yield (kind, p) for each violated rhombus inequality of pts, a
     dict from lattice points (pairs or triples) to values, triangulated by
@@ -81,19 +95,14 @@ def rhombi(pts: dict, da, db, kinds=("i", "ii", "iii")):
 
     Rhombi with a corner outside pts are skipped.
     """
-    dc = tuple(a + b for a, b in zip(da, db))
-    edges = {"i": (da, db), "ii": (db, dc), "iii": (da, dc)}
-    rules = []
-    for kind in kinds:
-        e1, e2 = edges[kind]
-        rules.append((kind, e1, e2, tuple(a + b for a, b in zip(e1, e2))))
-    if len(dc) == 2:
+    rules = _rhombus_rules(da, db, kinds)
+    if len(da) == 2:
         shift = lambda p, d: (p[0] + d[0], p[1] + d[1])
     else:
         shift = lambda p, d: (p[0] + d[0], p[1] + d[1], p[2] + d[2])
     get = pts.get
     for p, f0 in pts.items():
-        for kind, e1, e2, e3 in rules:
+        for kind, e1, e2, e3, outer in rules:
             f1 = get(shift(p, e1))
             if f1 is None:
                 continue
@@ -103,7 +112,7 @@ def rhombi(pts: dict, da, db, kinds=("i", "ii", "iii")):
             f3 = get(shift(p, e3))
             if f3 is None:
                 continue
-            if (f0 + f3 < f1 + f2) if kind == "i" else (f1 + f2 < f0 + f3):
+            if (f0 + f3 < f1 + f2) if outer else (f1 + f2 < f0 + f3):
                 yield kind, p
 
 

@@ -8,11 +8,8 @@ always agree; the tableau count is an independent oracle used by the tests.
 from .arrays import Array, concat, diag, is_d_tight, is_l_tight
 from .bijections import associate, associate_inverse, commute_sp
 from .errors import ValidationError
-from .hives import (
-    StandardPair,
-    TriangleFunction,
-    is_discrete_concave,
-)
+# is_discrete_concave is bound for the benchmark's lr.hive_candidates (ROADMAP item 1)
+from .hives import StandardPair, TriangleFunction, _rhombus_rules, is_discrete_concave
 from .scalars import check_partition, partial_sums
 from .values import Value
 
@@ -34,76 +31,93 @@ def _integer_type(lam, mu, nu):
     return lam, mu, nu
 
 
-def enumerate_hives(lam, mu, nu):
-    """All integer hives with boundary increments (lam, mu, nu).
+def _hives(lam, mu, nu):
+    """(hives, entered) for a checked type: each integer hive with boundary
+    increments (lam, mu, nu) as the flat tuple of its rows, the point (u, v)
+    at v(v+1)/2 + u, and the number of times the search entered a point.
 
-    The boundary is forced; interior points are filled one at a time in a
-    fixed scan order with an explicit stack, bounded below by
-    supermodularity and above by the strip inequalities, with a full rhombus
-    check on every completed filling; only the hives among them are built.
-    Returns a deterministically ordered list of TriangleFunctions.
+    The boundary is forced; interior points are filled in that order, lowest
+    value first, with an explicit stack, so the hives come out sorted.  Each
+    rhombus of hives._rhombus_rules has coefficient +-1 in each corner, so
+    it bounds the corner filled last: from below if that corner is on the
+    larger side, from above if not.  So every interior point has a type (i)
+    lower and a type (ii) upper bound, and every completed filling is a
+    hive.  A rhombus with no interior corner is checked before the search.
     """
-    lam, mu, nu = _integer_type(lam, mu, nu)
     n = len(nu)
     if sum(lam) + sum(mu) != sum(nu):
-        return []
-    lam_s = partial_sums(lam)
-    mu_s = partial_sums(mu)
-    nu_s = partial_sums(nu)
-
-    fixed = {}
-    for v in range(n + 1):
-        fixed[(0, v)] = lam_s[v]
-    for u in range(n + 1):
-        fixed[(u, n)] = lam_s[n] + mu_s[u]
-    for k in range(n + 1):
-        fixed[(k, k)] = nu_s[k]
-
-    interior = [(u, v) for v in range(2, n) for u in range(1, v)]
-    results = []
-    values = dict(fixed)
+        return [], 0
+    at = {(u, v): v * (v + 1) // 2 + u for v in range(n + 1) for u in range(v + 1)}
+    vals = [0] * len(at)
+    for k, (l, m, x) in enumerate(zip(*map(partial_sums, (lam, mu, nu)))):
+        vals[at[0, k]], vals[at[k, n]], vals[at[k, k]] = l, sum(lam) + m, x
+    interior = [at[u, v] for v in range(2, n) for u in range(1, v)]
+    inside = set(interior)
+    lows, highs = [[] for _ in vals], [[] for _ in vals]
+    for _, e1, e2, e3, outer in _rhombus_rules((1, 0), (0, 1)):
+        for u, v in at:
+            q = [at.get((u + du, v + dv)) for du, dv in ((0, 0), e1, e2, e3)]
+            if None in q:
+                continue
+            big, small = (q[::3], q[1:3]) if outer else (q[1:3], q[::3])
+            filled = [i for i in q if i in inside]
+            if not filled:
+                if vals[big[0]] + vals[big[1]] < vals[small[0]] + vals[small[1]]:
+                    return [], 0
+                continue
+            last = max(filled)  # the corner the search fills last
+            same, other = (big, small) if last in big else (small, big)
+            rest = same[1] if same[0] == last else same[0]
+            # last >= other[0] + other[1] - rest on the larger side, <= on the other
+            (lows if same is big else highs)[last].append((*other, rest))
+    found, entered = [], 0
     tops = [None] * len(interior)  # the stack: upper bounds of points 0..k
     k = 0
     while k >= 0:
-        if k == len(interior):  # a complete filling: values holds every point
-            if is_discrete_concave(values):
-                results.append(TriangleFunction._built(1, tuple(
-                    tuple([values[(u, v)] for u in range(v + 1)]) for v in range(n + 1))))
+        if k == len(interior):  # a complete filling, and so a hive
+            found.append(tuple(vals))
             k -= 1
             continue
-        u, v = p = interior[k]
+        i = interior[k]
         if tops[k] is None:  # entering the point: its bounds, lowest value first
-            w = values[(u - 1, v - 1)]
-            values[p] = values[(u - 1, v)] + values[(u, v - 1)] - w
-            top = w + values[(u, v - 1)] - values[(u - 1, v - 2)]
-            if u >= 2:
-                top = min(top, w + values[(u - 1, v)] - values[(u - 2, v - 1)])
-            tops[k] = top
+            entered += 1
+            vals[i] = max([vals[a] + vals[b] - vals[c] for a, b, c in lows[i]])
+            tops[k] = min([vals[a] + vals[b] - vals[c] for a, b, c in highs[i]])
         else:
-            values[p] += 1
-        if values[p] > tops[k]:  # point exhausted: back to the previous one
+            vals[i] += 1
+        if vals[i] > tops[k]:  # point exhausted: back to the previous one
             tops[k] = None
             k -= 1
         else:
             k += 1
-    results.sort(key=lambda h: h.ints)
-    return results
+    return found, entered
 
 
-def enumerate_standard_pairs(lam, mu, nu):
-    """All integer standard pairs of type (lam, mu, nu).
-
-    The first component is the diagonal of lam; the second ranges over the
-    integer arrays with column sums mu, row sums nu - lam and support on or
-    above the diagonal, filtered by the two tightness conditions.  The cells
-    are filled row by row, smallest value first, with an explicit stack.
-    """
+def enumerate_hives(lam, mu, nu):
+    """All integer hives with boundary increments (lam, mu, nu), as
+    TriangleFunctions in lexicographic order of their rows.  Every rhombus
+    inequality bounds the search (_hives), so it completes no filling that
+    is not a hive, and none is checked again."""
     lam, mu, nu = _integer_type(lam, mu, nu)
+    starts = [v * (v + 1) // 2 for v in range(len(nu) + 1)]
+    return [TriangleFunction._built(1, tuple(h[s:s + v + 1] for v, s in enumerate(starts)))
+            for h in _hives(lam, mu, nu)[0]]
+
+
+def _standard_pairs(lam, mu, nu):
+    """(a, bs): the first component of every standard pair of a checked type
+    (lam, mu, nu), the diagonal of lam, and the list of second components.
+
+    These range over the integer arrays with column sums mu, row sums
+    nu - lam and support on or above the diagonal, filtered by the two
+    tightness conditions.  The cells are filled row by row, smallest value
+    first, with an explicit stack.
+    """
     n = len(nu)
+    a = diag(lam)
     rsums = [nu[j] - lam[j] for j in range(n)]
     if any(r < 0 for r in rsums) or sum(mu) != sum(rsums):
-        return []
-    a = diag(lam)
+        return a, []
     results = []
     rows = [[0] * n for _ in range(n)]
     col_left = list(mu)
@@ -141,8 +155,15 @@ def enumerate_standard_pairs(lam, mu, nu):
         elif not any(col_left):
             b = Array._scaled(1, rows)
             if is_l_tight(b) and is_d_tight(concat(a, b)):
-                results.append(StandardPair._built(a, b))
-    return results
+                results.append(b)
+    return a, results
+
+
+def enumerate_standard_pairs(lam, mu, nu):
+    """All integer standard pairs of type (lam, mu, nu), in the order
+    _standard_pairs finds their second components."""
+    a, bs = _standard_pairs(*_integer_type(lam, mu, nu))
+    return [StandardPair._built(a, b) for b in bs]
 
 
 def _pad_common(*parts):
@@ -155,16 +176,15 @@ def _pad_common(*parts):
 
 def lr_coefficient(lam, mu, nu) -> int:
     """The number of integer hives of the given type, cross-checked against
-    the number of integer standard pairs."""
+    the number of integer standard pairs; the type is checked once, and
+    neither hives nor pairs are built as values."""
     lam, mu, nu = _pad_common(lam, mu, nu)
-    hives = enumerate_hives(lam, mu, nu)
-    pairs = enumerate_standard_pairs(lam, mu, nu)
-    if len(hives) != len(pairs):
+    hives = len(_hives(lam, mu, nu)[0])
+    pairs = len(_standard_pairs(lam, mu, nu)[1])
+    if hives != pairs:
         raise AssertionError(
-            f"hive count {len(hives)} != pair count {len(pairs)} "
-            f"for {(lam, mu, nu)}"
-        )
-    return len(hives)
+            f"hive count {hives} != pair count {pairs} for {(lam, mu, nu)}")
+    return hives
 
 
 def lr_oracle(lam, mu, nu) -> int:

@@ -15,7 +15,7 @@ uses the same writer.
 from .arrays import Array
 from .errors import ValidationError
 from .hives import AntiStandardPair, StandardPair, TriangleFunction
-from .scalars import scaled_to_json
+from .scalars import _quoted, scaled_to_json
 
 
 def json_rows(D: int, rows) -> list:
@@ -60,7 +60,8 @@ def _declared(obj: dict, key: str, size: int, rows: str) -> None:
     exact int equal to size; rows says what the rows have, {} for size."""
     declared = obj.get(key, size)
     if type(declared) is not int or declared != size:
-        raise ValidationError(f"declared {key}={declared!r} but {rows.format(size)}")
+        raise ValidationError(
+            f"declared {key}={_quoted(declared)} but {rows.format(size)}")
 
 
 def decode_array(obj: dict) -> Array:

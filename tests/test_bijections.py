@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -8,10 +9,12 @@ from octarray import (
     LRSkewTableau,
     SSYT,
     StandardPair,
+    TriangleFunction,
     ValidationError,
     associate,
     associate_functional,
     associate_inverse,
+    central_reverse,
     col_sums,
     com_prime,
     commute,
@@ -19,11 +22,14 @@ from octarray import (
     commute_sp,
     condense_down,
     condense_left,
+    condense_right,
     diag,
     dtight_to_ssyt,
     enumerate_standard_pairs,
     hive_to_pair,
     hk_wall_h,
+    increments,
+    integrate,
     is_yamanouchi,
     pair_to_hive,
     pair_to_lr_tableau,
@@ -34,6 +40,7 @@ from octarray import (
     rho1,
     rho2_prime,
     row_sums,
+    schutzenberger,
     split,
     ssyt_to_dtight,
     to_antistandard,
@@ -43,6 +50,7 @@ from octarray import (
 from octarray import serialize
 from octarray.checks import random_array, random_couple, random_standard_pair
 from octarray.lr import _partitions
+from octarray.octahedron import array_layers, layer_wall
 
 
 def test_ssyt_from_fixture_arrays(f1, f1_array, f2, f2_array):
@@ -240,6 +248,41 @@ def test_rho2_prime_equals_com_prime(f4_triangle):
     for _ in range(20):
         h = pair_to_hive(random_standard_pair(rng, rng.randint(1, 3)))
         assert rho2_prime(h) == com_prime(h)
+
+
+def _nuop_offsets_by_values(f):
+    nu = increments(f).nu
+    return [sum(nu) - s for s in accumulate(nu[::-1], initial=0)]
+
+
+def _hk_wall_h_by_values(f):
+    """hk_wall_h read through values: the wall divided back, then shifted."""
+    p = hive_to_pair(f)
+    c = central_reverse(concat(condense_right(p.a), p.b))
+    wall = layer_wall(array_layers(c.ints), f.n)
+    return TriangleFunction([[Fraction(v, c.D) + o for v in row]
+                             for row, o in zip(wall, _nuop_offsets_by_values(f))])
+
+
+def _rho2_prime_by_values(f):
+    """rho2_prime read through values: the CornerFunction's, then shifted."""
+    n, c = f.n, _nuop_offsets_by_values(f)
+    fl = integrate(transpose(schutzenberger(transpose(hive_to_pair(f).b))))
+    return TriangleFunction([[fl.value(v - u, n - u) + c[n - u] for u in range(v + 1)]
+                             for v in range(n + 1)])
+
+
+@pytest.mark.parametrize("max_denom", [1, 4], ids=["int", "quarters"])
+def test_hk_wall_h_and_rho2_prime_equal_their_routes_through_values(max_denom):
+    rng = random.Random(2323)
+    for _ in range(60):
+        f = pair_to_hive(random_standard_pair(rng, rng.randint(1, 5), 3, max_denom))
+        shift = Fraction(rng.randint(0, 3), rng.randint(1, max_denom))
+        shifted = TriangleFunction([[x + shift for x in row] for row in f.values])
+        for h in (f, shifted):
+            for got, want in ((hk_wall_h(h), _hk_wall_h_by_values(h)),
+                              (rho2_prime(h), _rho2_prime_by_values(h))):
+                assert (got, repr(got)) == (want, repr(want)), h
 
 
 def test_commute_preserves_content():

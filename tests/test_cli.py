@@ -125,7 +125,8 @@ def test_lr_searches_run_past_the_recursion_limit(cli, argv):
 
 
 def test_hive_search_runs_past_the_recursion_limit(cli):
-    # the hive search fills (n - 1)(n - 2)/2 interior points, 1,176 at 50 parts
+    # the hive search keeps one stack entry for each of the (n - 1)(n - 2)/2
+    # interior points, 1,176 at 50 parts, each bounded by the rhombi it closes
     zeros = ",".join(["0"] * 50)
     code, out, _ = cli(["lr", zeros, zeros, zeros])
     assert code == 0
@@ -332,6 +333,13 @@ def test_brackets_inside_json_strings_do_not_nest(capsys, monkeypatch):
     assert (code, out, err["error"]) == (1, "", "validation")
     # the error quotes the two ends of the 303-character string only
     assert err["detail"] == r"""bad scalar string '[{[{[{[{[{[{...{[{[{[{[{["\\'"""
+
+
+def test_an_oversized_declared_size_is_quoted_as_bad_scalars_are(capsys, monkeypatch):
+    text = json.dumps({"type": "array", "rows": [[1]], "n": "x" * 100_000})
+    code, out, err = _stdin_call(capsys, monkeypatch, ["condense", "down"], text)
+    assert (code, out, err["error"]) == (1, "", "validation")
+    assert err["detail"] == f"declared n='{'x' * 12}...{'x' * 13}' but rows have 1 columns"
 
 
 def test_a_recursion_error_of_the_decoder_gives_the_depth_text(capsys, monkeypatch):

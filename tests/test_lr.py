@@ -1,3 +1,6 @@
+import random
+from itertools import accumulate
+
 import pytest
 
 from octarray import (
@@ -12,6 +15,7 @@ from octarray import (
     verify_associativity,
     verify_commutativity,
 )
+from octarray import lr
 
 
 def test_known_coefficients():
@@ -20,6 +24,7 @@ def test_known_coefficients():
     assert lr_coefficient((1,), (1,), (3,)) == 0
     assert lr_coefficient((2, 1), (2, 1), (3, 2, 1)) == 2
     assert lr_coefficient((2, 1, 0), (2, 1, 0), (3, 2, 1)) == 2
+    assert lr_coefficient((1, 1), (1, 1), (3, 1)) == 0  # fails a boundary rhombus
 
 
 def test_mass_mismatch_gives_zero():
@@ -33,13 +38,28 @@ def test_rejects_non_partitions():
         lr_coefficient((1,), (-1,), (0,))
 
 
+def random_types(rng, count, max_n, max_part=4):
+    """count random LR types with n <= max_n: nu grows from lam by |mu|
+    boxes added at random, which gives c = 0 and c > 0 alike."""
+    types = []
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        lam, mu = (tuple(sorted((rng.randint(0, max_part) for _ in range(n)),
+                                reverse=True)) for _ in range(2))
+        nu = list(lam)
+        for _ in range(sum(mu)):
+            nu[rng.choice([j for j in range(n) if j == 0 or nu[j] < nu[j - 1]])] += 1
+        types.append((lam, mu, tuple(nu)))
+    return types
+
+
 def test_enumerate_hives_are_concave_with_right_boundary():
-    lam, mu, nu = (2, 1, 0), (2, 1, 0), (3, 2, 1)
-    hives = enumerate_hives(lam, mu, nu)
-    assert len(hives) == 2
-    for h in hives:
-        assert is_discrete_concave(h)
-        assert increments(h) == (lam, mu, nu)
+    assert len(enumerate_hives((2, 1, 0), (2, 1, 0), (3, 2, 1))) == 2
+    for lam, mu, nu in [((2, 1, 0), (2, 1, 0), (3, 2, 1))] + \
+            random_types(random.Random(5), 200, 5):
+        for h in enumerate_hives(lam, mu, nu):
+            assert is_discrete_concave(h)
+            assert increments(h) == (lam, mu, nu)
 
 
 def test_enumerate_standard_pairs_match_hives():
@@ -74,18 +94,61 @@ def test_padding_is_harmless():
         lr_coefficient((2, 1, 0, 0), (2, 1, 0), (3, 2, 1, 0))
 
 
-@pytest.mark.parametrize("lam, mu, nu, fillings", [
-    ((2, 1, 0), (2, 1, 0), (3, 2, 1), 2),
-    ((3, 2, 1, 0), (2, 2, 1, 0), (5, 3, 2, 1), 8),
+@pytest.mark.parametrize("lam, mu, nu, entered", [
+    ((2, 1, 0), (2, 1, 0), (3, 2, 1), 1),
+    ((3, 2, 1, 0), (2, 2, 1, 0), (5, 3, 2, 1), 4),
 ])
-def test_hive_search_completes_a_pinned_number_of_fillings(monkeypatch, lam, mu,
-                                                           nu, fillings):
-    # the search's bounds, not its leaf check, decide how many fillings it
-    # completes: a bound loosened by one completes more of them
-    from octarray import lr
-
-    real, made = lr.is_discrete_concave, []  # one leaf check per completed filling
-    monkeypatch.setattr(lr, "is_discrete_concave", lambda h: made.append(h) or real(h))
-    hives = enumerate_hives(lam, mu, nu)
-    assert len(made) == fillings
+def test_hive_search_enters_a_pinned_number_of_points(lam, mu, nu, entered):
+    # every rhombus bounds the search and nothing checks its leaves, so the
+    # bounds alone decide the output: a bound loosened by one enters more
+    # points or completes fillings that are not hives
+    hives, count = lr._hives(lam, mu, nu)
+    assert count == entered
     assert len(hives) == lr_oracle(lam, mu, nu)
+
+
+def test_lr_coefficient_equals_the_oracle_on_random_types():
+    counts = [(lr_coefficient(*t), lr_oracle(*t)) for t in
+              random_types(random.Random(23), 600, 5)]
+    assert all(c == oracle for c, oracle in counts)
+    assert {c > 0 for c, _ in counts} == {False, True}
+
+
+def leaf_checked_hives(lam, mu, nu):
+    """The hive search as it was: type (i) lower bounds, the two strip upper
+    bounds, and is_discrete_concave on every completed filling."""
+    n = len(nu)
+    if sum(lam) + sum(mu) != sum(nu):
+        return []
+    lam_s, mu_s, nu_s = (list(accumulate(p, initial=0)) for p in (lam, mu, nu))
+    values = {(0, v): lam_s[v] for v in range(n + 1)}
+    values.update({(u, n): lam_s[n] + mu_s[u] for u in range(n + 1)})
+    values.update({(k, k): nu_s[k] for k in range(n + 1)})
+    interior = [(u, v) for v in range(2, n) for u in range(1, v)]
+    found = []
+
+    def fill(k):
+        if k == len(interior):
+            if is_discrete_concave(values):
+                found.append(tuple(tuple(values[u, v] for u in range(v + 1))
+                                   for v in range(n + 1)))
+            return
+        u, v = interior[k]
+        w = values[u - 1, v - 1]
+        top = w + values[u, v - 1] - values[u - 1, v - 2]
+        if u >= 2:
+            top = min(top, w + values[u - 1, v] - values[u - 2, v - 1])
+        for x in range(values[u - 1, v] + values[u, v - 1] - w, top + 1):
+            values[u, v] = x
+            fill(k + 1)
+
+    fill(0)
+    return sorted(found)
+
+
+def test_bounded_search_equals_the_leaf_checked_search_on_tiny_types():
+    types = random_types(random.Random(4), 300, 4)
+    assert any(not leaf_checked_hives(*t) for t in types)
+    for t in types:
+        assert [h.ints for h in enumerate_hives(*t)] == leaf_checked_hives(*t), t
+

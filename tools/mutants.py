@@ -47,17 +47,22 @@ MUTANTS = [
      "return _tight_rows(zip(*_reversed(a.ints)))",
      "return _tight_rows(zip(*a.ints))", "test_arrays.py"),
     ("rhombi reverses inequality (i)", "hives.py",
-     'if (f0 + f3 < f1 + f2) if kind == "i"', 'if (f0 + f3 > f1 + f2) if kind == "i"',
+     "if (f0 + f3 < f1 + f2) if outer", "if (f0 + f3 > f1 + f2) if outer",
      "test_hives.py"),
     ("hive search bound loosened by one", "lr.py",
-     "            tops[k] = top\n", "            tops[k] = top + 1\n", "test_lr.py"),
+     "c in highs[i]])\n", "c in highs[i]]) + 1\n", "test_lr.py"),
+    ("a rhombus kind left out of the search bounds", "lr.py",
+     "_rhombus_rules((1, 0), (0, 1))", '_rhombus_rules((1, 0), (0, 1), ("i", "ii"))',
+     "test_lr.py"),
+    ("the boundary-only rhombi are not checked", "lr.py",
+     "                    return [], 0\n", "                    pass\n", "test_lr.py"),
     ("pair search caps a cell below its column mass", "lr.py",
      "ok = x <= row_left and x <= col_left[i]", "ok = x <= row_left and x < col_left[i]",
      "test_lr.py"),
     ("_semistandard allows equal letters in a column", "bijections.py",
      "grid[c, j + 1] <= x", "grid[c, j + 1] < x", "test_bijections.py"),
     ("_nuop_offsets does not reverse nu", "bijections.py",
-     "partial_sums(nu[::-1])", "partial_sums(nu)", "test_bijections.py"),
+     "for row in reversed(f.ints)]", "for row in f.ints]", "test_bijections.py"),
     ("the forward fill starts one column late", "octahedron.py",
      "                start = y\n", "                start = y + 1\n", "test_octahedron.py"),
     ("the copied triangle is one column short", "octahedron.py",
