@@ -45,6 +45,7 @@ from .bijections import (
     to_antistandard,
     to_standard,
 )
+from .checks import CheckReport, verify_associativity, verify_commutativity
 from .condense import (
     condense_down,
     condense_left,
@@ -70,15 +71,7 @@ from .hives import (
     rhombus_violations,
     triangle_from_points,
 )
-from .lr import (
-    BijectionReport,
-    enumerate_hives,
-    enumerate_standard_pairs,
-    lr_coefficient,
-    lr_oracle,
-    verify_associativity,
-    verify_commutativity,
-)
+from .lr import enumerate_hives, enumerate_standard_pairs, lr_coefficient, lr_oracle
 from .octahedron import (
     PRISM_FRAME,
     TETRA_FRAME,

@@ -213,6 +213,8 @@ def pair_to_lr_tableau(p: StandardPair) -> LRSkewTableau:
     """The skew tableau of a standard integer pair: strip the diagonal part
     (the letters of the first block fill the inner shape in Yamanouchi
     fashion) and keep the second block's letters, shifted down by n."""
+    if p.a.D != 1:
+        raise ValidationError("pair is not integral")
     lam = shape(p.a)
     outer = row_sums(p.concat())
     return LRSkewTableau(outer, lam, _letters(p.b, "pair is not integral"))

@@ -1,7 +1,11 @@
-"""Randomized verification suites.
+"""Verification suites.
 
-Each suite draws reproducible random instances from a seed, checks one of
-the package's global identities, and returns a small report.  The CLI
+Each randomized suite draws reproducible random instances from a seed,
+checks one of the package's global identities, and returns a CheckReport.
+The two count suites run over every two-row type up to a size: there
+verify_commutativity and verify_associativity materialise both sets of
+standard pairs (or couples) of a type, from lr's enumeration, and check
+that the commuter or the associator is a bijection between them.  The CLI
 ``verify`` command and the acceptance tests both run these.
 """
 
@@ -21,14 +25,15 @@ from .arrays import (
 from .bijections import (
     associate,
     associate_functional,
+    associate_inverse,
     com_prime,
     commute,
+    commute_sp,
     rho2_prime,
     tetra_of_couple,
     to_antistandard,
 )
 from .condense import condense_down, condense_left, condense_pair
-from .scalars import trim
 from .hives import (
     AntiStandardPair,
     StandardPair,
@@ -36,7 +41,7 @@ from .hives import (
     is_discrete_concave,
     pair_to_hive,
 )
-from .lr import _partitions, lr_coefficient, verify_associativity, verify_commutativity
+from .lr import enumerate_standard_pairs, lr_coefficient
 from .octahedron import (
     TETRA_FRAME,
     is_polarized_dc,
@@ -45,6 +50,7 @@ from .octahedron import (
     tetra_shadow_wall,
     tetra_slope_wall,
 )
+from .scalars import pad_partitions, trim
 from .values import Value
 
 
@@ -134,9 +140,13 @@ def check_theorem2(cases=300, seed=0, max_n=5, max_m=5, max_mass=6, max_denom=4)
     return rep
 
 
-def check_rsk_bijection(cases=300, inv_cases=100, seed=0, max_n=5, max_m=5,
+def check_rsk_bijection(cases=300, inv_cases=None, seed=0, max_n=5, max_m=5,
                         max_mass=6, max_denom=4):
-    """The two condensations determine the array, both ways round."""
+    """The two condensations determine the array, both ways round: cases
+    round trips from an array and inv_cases (cases // 3 by default) from
+    its two condensations."""
+    if inv_cases is None:
+        inv_cases = cases // 3
     rng = random.Random(seed)
     rep = CheckReport("rsk bijection (round trips)", cases + inv_cases)
     for k, a in random_arrays(rng, cases, max_n, max_m, max_mass, max_denom):
@@ -256,6 +266,76 @@ def check_theorem4(cases=100, seed=0, max_n=3, max_mass=3, max_denom=1):
     return rep
 
 
+# -- bijections between sets of standard pairs --------------------------------
+
+
+def _bijection_check(name, left, right, forward, backward, back_text) -> CheckReport:
+    """Check that forward maps the list left injectively into the list right,
+    that backward undoes it and that the two lists have one size; back_text
+    names a failure of backward.  One case per element of left."""
+    right_set = set(right)
+    failures = []
+    if len(left) != len(right):
+        failures.append(f"sizes differ: {len(left)} left, {len(right)} right")
+    seen = set()
+    for x in left:
+        image = forward(x)
+        if image not in right_set:
+            failures.append(f"image of {x} not in target set")
+        if image in seen:
+            failures.append(f"collision at {image}")
+        seen.add(image)
+        if backward(image) != x:
+            failures.append(f"{back_text} at {x}")
+    return CheckReport(name, len(left), failures)
+
+
+def verify_commutativity(lam, mu, nu) -> CheckReport:
+    """Materialise both standard-pair sets and check that commutation is a
+    type-swapping involution between them."""
+    lam, mu, nu = pad_partitions(lam, mu, nu)
+    fwd = enumerate_standard_pairs(lam, mu, nu)
+    bwd = enumerate_standard_pairs(mu, lam, nu)
+    return _bijection_check("commutativity", fwd, bwd, commute_sp, commute_sp,
+                            "not an involution")
+
+
+def _partitions(total, parts, maxpart):
+    """The partitions of total into at most parts parts, each at most
+    maxpart, padded with zeros to parts parts; largest first."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(total, maxpart), -1, -1):
+        if first * parts < total:
+            break
+        for rest in _partitions(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def verify_associativity(lam, mu, nu, pi, bound) -> CheckReport:
+    """Materialise both couple sets (the intermediate shape runs over all
+    partitions up to the given largest part) and check the rearrangement is
+    a bijection."""
+    lam, mu, nu, pi = pad_partitions(lam, mu, nu, pi)
+    n = len(pi)
+    left = []
+    for sigma in _partitions(sum(lam) + sum(mu), n, bound):
+        for p1 in enumerate_standard_pairs(lam, mu, sigma):
+            for p2 in enumerate_standard_pairs(sigma, nu, pi):
+                left.append((p1, p2))
+    right = []
+    for tau in _partitions(sum(mu) + sum(nu), n, bound):
+        for q1 in enumerate_standard_pairs(mu, nu, tau):
+            for q2 in enumerate_standard_pairs(lam, tau, pi):
+                right.append((q1, q2))
+    return _bijection_check("associativity", left, right,
+                            lambda couple: associate(*couple),
+                            lambda image: associate_inverse(*image),
+                            "inverse fails")
+
+
 def _two_row_types(*sizes):
     """Every tuple of two-row partitions of the given sizes."""
     return product(*(_partitions(t, 2, t) for t in sizes))
@@ -270,10 +350,10 @@ def check_commut_count(maxtotal=4):
             for nu, lam, mu in _two_row_types(total, a, total - a):
                 rep.cases += 1
                 r = verify_commutativity(lam, mu, nu)
-                if not r.bijective:
+                if not r.passed:
                     rep.failures.append(f"not bijective at {(lam, mu, nu)}")
                 c = lr_coefficient(lam, mu, nu)
-                if c != lr_coefficient(mu, lam, nu) or c != r.left_count:
+                if c != lr_coefficient(mu, lam, nu) or c != r.cases:
                     rep.failures.append(f"counts differ at {(lam, mu, nu)}")
     return rep
 
@@ -288,7 +368,7 @@ def check_assoc_count(maxtotal=4):
                 for pi, lam, mu, nu in _two_row_types(total, a, b, total - a - b):
                     rep.cases += 1
                     r = verify_associativity(lam, mu, nu, pi, bound=total)
-                    if not r.bijective:
+                    if not r.passed:
                         rep.failures.append(
                             f"not bijective at {(lam, mu, nu, pi)}"
                         )

@@ -3,29 +3,22 @@ pairs, and a direct count of skew tableaux with Yamanouchi reading word.
 
 The first two are tied together by the pair/hive correspondence and must
 always agree; the tableau count is an independent oracle used by the tests.
+This module only counts: the checks that the commuter and the associator
+are bijections between such sets are suites in checks.
 """
 
 from .arrays import Array, concat, diag, is_d_tight, is_l_tight
-from .bijections import associate, associate_inverse, commute_sp
 from .errors import ValidationError
 # is_discrete_concave is bound for the benchmark's lr.hive_candidates (ROADMAP item 1)
 from .hives import StandardPair, TriangleFunction, _rhombus_rules, is_discrete_concave
-from .scalars import check_partition, partial_sums
-from .values import Value
-
-
-def _check_integer_partition(p, name):
-    p = check_partition(p, name)
-    if any(not isinstance(x, int) for x in p):
-        raise ValidationError(f"{name} must be an integer partition")
-    return p
+from .scalars import check_partition, pad_partitions, partial_sums
 
 
 def _integer_type(lam, mu, nu):
     """Validate an LR type: three integer partitions of equal length."""
-    lam = _check_integer_partition(lam, "lam")
-    mu = _check_integer_partition(mu, "mu")
-    nu = _check_integer_partition(nu, "nu")
+    lam = check_partition(lam, "lam")
+    mu = check_partition(mu, "mu")
+    nu = check_partition(nu, "nu")
     if len(lam) != len(nu) or len(mu) != len(nu):
         raise ValidationError("the three partitions must have equal length")
     return lam, mu, nu
@@ -166,19 +159,11 @@ def enumerate_standard_pairs(lam, mu, nu):
     return [StandardPair._built(a, b) for b in bs]
 
 
-def _pad_common(*parts):
-    """Validate partitions and pad them with zeros to a common length."""
-    parts = [_check_integer_partition(p, f"argument {k}")
-             for k, p in enumerate(parts)]
-    n = max(max(len(p) for p in parts), 1)
-    return tuple(tuple(p) + (0,) * (n - len(p)) for p in parts)
-
-
 def lr_coefficient(lam, mu, nu) -> int:
     """The number of integer hives of the given type, cross-checked against
     the number of integer standard pairs; the type is checked once, and
     neither hives nor pairs are built as values."""
-    lam, mu, nu = _pad_common(lam, mu, nu)
+    lam, mu, nu = pad_partitions(lam, mu, nu)
     hives = len(_hives(lam, mu, nu)[0])
     pairs = len(_standard_pairs(lam, mu, nu)[1])
     if hives != pairs:
@@ -191,7 +176,7 @@ def lr_oracle(lam, mu, nu) -> int:
     """Independent count: skew semistandard fillings of nu minus lam with
     weight mu whose reading word is Yamanouchi.  Backtracking over boxes
     with an explicit stack, no hives or arrays involved."""
-    lam, mu, nu = _pad_common(lam, mu, nu)
+    lam, mu, nu = pad_partitions(lam, mu, nu)
     n = len(nu)
     if any(lam[j] > nu[j] for j in range(n)):
         return 0
@@ -232,81 +217,3 @@ def lr_oracle(lam, mu, nu) -> int:
         else:
             k += 1
     return total
-
-
-# -- bijection reports ---------------------------------------------------------
-
-
-class BijectionReport(Value, mutable=True):
-    _fields = ("name", "left_count", "right_count", "failures")
-
-    def __init__(self, name: str, left_count: int, right_count: int,
-                 failures: list = None):
-        super().__init__(name, left_count, right_count,
-                         [] if failures is None else failures)
-
-    @property
-    def bijective(self) -> bool:
-        return self.left_count == self.right_count and not self.failures
-
-
-def _bijection_report(name, left, right, forward, backward, back_text):
-    """Check that forward maps the list left injectively into the list right
-    and that backward undoes it; back_text names a failure of the latter."""
-    right_set = set(right)
-    failures = []
-    seen = set()
-    for x in left:
-        image = forward(x)
-        if image not in right_set:
-            failures.append(f"image of {x} not in target set")
-        if image in seen:
-            failures.append(f"collision at {image}")
-        seen.add(image)
-        if backward(image) != x:
-            failures.append(f"{back_text} at {x}")
-    return BijectionReport(name, len(left), len(right), failures)
-
-
-def verify_commutativity(lam, mu, nu) -> BijectionReport:
-    """Materialise both standard-pair sets and check that commutation is a
-    type-swapping involution between them."""
-    lam, mu, nu = _pad_common(lam, mu, nu)
-    fwd = enumerate_standard_pairs(lam, mu, nu)
-    bwd = enumerate_standard_pairs(mu, lam, nu)
-    return _bijection_report("commutativity", fwd, bwd, commute_sp, commute_sp,
-                             "not an involution")
-
-
-def _partitions(total, parts, maxpart):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total, maxpart), -1, -1):
-        if first * parts < total:
-            break
-        for rest in _partitions(total - first, parts - 1, first):
-            yield (first,) + rest
-
-
-def verify_associativity(lam, mu, nu, pi, bound) -> BijectionReport:
-    """Materialise both couple sets (the intermediate shape runs over all
-    partitions up to the given largest part) and check the rearrangement is
-    a bijection."""
-    lam, mu, nu, pi = _pad_common(lam, mu, nu, pi)
-    n = len(pi)
-    left = []
-    for sigma in _partitions(sum(lam) + sum(mu), n, bound):
-        for p1 in enumerate_standard_pairs(lam, mu, sigma):
-            for p2 in enumerate_standard_pairs(sigma, nu, pi):
-                left.append((p1, p2))
-    right = []
-    for tau in _partitions(sum(mu) + sum(nu), n, bound):
-        for q1 in enumerate_standard_pairs(mu, nu, tau):
-            for q2 in enumerate_standard_pairs(lam, tau, pi):
-                right.append((q1, q2))
-    return _bijection_report("associativity", left, right,
-                             lambda couple: associate(*couple),
-                             lambda image: associate_inverse(*image),
-                             "inverse fails")

@@ -131,14 +131,26 @@ def unscale_rows(rows, D: int):
                  for row in rows)
 
 
-# -- partitions (weakly decreasing non-negative tuples) ----------------------
+# -- integer partitions (weakly decreasing non-negative int tuples) ---------
 
 
 def check_partition(p, name: str = "partition") -> tuple:
+    """p as an integer partition: a tuple of exact ints, weakly decreasing
+    and non-negative, or ValidationError naming it."""
     seq = tuple(normalize(x) for x in p)
     if any(x < y for x, y in zip(seq, seq[1:])) or (seq and seq[-1] < 0):
         raise ValidationError(f"{name} is not weakly decreasing non-negative: {seq}")
+    if any(type(x) is not int for x in seq):
+        raise ValidationError(f"{name} must be an integer partition")
     return seq
+
+
+def pad_partitions(*parts) -> tuple:
+    """Check integer partitions and pad them with zeros to a common length,
+    at least 1."""
+    parts = [check_partition(p, f"argument {k}") for k, p in enumerate(parts)]
+    n = max(max(len(p) for p in parts), 1)
+    return tuple(p + (0,) * (n - len(p)) for p in parts)
 
 
 def partial_sums(seq) -> tuple:

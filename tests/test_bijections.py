@@ -48,8 +48,7 @@ from octarray import (
     transpose,
 )
 from octarray import serialize
-from octarray.checks import random_array, random_couple, random_standard_pair
-from octarray.lr import _partitions
+from octarray.checks import _partitions, random_array, random_couple, random_standard_pair
 from octarray.octahedron import array_layers, layer_wall
 
 
@@ -320,6 +319,11 @@ def test_ssyt_rejects_letters_below_one():
 def test_letters_must_be_ints(build):
     with pytest.raises(ValidationError, match="is not an integer"):
         build()
+
+
+def test_skew_tableau_shapes_are_integer_partitions():
+    with pytest.raises(ValidationError, match="^outer shape must be an integer partition$"):
+        LRSkewTableau((Fraction(5, 2),), (Fraction(1, 2),), [[1, 1]])
 
 
 @pytest.mark.parametrize("build", [

@@ -24,3 +24,12 @@ def test_summary_mentions_failures():
     r = checks.CheckReport("demo", 1, ["broken"])
     assert not r.passed
     assert "broken" in r.summary()
+
+
+def test_a_bijection_check_reports_what_nothing_maps_to():
+    same = lambda x: x
+    r = checks._bijection_check("demo", [1, 2], [2, 1, 3], same, same, "not undone")
+    assert (r.cases, r.failures) == (2, ["sizes differ: 2 left, 3 right"])
+    assert checks._bijection_check("demo", [1, 2], [2, 1], same, same, "").passed
+    r = checks._bijection_check("demo", [1, 2], [1, 2], lambda x: 1, same, "not undone")
+    assert r.failures == ["collision at 1", "not undone at 2"]

@@ -364,6 +364,15 @@ def test_tableau_of_a_triangle_exit_1(cli):
         assert json.loads(err)["error"] == "validation"
 
 
+@pytest.mark.parametrize("a, b", [("1/2", 2), (1, "1/2")], ids=["a", "b"])
+def test_tableau_of_a_pair_with_a_non_integral_block_exit_1(cli, a, b):
+    pair = {"type": "pair", "kind": "standard", "a": {"type": "array", "rows": [[a]]},
+            "b": {"type": "array", "rows": [[b]]}}
+    code, out, err = cli(["tableau"], pair)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "validation", "detail": "pair is not integral"}
+
+
 def test_validation_error_exit_1(cli):
     code, out, err = cli(["condense", "down"],
                          {"type": "array", "rows": [[1, -2]]})
@@ -397,6 +406,12 @@ def test_verify_passes_each_suite_the_flags_it_takes(cli, argv, report):
     code, out, err = cli(argv)
     assert (code, err) == (0, "")
     assert out == report().summary() + "\n"
+
+
+@pytest.mark.parametrize("cases, total", [(0, 0), (3, 4)])
+def test_verify_rsk_bijection_draws_a_third_more_inverse_cases(cli, cases, total):
+    code, out, err = cli(["verify", "rsk-bijection", "--cases", str(cases)])
+    assert (code, out, err) == (0, f"rsk bijection (round trips): {total} case(s), ok\n", "")
 
 
 def test_main_gives_the_same_output_after_an_argument_error(cli, capsys):

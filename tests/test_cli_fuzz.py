@@ -148,3 +148,53 @@ def test_every_call_keeps_the_exit_code_and_stderr_contract(capsys, monkeypatch,
     assert code in (0, 1, 2, 3), (argv, text)
     if code:
         assert isinstance(json.loads(err), dict), (argv, text, err)
+
+
+STDIN_COMMANDS = [["condense", "down"], ["condense", "left"], ["condense", "right"],
+                  ["condense", "up"], ["rsk"], ["rsk", "--inverse"], ["propagate"],
+                  ["hive"], ["hive", "--to-pair"], ["hive", "--from-pair"],
+                  ["commute"], ["commute", "--functional"], ["associate"],
+                  ["associate", "--inverse"], ["associate", "--functional"],
+                  ["tableau"], ["tableau", "--wall"]]
+# a standard pair whose first block alone is not integral
+HALF_PAIR = ('{"type":"pair","kind":"standard","a":{"type":"array","rows":[["1/2"]]},'
+             '"b":{"type":"array","rows":[[2]]}}')
+
+
+def valid_rational_documents(rng):
+    """Valid objects with masses k / q, q <= 4, n = 1..4, as the encoders
+    write them: arrays and their rsk pairs, hives, standard and
+    anti-standard pairs, couples of pairs, their associator images and
+    couples of their hives."""
+    from octarray import associate, pair_to_hive, rsk
+    from octarray.checks import (random_antistandard_pair, random_array,
+                                 random_couple, random_standard_pair)
+    from octarray.serialize import encode_array, encode_pair, encode_triangle
+
+    docs = [HALF_PAIR]
+    for n in range(1, 5):
+        a = random_array(rng, n, rng.randint(1, 4), 3, 4)
+        d, l = rsk(a)
+        p1, p2 = random_couple(rng, n, 2, 4)
+        objects = [encode_array(a), {"d": encode_array(d), "l": encode_array(l)},
+                   encode_triangle(pair_to_hive(random_standard_pair(rng, n, 2, 4))),
+                   encode_pair(random_standard_pair(rng, n, 2, 4)),
+                   encode_pair(random_antistandard_pair(rng, n, 2, 4)),
+                   {"first": encode_pair(p1), "second": encode_pair(p2)},
+                   dict(zip(("first", "second"), map(encode_pair, associate(p1, p2)))),
+                   {"f": encode_triangle(pair_to_hive(p1)),
+                    "g": encode_triangle(pair_to_hive(p2))}]
+        docs += map(json.dumps, objects)
+    return docs
+
+
+def test_every_stdin_command_keeps_the_contract_on_valid_rational_objects(
+        capsys, monkeypatch):
+    for text in valid_rational_documents(random.Random(24)):
+        for argv in STDIN_COMMANDS:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2), (argv, text)
+            if code:
+                assert isinstance(json.loads(err), dict), (argv, text, err)

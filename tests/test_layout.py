@@ -1,7 +1,9 @@
 """Only octahedron.py fills the prism's layers L[z][y][x]: other modules fill
 prisms through its public functions, and the layers it returns are indexed
 outside it in two places only, cli.cmd_propagate (the ceiling L[-1]) and
-bijections.com_prime (a slice of L[n]).  Importing the CLI loads no
+bijections.com_prime (a slice of L[n]).  lr only counts: it imports nothing
+from the bijections, the verification suites or the value base, and no
+module imports its private names.  Importing the CLI loads no
 introspection module."""
 
 import ast
@@ -19,17 +21,31 @@ def _trees():
     return {path.name: ast.parse(path.read_text()) for path in SOURCES}
 
 
-def test_no_module_imports_a_private_name_of_octahedron():
-    private = [
+def _imports_from(module):
+    """(importing module, name) for every name imported from the module."""
+    return [
         (name, alias.name)
         for name, tree in _trees().items()
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
-        and (node.module or "").split(".")[-1] == "octahedron"
+        and (node.module or "").split(".")[-1] == module
         for alias in node.names
-        if alias.name.startswith("_")
     ]
-    assert private == []
+
+
+def test_no_module_imports_a_private_name_of_octahedron():
+    assert [x for x in _imports_from("octahedron") if x[1].startswith("_")] == []
+
+
+def test_no_module_imports_a_private_name_of_lr():
+    assert [x for x in _imports_from("lr") if x[1].startswith("_")] == []
+
+
+def test_lr_imports_nothing_from_bijections_checks_or_values():
+    imported = {node.module.split(".")[-1] for node in ast.walk(_trees()["lr.py"])
+                if isinstance(node, ast.ImportFrom) and node.module}
+    assert "hives" in imported
+    assert imported.isdisjoint({"bijections", "checks", "values"})
 
 
 def test_prism_layers_is_referenced_only_in_octahedron():

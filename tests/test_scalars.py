@@ -12,7 +12,9 @@ from octarray.cli import main
 from octarray.errors import ValidationError
 from octarray.hives import TriangleFunction
 from octarray.scalars import (
+    check_partition,
     normalize,
+    pad_partitions,
     parse_scalar,
     partial_sums,
     scalar_to_json,
@@ -67,6 +69,22 @@ def test_parse_scalar_keeps_signed_strings():
 def test_scalar_json_round_trip():
     for x in [0, 7, Fraction(2, 3)]:
         assert parse_scalar(scalar_to_json(x)) == x
+
+
+def test_check_partition_reads_integer_partitions_only():
+    assert check_partition(["3", Fraction(4, 2), 0]) == (3, 2, 0)
+    assert all(type(x) is int for x in check_partition(["3", Fraction(4, 2)]))
+    with pytest.raises(ValidationError, match="^lam must be an integer partition$"):
+        check_partition((2, Fraction(3, 2)), "lam")
+    with pytest.raises(ValidationError, match="not weakly decreasing"):
+        check_partition((1, 2))
+
+
+def test_pad_partitions_pads_to_a_common_length_of_at_least_one():
+    assert pad_partitions((2, 1), (), (3,)) == ((2, 1), (0, 0), (3, 0))
+    assert pad_partitions((), ()) == ((0,), (0,))
+    with pytest.raises(ValidationError, match="^argument 1 must be an integer partition$"):
+        pad_partitions((1,), ("1/2",))
 
 
 def test_partial_sums_has_leading_zero():

@@ -14,7 +14,6 @@ from octarray.arrays import Array, CornerFunction
 from octarray.bijections import SSYT, LRSkewTableau
 from octarray.checks import CheckReport
 from octarray.hives import AntiStandardPair, HiveType, StandardPair, TriangleFunction
-from octarray.lr import BijectionReport
 from octarray.octahedron import PRISM_FRAME, PrismFunction, Solid, TetraFunction
 
 PRISM_FRAME_REPR = (
@@ -60,8 +59,6 @@ FROZEN = [
 MUTABLE = [
     (lambda: CheckReport("demo", 1, ["broken"]),
      "CheckReport(name='demo', cases=1, failures=['broken'])"),
-    (lambda: BijectionReport("pairs", 2, 2),
-     "BijectionReport(name='pairs', left_count=2, right_count=2, failures=[])"),
 ]
 ALL = [(make, text) for make, text, _ in FROZEN] + MUTABLE
 IDS = [text.split("(")[0] for _, text in ALL]

@@ -92,6 +92,11 @@ MUTANTS = [
     ("read_scalar reads a Fraction as an integer", "scalars.py",
      "        return x.numerator, x.denominator\n", "        return x.numerator, 1\n",
      "test_scalars.py"),
+    ("check_partition accepts a non-integral part", "scalars.py",
+     "    if any(type(x) is not int for x in seq):",
+     "    if False and any(type(x) is not int for x in seq):", "test_scalars.py"),
+    ("a size mismatch between the two sides is not reported", "checks.py",
+     "    if len(left) != len(right):", "    if False:", "test_checks.py"),
     ("the writer skips the gcd reduction", "scalars.py",
      "    g = gcd(v, D)", "    g = 1", "test_serialize.py"),
     ("rsk --inverse scales l by d's D", "octahedron.py",
