@@ -176,7 +176,9 @@ class LRSkewTableau(Value):
         rows = tuple(tuple(_letter(x) for x in row) for row in rows)
         if len(rows) != len(outer):
             raise ValidationError("one filling row per shape row required")
-        if any(i > o for i, o in zip(inner, outer)):
+        # inner is at least as long as outer; a non-zero part past outer's end
+        # is a box outside it, while trailing zero parts are harmless
+        if any(inner[len(outer):]) or any(i > o for i, o in zip(inner, outer)):
             raise ValidationError("inner shape not contained in outer")
         for j, (row, i, o) in enumerate(zip(rows, inner, outer), start=1):
             if len(row) != o - i:

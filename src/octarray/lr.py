@@ -7,9 +7,12 @@ This module only counts: the checks that the commuter and the associator
 are bijections between such sets are suites in checks.
 """
 
-from .arrays import Array, concat, diag, is_d_tight, is_l_tight
+from functools import cache
+
+# is_d_tight, is_l_tight and is_discrete_concave are unused here but bound for
+# the benchmark's tracer, which looks them up in this module (ROADMAP item 1)
+from .arrays import Array, _tight_rows, diag, is_d_tight, is_l_tight
 from .errors import ValidationError
-# is_discrete_concave is bound for the benchmark's lr.hive_candidates (ROADMAP item 1)
 from .hives import StandardPair, TriangleFunction, _rhombus_rules, is_discrete_concave
 from .scalars import check_partition, pad_partitions, partial_sums
 
@@ -24,29 +27,25 @@ def _integer_type(lam, mu, nu):
     return lam, mu, nu
 
 
-def _hives(lam, mu, nu):
-    """(hives, entered) for a checked type: each integer hive with boundary
-    increments (lam, mu, nu) as the flat tuple of its rows, the point (u, v)
-    at v(v+1)/2 + u, and the number of times the search entered a point.
-
-    The boundary is forced; interior points are filled in that order, lowest
-    value first, with an explicit stack, so the hives come out sorted.  Each
-    rhombus of hives._rhombus_rules has coefficient +-1 in each corner, so
-    it bounds the corner filled last: from below if that corner is on the
-    larger side, from above if not.  So every interior point has a type (i)
-    lower and a type (ii) upper bound, and every completed filling is a
-    hive.  A rhombus with no interior corner is checked before the search.
+@cache
+def _hive_plan(n):
+    """The hive search plan of size n, built once and holding no values:
+    (size, sides, interior, lows, highs, fixed) over the flat slots, (u, v)
+    at v(v+1)/2 + u.  sides[k] holds the slots of (0, k), (k, n) and (k, k);
+    interior is the search order; lows[i] and highs[i] hold the triples
+    (a, b, c) with a + b - c bounding slot i below and above; fixed holds
+    the rhombi with no interior corner as (a, b, c, d), a + b >= c + d (only
+    n = 2 has any).  Each rhombus of hives._rhombus_rules has coefficient
+    +-1 in each corner, so it bounds the corner filled last: from below if
+    that corner is on the larger side, from above if not.  So every
+    interior point has a type (i) lower and a type (ii) upper bound, and
+    every filling within the bounds is a hive.
     """
-    n = len(nu)
-    if sum(lam) + sum(mu) != sum(nu):
-        return [], 0
     at = {(u, v): v * (v + 1) // 2 + u for v in range(n + 1) for u in range(v + 1)}
-    vals = [0] * len(at)
-    for k, (l, m, x) in enumerate(zip(*map(partial_sums, (lam, mu, nu)))):
-        vals[at[0, k]], vals[at[k, n]], vals[at[k, k]] = l, sum(lam) + m, x
-    interior = [at[u, v] for v in range(2, n) for u in range(1, v)]
+    sides = tuple((at[0, k], at[k, n], at[k, k]) for k in range(n + 1))
+    interior = tuple(at[u, v] for v in range(2, n) for u in range(1, v))
     inside = set(interior)
-    lows, highs = [[] for _ in vals], [[] for _ in vals]
+    lows, highs, fixed = [[] for _ in at], [[] for _ in at], []
     for _, e1, e2, e3, outer in _rhombus_rules((1, 0), (0, 1)):
         for u, v in at:
             q = [at.get((u + du, v + dv)) for du, dv in ((0, 0), e1, e2, e3)]
@@ -55,14 +54,35 @@ def _hives(lam, mu, nu):
             big, small = (q[::3], q[1:3]) if outer else (q[1:3], q[::3])
             filled = [i for i in q if i in inside]
             if not filled:
-                if vals[big[0]] + vals[big[1]] < vals[small[0]] + vals[small[1]]:
-                    return [], 0
+                fixed.append((*big, *small))
                 continue
             last = max(filled)  # the corner the search fills last
             same, other = (big, small) if last in big else (small, big)
             rest = same[1] if same[0] == last else same[0]
             # last >= other[0] + other[1] - rest on the larger side, <= on the other
             (lows if same is big else highs)[last].append((*other, rest))
+    lows, highs = tuple(map(tuple, lows)), tuple(map(tuple, highs))
+    return len(at), sides, interior, lows, highs, tuple(fixed)
+
+
+def _hives(lam, mu, nu):
+    """(hives, entered) for a checked type: each integer hive with boundary
+    increments (lam, mu, nu) as the flat tuple of its rows, the point (u, v)
+    at v(v+1)/2 + u, and the number of times the search entered a point.
+
+    The boundary is forced and the rhombi on it alone are checked first;
+    interior points are then filled in the order of _hive_plan(n), lowest
+    value first, with an explicit stack, so the hives come out sorted.
+    """
+    n = len(nu)
+    if sum(lam) + sum(mu) != sum(nu):
+        return [], 0
+    size, sides, interior, lows, highs, fixed = _hive_plan(n)
+    vals = [0] * size
+    for (p, q, r), l, m, x in zip(sides, *map(partial_sums, (lam, mu, nu))):
+        vals[p], vals[q], vals[r] = l, sum(lam) + m, x
+    if any(vals[a] + vals[b] < vals[c] + vals[d] for a, b, c, d in fixed):
+        return [], 0
     found, entered = [], 0
     tops = [None] * len(interior)  # the stack: upper bounds of points 0..k
     k = 0
@@ -104,7 +124,11 @@ def _standard_pairs(lam, mu, nu):
     These range over the integer arrays with column sums mu, row sums
     nu - lam and support on or above the diagonal, filtered by the two
     tightness conditions.  The cells are filled row by row, smallest value
-    first, with an explicit stack.
+    first, with an explicit stack.  Both conditions on rows up to j are
+    checked as row j closes, so every filling completed is a pair: the row
+    scan of concat(a, b) on rows j - 1 and j, and that of b's columns at
+    row j, which for c < j reads sum_{r<=j} b[r][c+1] <= sum_{r<j} b[r][c]
+    off the column masses placed so far (mu - col_left).
     """
     n = len(nu)
     a = diag(lam)
@@ -112,6 +136,7 @@ def _standard_pairs(lam, mu, nu):
     if any(r < 0 for r in rsums) or sum(mu) != sum(rsums):
         return a, []
     results = []
+    arows = [list(row) for row in a.ints]
     rows = [[0] * n for _ in range(n)]
     col_left = list(mu)
     # row j (0-based, bottom to top) has mass in columns i <= j only; its
@@ -128,6 +153,8 @@ def _standard_pairs(lam, mu, nu):
             row_left += x
         if i < j:
             x += 1
+            if i == j - 1 and x < row_left - col_left[j]:
+                x = row_left - col_left[j]  # what the diagonal cell takes must fit
             ok = x <= row_left and x <= col_left[i]
         else:
             ok = x < 0 and row_left <= col_left[i]
@@ -141,14 +168,18 @@ def _standard_pairs(lam, mu, nu):
         vals[k] = rows[j][i] = x
         col_left[i] -= x
         row_left -= x
-        if k + 1 < len(cells):
+        if i < j:
             k += 1
-            if i == j:
-                row_left = rsums[j + 1]
-        elif not any(col_left):
-            b = Array._scaled(1, rows)
-            if is_l_tight(b) and is_d_tight(concat(a, b)):
-                results.append(b)
+        elif j and not (
+                _tight_rows((arows[j - 1] + rows[j - 1], arows[j] + rows[j]))
+                and all(mu[c + 1] - col_left[c + 1] <= mu[c] - col_left[c] - rows[j][c]
+                        for c in range(j))):
+            continue  # no completion is a pair: the diagonal cell is exhausted
+        elif k + 1 < len(cells):
+            k += 1
+            row_left = rsums[j + 1]
+        else:  # every row placed its mass, so every column has its mass too
+            results.append(Array._scaled(1, rows))
     return a, results
 
 

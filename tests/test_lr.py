@@ -4,12 +4,17 @@ from itertools import accumulate
 import pytest
 
 from octarray import (
+    Array,
     CheckReport,
     ValidationError,
+    concat,
+    diag,
     enumerate_hives,
     enumerate_standard_pairs,
     increments,
+    is_d_tight,
     is_discrete_concave,
+    is_l_tight,
     lr_coefficient,
     lr_oracle,
     verify_associativity,
@@ -38,12 +43,12 @@ def test_rejects_non_partitions():
         lr_coefficient((1,), (-1,), (0,))
 
 
-def random_types(rng, count, max_n, max_part=4):
-    """count random LR types with n <= max_n: nu grows from lam by |mu|
-    boxes added at random, which gives c = 0 and c > 0 alike."""
+def random_types(rng, count, max_n, max_part=4, min_n=1):
+    """count random LR types with min_n <= n <= max_n: nu grows from lam by
+    |mu| boxes added at random, which gives c = 0 and c > 0 alike."""
     types = []
     for _ in range(count):
-        n = rng.randint(1, max_n)
+        n = rng.randint(min_n, max_n)
         lam, mu = (tuple(sorted((rng.randint(0, max_part) for _ in range(n)),
                                 reverse=True)) for _ in range(2))
         nu = list(lam)
@@ -153,3 +158,66 @@ def test_bounded_search_equals_the_leaf_checked_search_on_tiny_types():
     for t in types:
         assert [h.ints for h in enumerate_hives(*t)] == leaf_checked_hives(*t), t
 
+
+def test_sizes_interleaved_in_one_process_each_count_their_own_type():
+    # _hive_plan is built once per n; types of every n from 1 to 7, in
+    # turn, must each be counted on the plan of their own size
+    rng = random.Random(31)
+    for _ in range(10):
+        for n in rng.sample(range(1, 8), 7):
+            (t,) = random_types(rng, 1, n, max_part=3, min_n=n)
+            assert lr_coefficient(*t) == lr_oracle(*t), t
+
+
+def test_the_boundary_rhombi_are_checked_on_each_call_values():
+    # at n = 2 every rhombus lies on the boundary, so the plan holds only
+    # their slots: a type failing one right after one that passes must
+    # still count 0
+    assert lr_coefficient((1, 1), (1, 1), (2, 2)) == 1
+    assert lr_coefficient((1, 1), (1, 1), (3, 1)) == 0
+    assert lr._hives((1, 1), (1, 1), (3, 1)) == ([], 0)
+    assert lr_coefficient((1, 1), (1, 1), (2, 2)) == 1
+
+
+def leaf_checked_pairs(lam, mu, nu):
+    """The pair search as it was: every filling with the right row and
+    column sums completed, then is_l_tight(b) and is_d_tight(concat(a, b))
+    checked on it."""
+    n = len(nu)
+    a = diag(lam)
+    rsums = [nu[j] - lam[j] for j in range(n)]
+    if any(r < 0 for r in rsums) or sum(mu) != sum(rsums):
+        return []
+    results = []
+    rows = [[0] * n for _ in range(n)]
+    col_left = list(mu)
+
+    def fill(j, i, row_left):
+        if i == j:  # the diagonal cell takes what the row has left
+            if row_left > col_left[j]:
+                return
+            rows[j][j] = row_left
+            col_left[j] -= row_left
+            if j + 1 < n:
+                fill(j + 1, 0, rsums[j + 1])
+            elif not any(col_left):
+                b = Array(rows)
+                if is_l_tight(b) and is_d_tight(concat(a, b)):
+                    results.append(b.ints)
+            col_left[j] += row_left
+            return
+        for x in range(min(row_left, col_left[i]) + 1):
+            rows[j][i] = x
+            col_left[i] -= x
+            fill(j, i + 1, row_left - x)
+            col_left[i] += x
+
+    fill(0, 0, rsums[0])
+    return results
+
+
+def test_row_pruned_pair_search_equals_the_leaf_checked_search():
+    types = random_types(random.Random(12), 300, 5) + random_types(random.Random(13), 40, 6, 2)
+    assert any(not leaf_checked_pairs(*t) for t in types)
+    for t in types:
+        assert [b.ints for b in lr._standard_pairs(*t)[1]] == leaf_checked_pairs(*t), t

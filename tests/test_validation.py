@@ -79,6 +79,14 @@ def test_validation_branch_raises_its_text(call, text):
         call()
 
 
+def test_an_inner_part_past_the_outer_shape_is_not_contained():
+    # the containment check once zipped inner with outer, so it never read
+    # inner's parts past the outer shape's last row
+    with pytest.raises(ValidationError, match="^inner shape not contained in outer$"):
+        LRSkewTableau((1,), (1, 1), [[]])
+    assert LRSkewTableau((1,), (0, 0), [[1]]).rows == ((1,),)
+
+
 def test_lr_oracle_is_zero_when_the_sizes_do_not_add_up():
     assert lr_oracle((1,), (1,), (3,)) == 0
     assert lr_oracle((1, 0), (1, 0), (1, 1)) == 1

@@ -55,10 +55,17 @@ MUTANTS = [
      "_rhombus_rules((1, 0), (0, 1))", '_rhombus_rules((1, 0), (0, 1), ("i", "ii"))',
      "test_lr.py"),
     ("the boundary-only rhombi are not checked", "lr.py",
-     "                    return [], 0\n", "                    pass\n", "test_lr.py"),
+     "in fixed):\n        return [], 0\n", "in fixed):\n        pass\n", "test_lr.py"),
     ("pair search caps a cell below its column mass", "lr.py",
      "ok = x <= row_left and x <= col_left[i]", "ok = x <= row_left and x < col_left[i]",
      "test_lr.py"),
+    ("row-closing d-tightness check skipped", "lr.py",
+     "_tight_rows((arows[j - 1] + rows[j - 1], arows[j] + rows[j]))", "True",
+     "test_lr.py"),
+    ("row-closing l-tightness check skipped", "lr.py",
+     "for c in range(j))):", "for c in range(0))):", "test_lr.py"),
+    ("skew tableau containment skips inner parts past the outer shape", "bijections.py",
+     "any(inner[len(outer):]) or ", "", "test_validation.py"),
     ("_semistandard allows equal letters in a column", "bijections.py",
      "grid[c, j + 1] <= x", "grid[c, j + 1] < x", "test_bijections.py"),
     ("_nuop_offsets does not reverse nu", "bijections.py",
