@@ -21,6 +21,7 @@ from .arrays import (
     Array,
     _over,
     central_reverse,
+    col_sums,
     concat,
     diag,
     integrate,
@@ -29,7 +30,7 @@ from .arrays import (
     split,
     transpose,
 )
-from .condense import condense_left, condense_right, schutzenberger, shape
+from .condense import condense_left, condense_right, schutzenberger
 from .errors import ValidationError
 from .hives import (
     AntiStandardPair,
@@ -217,7 +218,7 @@ def pair_to_lr_tableau(p: StandardPair) -> LRSkewTableau:
     fashion) and keep the second block's letters, shifted down by n."""
     if p.a.D != 1:
         raise ValidationError("pair is not integral")
-    lam = shape(p.a)
+    lam = col_sums(p.a)  # the shape of the diagonal, left-condensed block
     outer = row_sums(p.concat())
     return LRSkewTableau(outer, lam, _letters(p.b, "pair is not integral"))
 
@@ -270,12 +271,12 @@ def rho1(p: StandardPair) -> StandardPair:
 def _couple(p1, p2, inverse: bool) -> int:
     """The size of a couple of standard pairs of one size whose intermediate
     shapes match: the final shape of p1 is the shape of p2's first block,
-    or for the inverse rearrangement of its second block."""
+    or for the inverse its second; condensed left, each has its column sums."""
     if not (isinstance(p1, StandardPair) and isinstance(p2, StandardPair)):
         raise ValidationError("association expects a couple of standard pairs")
     if p1.n != p2.n:
         raise ValidationError("pair sizes differ")
-    if trim(row_sums(p1.concat())) != trim(shape(p2.b if inverse else p2.a)):
+    if trim(row_sums(p1.concat())) != trim(col_sums(p2.b if inverse else p2.a)):
         raise ValidationError(
             "couple is not compatible: intermediate shapes disagree"
         )
@@ -307,15 +308,13 @@ def associate_inverse(out1: StandardPair, out2: StandardPair):
     return p1, p2
 
 
-def tetra_of_couple(f: TriangleFunction, g: TriangleFunction) -> TetraFunction:
-    """The tetrahedron propagated from a couple of hives of size n = f.n.
+def tetra_of_couple(F, G, n: int) -> TetraFunction:
+    """The tetrahedron propagated from the rows F and G of two hives of size n.
 
-    f sits on the front wall via (x, 0, z) -> f(n-x-z, n-x), g on the ground
-    via (x, y, 0) -> g(y, n-x); both maps carry the triangulations of the
-    walls onto the hive grid, and the shared increments meet along the edge
-    y = z = 0.
+    F sits on the front wall via (x, 0, z) -> F[n-x][n-x-z], G on the ground
+    via (x, y, 0) -> G[n-x][y], carrying the triangulations of the walls onto
+    the hive grid; F's diagonal meets G's left side along the edge y = z = 0.
     """
-    n, F, G = f.n, f.values, g.values
     return tetra_propagate(
         lambda x, y: G[n - x][y],
         lambda x, z: F[n - x][n - x - z],
@@ -325,19 +324,19 @@ def tetra_of_couple(f: TriangleFunction, g: TriangleFunction) -> TetraFunction:
 
 def associate_functional(f: TriangleFunction, g: TriangleFunction):
     """The associator on triangle functions, by one propagation through the
-    tetrahedron of the couple (tetra_of_couple).  The shadow wall then
-    carries the first output hive and the slope wall the second.  The
-    propagation runs on the values of f and g as ints over one D, and the
-    two walls are handed back over D.
+    tetrahedron of the couple (tetra_of_couple), on the values of f and g
+    as ints over one D.  The fill glues f's diagonal to g's left side, which
+    must be equal.  The shadow wall then carries the first output hive and
+    the slope wall the second, both handed back over D.
     """
     n = f.n
     if g.n != n:
         raise ValidationError("triangle sizes differ")
-    if increments(f).nu != increments(g).lam:
-        raise ValidationError("hives are not compatible along the shared edge")
     D = lcm(f.D, g.D)
-    T = tetra_of_couple(TriangleFunction._built(1, _over(f, D)),
-                        TriangleFunction._built(1, _over(g, D)))
+    F, G = _over(f, D), _over(g, D)
+    if [row[-1] for row in F] != [row[0] for row in G]:
+        raise ValidationError("hives are not compatible along the shared edge")
+    T = tetra_of_couple(F, G, n)
     V = T.values
     base = V[0, 0, n]
     p = [[V[0, u, n - v] - base for u in range(v + 1)] for v in range(n + 1)]

@@ -229,7 +229,7 @@ def check_theorem1(cases=100, seed=0, max_n=5, max_mass=3, max_denom=1):
     for k in range(cases):
         n = rng.randint(1, max_n)
         f, g = (pair_to_hive(p) for p in random_couple(rng, n, max_mass, max_denom))
-        T = tetra_of_couple(f, g)
+        T = tetra_of_couple(f.values, g.values, n)
         if not is_polarized_dc(T, TETRA_FRAME):
             rep.failures.append(f"case {k}: propagation not polarized concave")
         if not is_discrete_concave(tetra_shadow_wall(T)):

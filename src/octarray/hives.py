@@ -39,7 +39,7 @@ from .arrays import (
 )
 from .condense import shape
 from .errors import ValidationError
-from .scalars import unscale_rows
+from .scalars import check_size, unscale_rows
 from .values import Value
 
 
@@ -59,9 +59,13 @@ class TriangleFunction(Grid):
 
 
 def triangle_from_points(n: int, pts) -> TriangleFunction:
-    return TriangleFunction(
-        [[pts[(u, v)] for u in range(v + 1)] for v in range(n + 1)]
-    )
+    """The triangle of size n whose value at (u, v) is pts[(u, v)]."""
+    check_size(n, "n")
+    try:
+        rows = [[pts[(u, v)] for u in range(v + 1)] for v in range(n + 1)]
+    except KeyError as exc:
+        raise ValidationError(f"no value at the point {exc.args[0]}") from None
+    return TriangleFunction(rows)
 
 
 # -- the rhombus rule ----------------------------------------------------------

@@ -53,7 +53,7 @@ from math import lcm
 from .arrays import Array, CornerFunction, _integral, _mixed_differences, _over, _tight_rows
 from .errors import ValidationError
 from .hives import TriangleFunction, extended_differences, rhombi
-from .scalars import Scalar, normalize, scale_rows, unscale_rows
+from .scalars import Scalar, check_size, normalize, scale_rows, unscale_rows
 from .values import Value
 
 
@@ -224,7 +224,7 @@ def propagate_prism_faces(n: int, m: int, slope, front, shadow) -> PrismFunction
     shadow(y, z) gives F on x = 0, each value normalized; shadow overwrites
     front on their edge, and slope must agree with both, checked in (y, x).
     """
-    L = _zero_layers(n, m)
+    L = _zero_layers(check_size(n, "n"), check_size(m, "m"))
     for z in range(m + 1):
         L[z][0] = [normalize(front(x, z)) for x in range(n + 1)]
     for z in range(m + 1):
@@ -341,6 +341,7 @@ def tetra_propagate(ground, frontwall, n: int) -> TetraFunction:
     must agree on y = z = 0 (checked in increasing x).  Each level s = y + z
     = 2..n then takes one or_step per point with y, z >= 1, on operands at
     the levels s - 1 and s - 2."""
+    check_size(n, "n")
     F = {(x, y, 0): normalize(ground(x, y))
          for x in range(n + 1) for y in range(n + 1 - x)}
     for x in range(n + 1):

@@ -131,6 +131,14 @@ def unscale_rows(rows, D: int):
                  for row in rows)
 
 
+def check_size(n, name: str) -> int:
+    """n as a size: an exact int >= 0, as a declared size must be, or
+    ValidationError naming it."""
+    if type(n) is not int or n < 0:
+        raise ValidationError(f"{name} must be an int >= 0, got {_quoted(n)}")
+    return n
+
+
 # -- integer partitions (weakly decreasing non-negative int tuples) ---------
 
 

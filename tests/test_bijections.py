@@ -205,6 +205,20 @@ def test_associate_rejects_incompatible_couples():
         associate(p1, p2)
 
 
+def test_associate_functional_compares_the_shared_edge_by_value():
+    # g shifted by +1 keeps every increment but moves its whole left side
+    # off f's diagonal; g with only its apex moved differs at one point
+    rng = random.Random(29)
+    for n in range(1, 5):
+        f, g = (pair_to_hive(p) for p in random_couple(rng, n))
+        shifted = TriangleFunction([[v + 1 for v in row] for row in g.values])
+        apex = TriangleFunction([[g.values[0][0] + 1], *g.values[1:]])
+        for h in (shifted, apex):
+            with pytest.raises(ValidationError,
+                               match="^hives are not compatible along the shared edge$"):
+                associate_functional(f, h)
+
+
 def test_associate_functional_matches_array_route():
     rng = random.Random(23)
     for _ in range(10):

@@ -33,3 +33,6 @@ def test_a_bijection_check_reports_what_nothing_maps_to():
     assert checks._bijection_check("demo", [1, 2], [2, 1], same, same, "").passed
     r = checks._bijection_check("demo", [1, 2], [1, 2], lambda x: 1, same, "not undone")
     assert r.failures == ["collision at 1", "not undone at 2"]
+    r = checks._bijection_check("demo", [1, 2], [1, 2], lambda x: x + 1,
+                                lambda x: x - 1, "not undone")
+    assert r.failures == ["image of 2 not in target set"]

@@ -408,6 +408,39 @@ def test_verify_passes_each_suite_the_flags_it_takes(cli, argv, report):
     assert out == report().summary() + "\n"
 
 
+def test_verify_exits_1_and_lists_the_failures_of_a_broken_suite(capsys, monkeypatch):
+    # thm2 compares the wall with condense_left; with the down-condensation
+    # in its place, every case whose two condensations differ fails
+    monkeypatch.setattr(checks, "condense_left", octarray.condense_down)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm2", "--cases", "3", "--n", "2"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    first, *failures = out.splitlines()
+    head = "thm2 (propagation = both condensations): 3 case(s), "
+    assert first.startswith(head) and first.endswith(" failure(s)")
+    k = int(first[len(head):-len(" failure(s)")])
+    assert k >= 1 and len(failures) == k
+    assert all(line.startswith("  - case ") for line in failures)
+    assert err == ""
+
+
+def test_input_reads_a_file_or_stdin(cli, tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps(ARRAY))
+    want = cli(["condense", "down"], ARRAY)
+    assert want[0] == 0
+    assert cli(["--input", str(path), "condense", "down"]) == want
+    assert cli(["-i", "-", "condense", "down"], ARRAY) == want
+    missing = tmp_path / "missing.json"
+    code, out, err = cli(["--input", str(missing), "condense", "down"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "malformed input",
+        "detail": f"[Errno 2] No such file or directory: {str(missing)!r}",
+    }
+
+
 @pytest.mark.parametrize("cases, total", [(0, 0), (3, 4)])
 def test_verify_rsk_bijection_draws_a_third_more_inverse_cases(cli, cases, total):
     code, out, err = cli(["verify", "rsk-bijection", "--cases", str(cases)])

@@ -78,7 +78,7 @@ def test_every_route_gives_the_public_state(max_denom):
         f, g = pair_to_hive(p1), pair_to_hive(p2)
         # the walls of a solid from rational faces, whose or_step sums
         # are Fractions even where integral, read those values as ints
-        T = tetra_of_couple(f, g)
+        T = tetra_of_couple(f.values, g.values, f.n)
         for x in (f, g, com_prime(f), *associate_functional(f, g),
                   tetra_shadow_wall(T), tetra_slope_wall(T)):
             assert_as_built_in_public(x)

@@ -27,12 +27,16 @@ from octarray import (
     hive_to_pair,
     is_yamanouchi,
     lr_oracle,
+    propagate_prism_faces,
     serialize,
     split,
     ssyt_to_dtight,
+    tetra_propagate,
+    triangle_from_points,
 )
 
 ZEROS = Array([[0, 0], [0, 0]])
+ZERO = lambda *point: 0
 
 CASES = [
     (lambda: Array([[1, 2], [3, 4]]).mass(3, 1), "box (3,1) outside 2x2 array"),
@@ -70,6 +74,11 @@ CASES = [
      "the three partitions must have equal length"),
     (lambda: serialize.decode_array({"type": "array", "m": 3, "rows": [[1]]}),
      "declared m=3 but there are 1 rows"),
+    (lambda: propagate_prism_faces(1, -1, ZERO, ZERO, ZERO), "m must be an int >= 0, got -1"),
+    (lambda: propagate_prism_faces(-1, 1, ZERO, ZERO, ZERO), "n must be an int >= 0, got -1"),
+    (lambda: tetra_propagate(ZERO, ZERO, -1), "n must be an int >= 0, got -1"),
+    (lambda: tetra_propagate(ZERO, ZERO, 2.0), "n must be an int >= 0, got 2.0"),
+    (lambda: triangle_from_points(1, {(0, 0): 0}), "no value at the point (0, 1)"),
 ]
 
 

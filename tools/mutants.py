@@ -83,6 +83,13 @@ MUTANTS = [
     ("associate_inverse builds its first pair from c", "bijections.py",
      "    p1 = StandardPair._built(out2.a, b)\n", "    p1 = StandardPair._built(out2.a, c)\n",
      "test_bijections.py"),
+    ("the associator's edge check skips the apex", "bijections.py",
+     "if [row[-1] for row in F] != [row[0] for row in G]:",
+     "if [row[-1] for row in F][1:] != [row[0] for row in G][1:]:",
+     "test_bijections.py"),
+    ("_couple reads the other block", "bijections.py",
+     "trim(col_sums(p2.b if inverse else p2.a))", "trim(col_sums(p2.a if inverse else p2.b))",
+     "test_bijections.py"),
     ("tableau limit off by one", "bijections.py",
      "    if total > MAX_TABLEAU_LETTERS:", "    if total > MAX_TABLEAU_LETTERS + 1:",
      "test_cli.py"),
