@@ -58,7 +58,6 @@ from .octahedron import (
     array_layers,
     is_flat_concave,
     prism_function,
-    prism_points,
     rsk,
     rsk_inverse,
 )
@@ -204,7 +203,8 @@ def cmd_propagate(args):
     # change under positive scaling, so the solid of the same layers
     # answers polarized_concave
     L, D = array_layers(a.ints), a.D
-    values = prism_points(L)  # in sorted (x, y, z) order
+    solid = prism_function(L)
+    values = [[*p, v] for p, v in solid.values.items()]  # in sorted (x, y, z) order
     if D != 1:
         values = [[x, y, z, scaled_to_json(v, D)] for x, y, z, v in values]
     _emit({
@@ -214,7 +214,7 @@ def cmd_propagate(args):
         "top": serialize.json_rows(D, L[-1]),  # the ceiling layer z = m
         # the recurrence fills every octahedron's top: polarized by construction
         "polarized": True,
-        "polarized_concave": is_flat_concave(prism_function(L), PRISM_FRAME),
+        "polarized_concave": is_flat_concave(solid, PRISM_FRAME),
     })
 
 

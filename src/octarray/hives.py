@@ -31,13 +31,14 @@ from .arrays import (
     _differences,
     _integral,
     _nonnegative,
+    col_sums,
     concat,
     diag,
     is_d_tight,
     is_l_tight,
     is_r_tight,
+    row_sums,
 )
-from .condense import shape
 from .errors import ValidationError
 from .scalars import check_size, unscale_rows
 from .values import Value
@@ -202,7 +203,12 @@ class _Pair(Value):
         return concat(self.a, self.b)
 
     def type(self) -> HiveType:
-        return HiveType(shape(self.a), shape(self.b), shape(self.concat()))
+        """The shapes of a, b and a|b: a tight array is a tableau, whose shape
+        is its sums (Knuth 1970); a right-condensed a is read reversed, as
+        its central reverse, condensed left, with the same shape."""
+        lam = col_sums(self.a)
+        return HiveType(lam if self.side == "left" else lam[::-1],
+                        col_sums(self.b), row_sums(self.concat()))
 
 
 class StandardPair(_Pair):

@@ -14,9 +14,9 @@ down-condensation and the wall x = n the integral of the left-condensation,
 which gives a second, independent route to both condensations.  Only this
 module fills prism layers L[z][y][x] = F(x, y, z): array_layers over the
 rows of an array, propagate_prism_faces over outside faces.  layer_wall
-reads walls, prism_points every point in sorted order, and prism_function
-makes a solid of the layers; cli.cmd_propagate also reads the ceiling
-L[-1], and bijections.com_prime a slice of L[n].  Over an Array the layers
+reads walls and prism_function makes a solid of the layers, its points in
+sorted (x, y, z) order; cli.cmd_propagate also reads the ceiling L[-1],
+and bijections.com_prime a slice of L[n].  Over an Array the layers
 are filled in its ints and divided back only where a value is read.  The
 restrictions to a ceiling or a wall read their rows with scalars.scale_rows
 and check nothing: a solid filled from rational faces sums Fractions, which
@@ -50,7 +50,8 @@ inside.  is_polarized checks the property on arbitrary solids.
 
 from math import lcm
 
-from .arrays import Array, CornerFunction, _integral, _mixed_differences, _over, _tight_rows
+from .arrays import (Array, CornerFunction, _differences, _integral, _mixed_differences,
+                     _over, _tight_rows)
 from .errors import ValidationError
 from .hives import TriangleFunction, extended_differences, rhombi
 from .scalars import Scalar, check_size, normalize, scale_rows, unscale_rows
@@ -198,23 +199,13 @@ def layer_wall(L: list, x: int) -> list:
     return [[row[x] for row in layer] for layer in L]
 
 
-def prism_points(L: list) -> list:
-    """[x, y, z, F(x, y, z)] for every point of the layers L, in sorted
-    (x, y, z) order."""
-    n, m = len(L[0][0]) - 1, len(L) - 1
-    return [[x, y, z, L[z][y][x]]
-            for x in range(n + 1) for y in range(m + 1) for z in range(y, m + 1)]
-
-
 def prism_function(L: list) -> PrismFunction:
-    """The solid of the layers L, one point per value."""
-    F = {
-        (x, y, z): v
-        for z, layer in enumerate(L)
-        for y, row in enumerate(layer)
-        for x, v in enumerate(row)
-    }
-    return PrismFunction(values=F, n=len(L[0][0]) - 1, m=len(L) - 1)
+    """The solid of the layers L, one point per value, in sorted (x, y, z)
+    order."""
+    n, m = len(L[0][0]) - 1, len(L) - 1
+    F = {(x, y, z): L[z][y][x]
+         for x in range(n + 1) for y in range(m + 1) for z in range(y, m + 1)}
+    return PrismFunction(values=F, n=n, m=m)
 
 
 def propagate_prism_faces(n: int, m: int, slope, front, shadow) -> PrismFunction:
@@ -265,14 +256,15 @@ def rsk(a: Array):
     (down, left).
 
     The ceiling of the prism integrates the down-condensation and the wall
-    integrates the left-condensation; an error quotes a value divided by D.
+    integrates the left-condensation.  Their mixed differences are masses
+    for every array, so a negative one is a fault of the fill, not of a.
     """
     L = array_layers(a.ints)
     n = a.n
-    d = _mixed_differences(L[-1], a.D)
+    d = _differences(L[-1])
     l = extended_differences(layer_wall(L, n), n)
-    if min(map(min, l)) < 0:
-        raise AssertionError("the wall has a negative mixed difference")
+    if min(map(min, d)) < 0 or min(map(min, l)) < 0:
+        raise AssertionError("the ceiling or the wall has a negative mixed difference")
     return Array._scaled(a.D, d), Array._scaled(a.D, l)
 
 

@@ -161,12 +161,23 @@ def test_malformed_input_exit_2(cli):
     (["rsk"], [1]),
     (["rsk", "--inverse"], {"d": [1], "l": [2]}),
     (["hive", "--from-pair"], {"type": "pair", "kind": "standard", "a": [1], "b": [2]}),
+    (["tableau"], [1]),
+    (["tableau"], "x"),
+    (["tableau"], {"type": [1]}),
+    (["tableau"], {"type": "solid"}),
 ])
 def test_non_object_input_exit_2(cli, argv, payload):
     code, out, err = cli(argv, payload)
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "malformed input"
+
+
+@pytest.mark.parametrize("payload", [[1], "x"])
+def test_tableau_of_a_non_object_names_the_missing_type(cli, payload):
+    code, out, err = cli(["tableau"], payload)
+    assert json.loads(err) == {"error": "malformed input",
+                               "detail": "bad input object: 'type'"}
 
 
 def test_integer_literal_over_the_digit_limit_exit_2(capsys, monkeypatch):
@@ -487,6 +498,18 @@ def test_internal_error_exit_3(cli, monkeypatch):
     code, out, err = cli(["condense", "down"], ARRAY)
     assert (code, out) == (3, "")
     assert json.loads(err) == {"error": "internal", "detail": "invariant broken"}
+
+
+def test_a_fault_of_the_rsk_fill_exit_3(cli, monkeypatch):
+    from octarray import octahedron
+
+    monkeypatch.setattr(octahedron, "or_step",
+                        lambda f0, fa, fa2, fb, fb2: min(fa + fa2, fb + fb2) - f0)
+    code, out, err = cli(["rsk"], {"type": "array", "rows": [[1, 0], [0, 0]]})
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "internal",
+        "detail": "the ceiling or the wall has a negative mixed difference"}
 
 
 def test_tableau_over_the_letter_limit_exit_1(cli):

@@ -1,7 +1,8 @@
 """Only octahedron.py fills the prism's layers L[z][y][x]: other modules fill
 prisms through its public functions, and the layers it returns are indexed
 outside it in two places only, cli.cmd_propagate (the ceiling L[-1]) and
-bijections.com_prime (a slice of L[n]).  lr only counts: it imports nothing
+bijections.com_prime (a slice of L[n]).  hives reads shapes off condensed
+blocks and imports nothing from condense.  lr only counts: it imports nothing
 from the bijections, the verification suites or the value base, and no
 module imports its private names.  Importing the CLI loads no
 introspection module."""
@@ -46,6 +47,11 @@ def test_lr_imports_nothing_from_bijections_checks_or_values():
                 if isinstance(node, ast.ImportFrom) and node.module}
     assert "hives" in imported
     assert imported.isdisjoint({"bijections", "checks", "values"})
+
+
+def test_hives_imports_nothing_from_condense():
+    """A pair's type is read off its condensed blocks, not condensed again."""
+    assert [x for x in _imports_from("condense") if x[0] == "hives.py"] == []
 
 
 def test_prism_layers_is_referenced_only_in_octahedron():

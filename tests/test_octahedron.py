@@ -222,6 +222,30 @@ def test_rsk_steps_on_free_points_and_inverse_on_every_interior_point(monkeypatc
     assert len(calls) == 4 * (5 * 4 // 2)
 
 
+def _min_step(f0, fa, fa2, fb, fb2):
+    """or_step with the wrong diagonal sum: the min instead of the max."""
+    return min(fa + fa2, fb + fb2) - f0
+
+
+def test_a_fault_of_the_fill_is_an_internal_error_of_rsk(monkeypatch):
+    """The ceiling and the wall integrate condensations of every array, so a
+    negative mixed difference on either is a fault of the fill: an
+    AssertionError, never the ValidationError that blames the input."""
+    from octarray import octahedron
+
+    monkeypatch.setattr(octahedron, "or_step", _min_step)
+    with pytest.raises(AssertionError, match="the ceiling or the wall"):
+        rsk(Array([[1, 0], [0, 0]]))
+    rng = random.Random(41)
+    faults = 0
+    for _ in range(150):
+        try:
+            rsk(random_array(rng, rng.randint(1, 4), rng.randint(1, 4), 3))
+        except AssertionError:
+            faults += 1
+    assert faults > 10
+
+
 def test_tetra_propagation_matches_ground_and_frontwall():
     rng = random.Random(5)
     n = 3

@@ -10,16 +10,21 @@ a(i, j) times.
 - Inserting the rows bottom row first, each reversed, and recording each
   box by the row of its letter, gives a recording tableau whose array is
   the transpose of condense_left(a), the second half of rsk.
+- Evacuating the tableau of a down-tight array gives the tableau of
+  schutzenberger(a), and the commutor through three evacuations gives
+  commute_sp on standard pairs: Henriques-Kamnitzer's formula, computed with
+  no condensation.
 Rational arrays are checked through their state, the ints over D: the
 condensations commute with positive scaling.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
-from octarray import Array, condense_down, rsk, transpose
-from octarray.checks import random_array
-from tableau_oracles import insertion
+from octarray import Array, commute_sp, condense_down, rsk, schutzenberger, transpose
+from octarray.checks import random_array, random_standard_pair
+from tableau_oracles import evacuation, insertion, three_evacuations
 
 
 def _top_first(rows) -> list:
@@ -82,3 +87,56 @@ def test_reading_the_rows_bottom_first_is_not_condense_down():
         P, _ = insertion(_top_first(rows[::-1]))
         differ += _array(P, n, m) != condense_down(Array(rows)).rows
     assert differ > 100
+
+
+def _letters(rows) -> list:
+    """The letter rows of an array: row j lists letter i a(i, j) times."""
+    return [[i for i, k in enumerate(row, 1) for _ in range(k)] for row in rows]
+
+
+def _evacuated(ints, n: int) -> tuple:
+    return _array(evacuation(_letters(ints), n), n, len(ints))
+
+
+def test_schutzenberger_is_evacuation_on_integer_arrays():
+    rng = random.Random(12)
+    for _ in range(2000):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        a = condense_down(random_array(rng, n, m, 3))
+        assert schutzenberger(a).rows == _evacuated(a.ints, n), a
+
+
+def test_schutzenberger_is_evacuation_on_rational_arrays():
+    rng = random.Random(13)
+    for _ in range(200):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        a = condense_down(random_array(rng, n, m, 2, 4))
+        over_D = Array([[Fraction(x, a.D) for x in row] for row in _evacuated(a.ints, n)])
+        assert schutzenberger(a) == over_D, a
+
+
+def _commuted(p) -> tuple:
+    """The blocks of commute_sp(p) by three evacuations, as ints over the
+    lcm D of the blocks' denominators, and D."""
+    D, n = lcm(p.a.D, p.b.D), p.n
+    A, B = ([[x * (D // block.D) for x in row] for row in block.ints] for block in (p.a, p.b))
+    first, second = three_evacuations(_letters(A), _letters(B), n)
+    return _array(first, n, n), _array(second, n, n), D
+
+
+def test_commute_sp_is_three_evacuations_on_integer_pairs():
+    rng = random.Random(14)
+    for k in range(500):
+        p = random_standard_pair(rng, 2 + k % 4)
+        q = commute_sp(p)
+        assert (q.a.rows, q.b.rows, 1) == _commuted(p), p
+
+
+def test_commute_sp_is_three_evacuations_on_rational_pairs():
+    rng = random.Random(15)
+    for k in range(60):
+        p = random_standard_pair(rng, 2 + k % 2, 2, 3)
+        first, second, D = _commuted(p)
+        over_D = lambda rows: Array([[Fraction(x, D) for x in row] for row in rows])
+        q = commute_sp(p)
+        assert (q.a, q.b) == (over_D(first), over_D(second)), p

@@ -127,6 +127,12 @@ MUTANTS = [
     ("increments returns the scaled ints", "hives.py",
      "HiveType(*unscale_rows([tuple(map(sub, s[1:], s)) for s in sides], h.D))",
      "HiveType(*[tuple(map(sub, s[1:], s)) for s in sides])", "test_hives.py"),
+    ("type() reads an anti-standard first block unreversed", "hives.py",
+     'HiveType(lam if self.side == "left" else lam[::-1],', "HiveType(lam,",
+     "test_acceptance.py"),
+    ("rsk reads the ceiling with the input checker", "octahedron.py",
+     "    d = _differences(L[-1])\n", "    d = _mixed_differences(L[-1], a.D)\n",
+     "test_octahedron.py"),
 ]
 
 
