@@ -28,6 +28,11 @@ array form of a semistandard tableau whose row i holds no letter below i;
 Knuth 1970).  So the triangle x < y of each layer is forced,
 F(x, y, z) = F(x, z, z), and array_layers copies it from the slope.
 
+RSK is symmetric: transposing an array swaps its two condensations (Knuth
+1970).  So rsk and rsk_inverse fill the prism over a or a^T, whichever has
+fewer rows (min(n, m) + 1 layers), ceiling and wall exchanged for a^T; the
+fills that hand out the prism (prism_propagate, com_prime) keep a's side.
+
 The tetrahedron {x, y, z >= 0, x + y + z <= n} propagates along (-1, 1, 1)
 from its ground z = 0 and front wall y = 0, one level s = y + z at a time:
 
@@ -258,13 +263,18 @@ def rsk(a: Array):
     The ceiling of the prism integrates the down-condensation and the wall
     integrates the left-condensation.  Their mixed differences are masses
     for every array, so a negative one is a fault of the fill, not of a.
+    If a has more rows than columns, the prism over a^T is filled, and its
+    wall and ceiling give (down, left) transposed (module docstring).
     """
-    L = array_layers(a.ints)
-    n = a.n
+    flip = a.m > a.n
+    L = array_layers(list(zip(*a.ints)) if flip else a.ints)
+    n = max(a.n, a.m)
     d = _differences(L[-1])
     l = extended_differences(layer_wall(L, n), n)
     if min(map(min, d)) < 0 or min(map(min, l)) < 0:
         raise AssertionError("the ceiling or the wall has a negative mixed difference")
+    if flip:
+        d, l = zip(*l), zip(*d)
     return Array._scaled(a.D, d), Array._scaled(a.D, l)
 
 
@@ -277,7 +287,9 @@ def rsk_inverse(d: Array, l: Array) -> Array:
     the matching corner integrals on the shared edge.  They are propagated
     backwards along (-1, 0, -1) from the ceiling and the wall, layer by
     layer; the recovered shadow face x = 0 must vanish, and the slope face
-    must integrate a non-negative array.
+    must integrate a non-negative array.  Every check reads d and l as
+    given; if they have more rows than columns, the fill then runs in the
+    prism of their transposes, and its slope is transposed back.
     """
     D = lcm(d.D, l.D)
     d, l = _over(d, D), _over(l, D)
@@ -295,6 +307,9 @@ def rsk_inverse(d: Array, l: Array) -> Array:
     for j in range(m + 1):
         if fd[j][n] != fl[m][min(j, n)]:
             raise ValidationError("condensations disagree on the shared edge")
+    flip = m > n
+    if flip:  # integration commutes with transposition
+        fd, fl, m, n = list(map(list, zip(*fl))), list(zip(*fd)), n, m
 
     # L[z][y][x] = F(x, y, z): zero layers (both integrals vanish on the
     # front y = 0) under the ceiling z = m and the wall x = n, which agree
@@ -317,7 +332,7 @@ def rsk_inverse(d: Array, l: Array) -> Array:
             "not a matching pair"
         )
     slope = [L[y][y] for y in range(m + 1)]
-    return Array._scaled(D, _mixed_differences(slope, D))
+    return Array._scaled(D, _mixed_differences(list(zip(*slope)) if flip else slope, D))
 
 
 # -- the tetrahedron ----------------------------------------------------------

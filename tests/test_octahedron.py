@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -13,7 +14,9 @@ from octarray import (
     condense_down,
     condense_left,
     integrate,
+    is_d_tight,
     is_discrete_concave,
+    is_l_tight,
     is_polarized,
     is_polarized_dc,
     pair_to_hive,
@@ -26,6 +29,7 @@ from octarray import (
     tetra_propagate,
     tetra_shadow_wall,
     tetra_slope_wall,
+    transpose,
 )
 from octarray.checks import random_array, random_couple
 from octarray.octahedron import array_layers, or_step
@@ -202,6 +206,10 @@ def test_array_layers_equal_the_full_fill_from_the_faces():
 
 
 def test_rsk_steps_on_free_points_and_inverse_on_every_interior_point(monkeypatch):
+    """rsk and rsk_inverse fill the prism over a or its transpose, whichever
+    has fewer rows: with k = min(n, m), rsk takes one step per free point of
+    the k-layer prism and rsk_inverse max(n, m) k(k - 1)/2, one per point
+    of its interior."""
     from octarray import octahedron
 
     calls = []
@@ -212,14 +220,63 @@ def test_rsk_steps_on_free_points_and_inverse_on_every_interior_point(monkeypatc
         return real(*args)
 
     monkeypatch.setattr(octahedron, "or_step", counting)
-    a = random_array(random.Random(213), 4, 5, 9, 12)
-    d, l = rsk(a)
-    # layers z = 2..5 take 4, 4 + 3, 4 + 3 + 2 and 4 + 3 + 2 + 1 steps
-    assert len(calls) == free_points(4, 5) == 30
-    calls.clear()
-    assert rsk_inverse(d, l) == a
-    # the backward fill reaches the shadow face from x = n: n m(m - 1)/2
-    assert len(calls) == 4 * (5 * 4 // 2)
+    rng = random.Random(213)
+    for n, m, forward, backward in [(4, 5, 26, 30), (5, 4, 26, 30), (3, 3, 8, 9),
+                                    (1, 6, 0, 0), (6, 1, 0, 0)]:
+        a = random_array(rng, n, m, 9, 12)
+        k, wide = min(n, m), max(n, m)
+        calls.clear()
+        d, l = rsk(a)
+        # (4, 5): layers z = 2..4 of the prism over a^T take 5, 5 + 4, 5 + 4 + 3
+        assert len(calls) == free_points(wide, k) == forward, (n, m)
+        calls.clear()
+        assert rsk_inverse(d, l) == a
+        assert len(calls) == wide * k * (k - 1) // 2 == backward, (n, m)
+
+
+def test_rsk_of_the_transpose_is_the_transposed_pair_swapped():
+    """RSK symmetry, which lets rsk run on the short side: rsk(a^T) =
+    (l^T, d^T), on tall, wide and square arrays, 1 x k and k x 1, integer
+    and with denominators up to 4; both round trips recover the array."""
+    rng = random.Random(28)
+    sizes = [(1, 1), (1, 6), (6, 1), (2, 7), (7, 2), (4, 4), (3, 5), (5, 3)]
+    sizes += [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(12)]
+    for n, m in sizes:
+        for a in (random_array(rng, n, m, 9), random_array(rng, n, m, 5, 4)):
+            d, l = rsk(a)
+            assert (d, l) == (condense_down(a), condense_left(a)), a
+            assert rsk(transpose(a)) == (transpose(l), transpose(d)), a
+            assert rsk_inverse(d, l) == a
+            assert rsk_inverse(transpose(l), transpose(d)) == transpose(a)
+
+
+def _box(n, m, total):
+    """Every integer array of n columns and m rows with mass at most total."""
+    for cells in product(range(total + 1), repeat=n * m):
+        if sum(cells) <= total:
+            yield Array([cells[j * n:(j + 1) * n] for j in range(m)])
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
+def test_rsk_inverse_on_every_tight_pair_of_a_box(n, m):
+    """Every (down-tight d, left-tight l) of the box with total <= 4 either
+    fails the shared-edge check or inverts to an array a with rsk(a) = (d,
+    l); the shadow-face and negative-mass checks never fire, and the pairs
+    accepted are as many as the arrays (RSK is a bijection)."""
+    arrays = list(_box(n, m, 4))
+    downs = [a for a in arrays if is_d_tight(a)]
+    lefts = [a for a in arrays if is_l_tight(a)]
+    accepted = set()
+    for d in downs:
+        for l in lefts:
+            try:
+                a = rsk_inverse(d, l)
+            except ValidationError as exc:
+                assert str(exc) == "condensations disagree on the shared edge", (d, l)
+                continue
+            assert rsk(a) == (d, l)
+            accepted.add(a)
+    assert len(accepted) == len(arrays)
 
 
 def _min_step(f0, fa, fa2, fb, fb2):

@@ -133,6 +133,11 @@ MUTANTS = [
     ("rsk reads the ceiling with the input checker", "octahedron.py",
      "    d = _differences(L[-1])\n", "    d = _mixed_differences(L[-1], a.D)\n",
      "test_octahedron.py"),
+    ("rsk_inverse returns the transposed slope untransposed", "octahedron.py",
+     "_mixed_differences(list(zip(*slope)) if flip else slope, D)",
+     "_mixed_differences(slope, D)", "test_octahedron.py"),
+    ("rsk fills the long side", "octahedron.py",
+     "    flip = a.m > a.n\n", "    flip = a.m < a.n\n", "test_octahedron.py"),
 ]
 
 
