@@ -40,7 +40,7 @@ from .hives import (
     increments,
 )
 from .octahedron import (TetraFunction, array_layers, layer_wall, rsk,
-                         rsk_inverse, tetra_propagate, tetra_slope_wall)
+                         rsk_inverse, tetra_propagate)
 from .scalars import check_partition, trim
 from .values import Value
 
@@ -340,7 +340,7 @@ def associate_functional(f: TriangleFunction, g: TriangleFunction):
     V = T.values
     base = V[0, 0, n]
     p = [[V[0, u, n - v] - base for u in range(v + 1)] for v in range(n + 1)]
-    q = tetra_slope_wall(T).ints
+    q = [[V[n - v, u, v - u] for u in range(v + 1)] for v in range(n + 1)]
     return TriangleFunction._scaled(D, p), TriangleFunction._scaled(D, q)
 
 

@@ -13,14 +13,14 @@ fills everything else.  The ceiling z = m then carries the integral of the
 down-condensation and the wall x = n the integral of the left-condensation,
 which gives a second, independent route to both condensations.  Only this
 module fills prism layers L[z][y][x] = F(x, y, z): array_layers over the
-rows of an array, propagate_prism_faces over outside faces.  layer_wall
-reads walls and prism_function makes a solid of the layers, its points in
-sorted (x, y, z) order; cli.cmd_propagate also reads the ceiling L[-1],
-and bijections.com_prime a slice of L[n].  Over an Array the layers
-are filled in its ints and divided back only where a value is read.  The
-restrictions to a ceiling or a wall read their rows with scalars.scale_rows
-and check nothing: a solid filled from rational faces sums Fractions, which
-stay Fractions where the sum is integral.
+rows of an array, propagate_prism_faces over outside faces, tetra_propagate
+over a tetrahedron.  layer_wall reads walls and prism_function makes a
+solid of the layers, its points in sorted (x, y, z) order; cli.cmd_propagate
+also reads the ceiling L[-1], and bijections.com_prime a slice of L[n].
+Over an Array the layers are filled in its ints and divided back only where
+a value is read.  The restrictions to a ceiling or a wall read their rows
+with scalars.scale_rows and check nothing: a solid filled from rational
+faces sums Fractions, which stay Fractions where the sum is integral.
 
 Over an array, layer z integrates the down-condensation of the first z
 rows, and row i of a down-tight array has no mass left of column i (the
@@ -34,16 +34,18 @@ fewer rows (min(n, m) + 1 layers), ceiling and wall exchanged for a^T; the
 fills that hand out the prism (prism_propagate, com_prime) keep a's side.
 
 The tetrahedron {x, y, z >= 0, x + y + z <= n} propagates along (-1, 1, 1)
-from its ground z = 0 and front wall y = 0, one level s = y + z at a time:
+from its ground z = 0 and front wall y = 0.  The unimodular map
+(x, y, z) -> (y, x + y, x + y + z) carries it, and its primitive octahedra,
+onto the part 0 <= x <= y <= z <= n of the prism with m = n: the ground to
+the slope, the front wall to the shadow x = 0, the shadow wall x = 0 to the
+plane x = y and the slope wall x + y + z = n to the ceiling.  Every operand
+of a point with x <= y has x <= y, so _prism_layers fills exactly its image.
 
-    F(a,b,c) = max(F(a,b,c-1) + F(a+1,b-1,c),
-                   F(a,b-1,c) + F(a+1,b,c-1)) - F(a+1,b-1,c-1).
-
-Both recurrences are instances of one octahedron rule: on every primitive
-octahedron the sum over the main diagonal equals the larger of the sums over
-the other two diagonals; every fill applies it, as or_step, once per point
-it computes: array_layers computes all but the forced triangle, and
-propagate_prism_faces, rsk_inverse and tetra_propagate every point.
+Every fill applies the one octahedron rule, as or_step, once per point it
+computes: on every primitive octahedron the sum over the main diagonal
+equals the larger of the sums over the other two diagonals.  There is one
+fill per direction: _prism_layers forward (over an array, all but the
+forced triangle) and rsk_inverse backward.
 
 A propagated solid is polarized by construction: the primitive octahedra
 that fit in the prism are exactly those whose top (x, y, z) has x >= 1 and
@@ -169,7 +171,8 @@ def _prism_layers(L: list, over_array: bool = False) -> list:
     """The prism recurrence, filled layer by layer: L[z][y][x] = F(x, y, z).
 
     The faces of L -- the slope y = z, the front y = 0 and the shadow
-    x = 0 -- are already set; every other point is filled in place.  With
+    x = 0 -- are already set; every other point is filled in place, up to
+    the end of its row (tetra_propagate's row y holds y + 1 values).  With
     over_array, the faces are those of array_layers, so the forced triangle
     x < y is copied from the slope (module docstring) and or_step fills
     only the points with x >= y.
@@ -345,25 +348,21 @@ class TetraFunction(Solid):
 def tetra_propagate(ground, frontwall, n: int) -> TetraFunction:
     """Propagate through the tetrahedron x + y + z <= n from its ground
     (z = 0, a function of (x, y)) and front wall (y = 0, of (x, z)), which
-    must agree on y = z = 0 (checked in increasing x).  Each level s = y + z
-    = 2..n then takes one or_step per point with y, z >= 1, on operands at
-    the levels s - 1 and s - 2."""
+    must agree on y = z = 0 (checked in increasing x), by _prism_layers on
+    its image (module docstring): layers in which row y holds y + 1 values,
+    the ground on the slope and the front wall on the shadow."""
     check_size(n, "n")
-    F = {(x, y, 0): normalize(ground(x, y))
-         for x in range(n + 1) for y in range(n + 1 - x)}
+    L = [[[0] * (y + 1) for y in range(z + 1)] for z in range(n + 1)]
     for x in range(n + 1):
-        if normalize(frontwall(x, 0)) != F[x, 0, 0]:
+        for y in range(n + 1 - x):
+            L[x + y][x + y][y] = normalize(ground(x, y))
+    for x in range(n + 1):
+        if normalize(frontwall(x, 0)) != L[x][x][0]:
             raise ValidationError(f"ground and front wall disagree at x={x}")
         for z in range(1, n + 1 - x):
-            F[x, 0, z] = normalize(frontwall(x, z))
-    step = or_step
-    for s in range(2, n + 1):
-        for b in range(1, s):
-            c = s - b
-            for a in range(n + 1 - s):
-                F[a, b, c] = step(F[a + 1, b - 1, c - 1],
-                                  F[a, b, c - 1], F[a + 1, b - 1, c],
-                                  F[a, b - 1, c], F[a + 1, b, c - 1])
+            L[x + z][x][0] = normalize(frontwall(x, z))
+    F = {(y - x, x, z - y): v for z, layer in enumerate(_prism_layers(L))
+         for y, row in enumerate(layer) for x, v in enumerate(row)}
     return TetraFunction(values=F, n=n)
 
 

@@ -1,11 +1,11 @@
-"""Only octahedron.py fills the prism's layers L[z][y][x]: other modules fill
-prisms through its public functions, and the layers it returns are indexed
-outside it in two places only, cli.cmd_propagate (the ceiling L[-1]) and
-bijections.com_prime (a slice of L[n]).  hives reads shapes off condensed
-blocks and imports nothing from condense.  lr only counts: it imports nothing
-from the bijections, the verification suites or the value base, and no
-module imports its private names.  Importing the CLI loads no
-introspection module."""
+"""Only octahedron.py fills the prism's layers L[z][y][x], in one fill per
+direction: other modules fill prisms through its public functions, and the
+layers it returns are indexed outside it in two places only,
+cli.cmd_propagate (the ceiling L[-1]) and bijections.com_prime (a slice of
+L[n]).  hives reads shapes off condensed blocks and imports nothing from
+condense.  lr only counts: it imports nothing from the bijections, the
+verification suites or the value base, and no module imports its private
+names.  Importing the CLI loads no introspection module."""
 
 import ast
 import os
@@ -63,6 +63,17 @@ def test_prism_layers_is_referenced_only_in_octahedron():
                                getattr(node, "name", None))
     }
     assert users == {"octahedron.py"}
+
+
+def test_only_the_two_fills_and_is_polarized_reference_or_step():
+    """One octahedron rule and one fill per direction in octahedron.py:
+    _prism_layers forward, the tetrahedron included, and rsk_inverse
+    backward; is_polarized checks the rule on any solid."""
+    users = {getattr(top, "name", "<module>")
+             for top in _trees()["octahedron.py"].body
+             for node in ast.walk(top)
+             if "or_step" in (getattr(node, "id", None), getattr(node, "attr", None))}
+    assert users == {"is_polarized", "_prism_layers", "rsk_inverse"}
 
 
 def test_importing_the_cli_loads_no_introspection_module():

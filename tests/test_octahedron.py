@@ -386,6 +386,39 @@ def test_tetra_fill_equals_the_generic_engine_in_one_or_step_per_point(monkeypat
         assert all(type(T.values[p]) is type(v) for p, v in want.items())
 
 
+def test_the_tetrahedron_is_the_part_x_le_y_of_the_prism():
+    """tetra_propagate(g, w, n) at (a, b, c) is the prism of size (n, n) at
+    (b, a + b, a + b + c) when the prism's faces carry g and w where x <= y
+    and free values elsewhere: nothing outside x <= y reaches the image.  Its
+    shadow wall is the plane x = y of the prism and its slope wall the
+    ceiling."""
+    rng = random.Random(29)
+    for n, q in product(range(7), (1, 6)):
+        def val():
+            return rng.randint(-9, 9) if q == 1 else Fraction(rng.randint(-30, 30),
+                                                               rng.randint(1, q))
+
+        g = {(x, y): val() for x in range(n + 1) for y in range(n + 1 - x)}
+        w = {(x, z): g[x, 0] if z == 0 else val()
+             for x in range(n + 1) for z in range(n + 1 - x)}
+        free = {(x, z): val() for x in range(1, n + 1) for z in range(n + 1)}
+        # the slope below x = y and the front off x = 0 are free; they share
+        # the edge y = z = 0
+        P = propagate_prism_faces(
+            n, n,
+            slope=lambda x, y: g[y - x, x] if x <= y else free[x, y],
+            front=lambda x, z: free[x, z] if x else w[0, z],
+            shadow=lambda y, z: w[y, z - y])
+        T = tetra_propagate(lambda x, y: g[x, y], lambda x, z: w[x, z], n)
+        assert len(T.values) == comb(n + 3, 3)
+        for (a, b, c), v in T.values.items():
+            assert v == P.value(b, a + b, a + b + c)
+        assert tetra_shadow_wall(T).values == tuple(
+            tuple(P.value(u, u, v) for u in range(v + 1)) for v in range(n + 1))
+        assert tetra_slope_wall(T).values == tuple(
+            tuple(P.value(u, n - v + u, n) for u in range(v + 1)) for v in range(n + 1))
+
+
 def test_tetra_disagreement_names_the_smallest_x():
     for n in range(4):
         with pytest.raises(ValidationError, match=r"disagree at x=0$"):

@@ -75,8 +75,11 @@ MUTANTS = [
     ("the copied triangle is one column short", "octahedron.py",
      "h[1:y] = slope[1:y]", "h[1:y - 1] = slope[1:y - 1]", "test_octahedron.py"),
     ("tetrahedron edge check skips x = 0", "octahedron.py",
-     "        if normalize(frontwall(x, 0)) != F[x, 0, 0]:",
-     "        if x and normalize(frontwall(x, 0)) != F[x, 0, 0]:", "test_octahedron.py"),
+     "        if normalize(frontwall(x, 0)) != L[x][x][0]:",
+     "        if x and normalize(frontwall(x, 0)) != L[x][x][0]:", "test_octahedron.py"),
+    ("the ground lands at x in its prism row", "octahedron.py",
+     "L[x + y][x + y][y] = normalize(ground(x, y))",
+     "L[x + y][x + y][x] = normalize(ground(x, y))", "test_octahedron.py"),
     ("shared-edge check is one-sided", "octahedron.py",
      "if fd[j][n] != fl[m][min(j, n)]:", "if fd[j][n] < fl[m][min(j, n)]:",
      "test_octahedron.py"),
