@@ -41,11 +41,13 @@ the slope, the front wall to the shadow x = 0, the shadow wall x = 0 to the
 plane x = y and the slope wall x + y + z = n to the ceiling.  Every operand
 of a point with x <= y has x <= y, so _prism_layers fills exactly its image.
 
-Every fill applies the one octahedron rule, as or_step, once per point it
+Every fill applies the one octahedron rule, as or_row, once per row it
 computes: on every primitive octahedron the sum over the main diagonal
 equals the larger of the sums over the other two diagonals.  There is one
 fill per direction: _prism_layers forward (over an array, all but the
-forced triangle) and rsk_inverse backward.
+forced triangle) and rsk_inverse backward, on layers turned in x,
+R[z][y][i] = F(n - i, y, z), so that its rows also run up in i; or_step is
+the one-point case, for is_polarized.
 
 A propagated solid is polarized by construction: the primitive octahedra
 that fit in the prism are exactly those whose top (x, y, z) has x >= 1 and
@@ -65,11 +67,23 @@ from .scalars import Scalar, check_size, normalize, scale_rows, unscale_rows
 from .values import Value
 
 
+def or_row(t: list, s, u, w, start: int) -> None:
+    """The octahedron rule along a row, in place: for i = start..len(t) - 1,
+    t[i] = max(t[i-1] + s[i], u[i] + w[i-1]) - s[i-1], the first sum kept on
+    a tie; 1 <= start <= len(t)."""
+    v = t[start - 1]
+    for i in range(start, len(t)):
+        p = v + s[i]
+        q = u[i] + w[i - 1]
+        v = t[i] = (q if q > p else p) - s[i - 1]  # max(p, q) without the builtin's call cost
+
+
 def or_step(f0: Scalar, fa: Scalar, fa2: Scalar, fb: Scalar, fb2: Scalar) -> Scalar:
-    """One octahedron step: max of the two side-diagonal sums minus f0."""
-    p = fa + fa2
-    q = fb + fb2
-    return (q if q > p else p) - f0  # max(p, q) without the builtin's call cost
+    """One octahedron step, the one-point case of or_row: max of the two
+    side-diagonal sums fa + fa2 and fb + fb2, minus f0."""
+    t = [fa, None]
+    or_row(t, (f0, fa2), (None, fb), (fb2, None), 1)
+    return t[1]
 
 
 # -- frames -------------------------------------------------------------------
@@ -172,23 +186,22 @@ def _prism_layers(L: list, over_array: bool = False) -> list:
 
     The faces of L -- the slope y = z, the front y = 0 and the shadow
     x = 0 -- are already set; every other point is filled in place, up to
-    the end of its row (tetra_propagate's row y holds y + 1 values).  With
-    over_array, the faces are those of array_layers, so the forced triangle
-    x < y is copied from the slope (module docstring) and or_step fills
-    only the points with x >= y.
+    the end of its row (tetra_propagate's row y holds y + 1 values), by one
+    or_row per row: F(., y, z) from F(., y, z - 1), F(., y + 1, z) and
+    F(., y - 1, z - 1).  With over_array, the faces are those of
+    array_layers, so the forced triangle x < y is copied from the slope
+    (module docstring) and or_row fills only the points with x >= y.
     """
-    step = or_step
     for z in range(1, len(L)):
         below, here = L[z - 1], L[z]
         slope = here[z]
         for y in range(z - 1, 0, -1):
-            b, b_low, h, h_up = below[y], below[y - 1], here[y], here[y + 1]
+            h = here[y]
             start = 1
             if over_array:
                 h[1:y] = slope[1:y]
-                start = y
-            for x in range(start, len(h)):
-                h[x] = step(b[x - 1], h[x - 1], b[x], h_up[x], b_low[x - 1])
+                start = min(y, len(h))
+            or_row(h, below[y], here[y + 1], below[y - 1], start)
     return L
 
 
@@ -289,10 +302,11 @@ def rsk_inverse(d: Array, l: Array) -> Array:
     d must be tight downwards, l tight leftwards, of equal sizes and with
     the matching corner integrals on the shared edge.  They are propagated
     backwards along (-1, 0, -1) from the ceiling and the wall, layer by
-    layer; the recovered shadow face x = 0 must vanish, and the slope face
-    must integrate a non-negative array.  Every check reads d and l as
-    given; if they have more rows than columns, the fill then runs in the
-    prism of their transposes, and its slope is transposed back.
+    layer, on layers turned in x (module docstring); the recovered shadow
+    face x = 0 must vanish, and the slope face must integrate a
+    non-negative array.  Every check reads d and l as given; if they have
+    more rows than columns, the fill then runs in the prism of their
+    transposes, and its slope is transposed back.
     """
     D = lcm(d.D, l.D)
     d, l = _over(d, D), _over(l, D)
@@ -312,29 +326,27 @@ def rsk_inverse(d: Array, l: Array) -> Array:
             raise ValidationError("condensations disagree on the shared edge")
     flip = m > n
     if flip:  # integration commutes with transposition
-        fd, fl, m, n = list(map(list, zip(*fl))), list(zip(*fd)), n, m
+        fd, fl, m, n = list(zip(*fl)), list(zip(*fd)), n, m
 
-    # L[z][y][x] = F(x, y, z): zero layers (both integrals vanish on the
-    # front y = 0) under the ceiling z = m and the wall x = n, which agree
-    # on the shared edge by the check above; then each layer z - 1 from z
-    L = _zero_layers(n, m)
-    L[m] = fd
-    for k in range(m + 1):
-        for j in range(k + 1):
-            L[k][j][n] = fl[k][min(j, n)]
-    step = or_step
+    # R[z][y][i] = F(n - i, y, z), the layers turned in x: the ceiling
+    # z = m reversed, whose column 0 is the wall x = n by the check above;
+    # under it, rows of the wall value (m <= n, so fl[z][y]) and zeros, as
+    # both integrals vanish on the front y = 0.  The rule is symmetric in
+    # the two ends of the main diagonal, so one or_row per row fills layer
+    # z - 1 from z; the shadow x = 0 is column n.
+    zeros = [0] * n
+    R = [[[v] + zeros for v in fl[z][:z + 1]] for z in range(m)]
+    R.append([row[::-1] for row in fd])
     for z in range(m, 0, -1):
-        here, below = L[z], L[z - 1]
+        here, below = R[z], R[z - 1]
         for y in range(1, z):
-            h, h_up, b, b_low = here[y], here[y + 1], below[y], below[y - 1]
-            for x in range(n, 0, -1):
-                b[x - 1] = step(h[x], h[x - 1], b[x], h_up[x], b_low[x - 1])
-    if any(v != 0 for row in layer_wall(L, 0) for v in row):
+            or_row(below[y], here[y], below[y - 1], here[y + 1], 1)
+    if any(row[n] for layer in R for row in layer):
         raise ValidationError(
             "recovered shadow face is non-zero; the condensations are "
             "not a matching pair"
         )
-    slope = [L[y][y] for y in range(m + 1)]
+    slope = [R[y][y][::-1] for y in range(m + 1)]
     return Array._scaled(D, _mixed_differences(list(zip(*slope)) if flip else slope, D))
 
 

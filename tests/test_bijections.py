@@ -181,13 +181,13 @@ def test_functional_commuter_fills_one_prism(fn, monkeypatch):
     from octarray import octahedron
 
     calls = []
-    real = octahedron.or_step
+    real = octahedron.or_row
 
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
+    def counting(t, s, u, w, start):
+        calls.append(len(t) - start)
+        real(t, s, u, w, start)
 
-    monkeypatch.setattr(octahedron, "or_step", counting)
+    monkeypatch.setattr(octahedron, "or_row", counting)
     rng = random.Random(132)
     for n in range(1, 7):
         f = pair_to_hive(random_standard_pair(rng, n))
@@ -195,7 +195,7 @@ def test_functional_commuter_fills_one_prism(fn, monkeypatch):
         fn(f)
         # the 2n columns of the reversed concatenation, n rows: one step
         # per point 1 <= y < z <= n, y <= x <= 2n
-        assert len(calls) == sum(2 * n + 1 - y for z in range(2, n + 1)
+        assert sum(calls) == sum(2 * n + 1 - y for z in range(2, n + 1)
                                  for y in range(1, z))
 
 def test_associate_rejects_incompatible_couples():

@@ -503,8 +503,11 @@ def test_internal_error_exit_3(cli, monkeypatch):
 def test_a_fault_of_the_rsk_fill_exit_3(cli, monkeypatch):
     from octarray import octahedron
 
-    monkeypatch.setattr(octahedron, "or_step",
-                        lambda f0, fa, fa2, fb, fb2: min(fa + fa2, fb + fb2) - f0)
+    def min_row(t, s, u, w, start):
+        for i in range(start, len(t)):
+            t[i] = min(t[i - 1] + s[i], u[i] + w[i - 1]) - s[i - 1]
+
+    monkeypatch.setattr(octahedron, "or_row", min_row)
     code, out, err = cli(["rsk"], {"type": "array", "rows": [[1, 0], [0, 0]]})
     assert (code, out) == (3, "")
     assert json.loads(err) == {

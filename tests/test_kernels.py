@@ -14,7 +14,7 @@ from octarray.arrays import Array, CornerFunction, integrate, mixed_derivative
 from octarray.condense import condense_pair
 from octarray.errors import ValidationError
 from octarray.hives import TriangleFunction, extended_differences
-from octarray.octahedron import or_step
+from octarray.octahedron import or_row, or_step
 
 CASES = 80
 
@@ -69,6 +69,38 @@ def test_or_step_keeps_the_first_sum_on_ties():
     # int sum first, equal Fraction sum second: max keeps the int
     assert type(or_step(0, 1, 2, Fraction(1), Fraction(2))) is int
     assert type(or_step(0, Fraction(1), Fraction(2), 1, 2)) is Fraction
+
+
+@random_cases
+def test_or_row_is_the_point_rule_along_the_row(rng):
+    """Every value or_row writes is max of its two side sums minus s[i - 1],
+    read after the values before it are written, on ints and denominators
+    up to 6; a tie in about a third of the points, its second sum an
+    integral Fraction, keeps the first sum."""
+    def value():
+        return (rng.randint(-9, 9) if rng.random() < 0.5
+                else Fraction(rng.randint(-30, 30), rng.randint(1, 6)))
+
+    k = rng.randint(1, 9)
+    start = rng.randint(1, k)
+    t, s, u, w = ([value() for _ in range(k)] for _ in range(4))
+    want = list(t)
+    for i in range(start, k):
+        if rng.random() < 1 / 3:
+            w[i - 1] = Fraction(want[i - 1] + s[i] - u[i])
+        want[i] = max(want[i - 1] + s[i], u[i] + w[i - 1]) - s[i - 1]
+    or_row(t, s, u, w, start)
+    assert t == want
+    assert [type(x) for x in t] == [type(x) for x in want]
+
+
+def test_or_row_keeps_the_first_sum_on_ties():
+    t = [1, None]
+    or_row(t, (0, 2), (None, Fraction(1)), (Fraction(2), None), 1)
+    assert t == [1, 3] and type(t[1]) is int
+    t = [Fraction(1), None]
+    or_row(t, (0, Fraction(2)), (None, 1), (2, None), 1)
+    assert t == [1, 3] and type(t[1]) is Fraction
 
 
 # -- condense_pair ------------------------------------------------------------

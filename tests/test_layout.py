@@ -66,14 +66,18 @@ def test_prism_layers_is_referenced_only_in_octahedron():
 
 
 def test_only_the_two_fills_and_is_polarized_reference_or_step():
-    """One octahedron rule and one fill per direction in octahedron.py:
-    _prism_layers forward, the tetrahedron included, and rsk_inverse
-    backward; is_polarized checks the rule on any solid."""
-    users = {getattr(top, "name", "<module>")
-             for top in _trees()["octahedron.py"].body
-             for node in ast.walk(top)
-             if "or_step" in (getattr(node, "id", None), getattr(node, "attr", None))}
-    assert users == {"is_polarized", "_prism_layers", "rsk_inverse"}
+    """One octahedron rule, or_row, and one fill per direction in
+    octahedron.py: _prism_layers forward, the tetrahedron included, and
+    rsk_inverse backward; is_polarized checks the rule on any solid through
+    its one-point case or_step."""
+    def users(name):
+        return {getattr(top, "name", "<module>")
+                for top in _trees()["octahedron.py"].body
+                for node in ast.walk(top)
+                if name in (getattr(node, "id", None), getattr(node, "attr", None))}
+
+    assert users("or_row") == {"or_step", "_prism_layers", "rsk_inverse"}
+    assert users("or_step") == {"is_polarized"}
 
 
 def test_importing_the_cli_loads_no_introspection_module():

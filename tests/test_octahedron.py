@@ -213,13 +213,13 @@ def test_rsk_steps_on_free_points_and_inverse_on_every_interior_point(monkeypatc
     from octarray import octahedron
 
     calls = []
-    real = octahedron.or_step
+    real = octahedron.or_row
 
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
+    def counting(t, s, u, w, start):
+        calls.append(len(t) - start)
+        real(t, s, u, w, start)
 
-    monkeypatch.setattr(octahedron, "or_step", counting)
+    monkeypatch.setattr(octahedron, "or_row", counting)
     rng = random.Random(213)
     for n, m, forward, backward in [(4, 5, 26, 30), (5, 4, 26, 30), (3, 3, 8, 9),
                                     (1, 6, 0, 0), (6, 1, 0, 0)]:
@@ -228,10 +228,10 @@ def test_rsk_steps_on_free_points_and_inverse_on_every_interior_point(monkeypatc
         calls.clear()
         d, l = rsk(a)
         # (4, 5): layers z = 2..4 of the prism over a^T take 5, 5 + 4, 5 + 4 + 3
-        assert len(calls) == free_points(wide, k) == forward, (n, m)
+        assert sum(calls) == free_points(wide, k) == forward, (n, m)
         calls.clear()
         assert rsk_inverse(d, l) == a
-        assert len(calls) == wide * k * (k - 1) // 2 == backward, (n, m)
+        assert sum(calls) == wide * k * (k - 1) // 2 == backward, (n, m)
 
 
 def test_rsk_of_the_transpose_is_the_transposed_pair_swapped():
@@ -279,9 +279,10 @@ def test_rsk_inverse_on_every_tight_pair_of_a_box(n, m):
     assert len(accepted) == len(arrays)
 
 
-def _min_step(f0, fa, fa2, fb, fb2):
-    """or_step with the wrong diagonal sum: the min instead of the max."""
-    return min(fa + fa2, fb + fb2) - f0
+def _min_row(t, s, u, w, start):
+    """or_row with the wrong diagonal sum: the min instead of the max."""
+    for i in range(start, len(t)):
+        t[i] = min(t[i - 1] + s[i], u[i] + w[i - 1]) - s[i - 1]
 
 
 def test_a_fault_of_the_fill_is_an_internal_error_of_rsk(monkeypatch):
@@ -290,7 +291,7 @@ def test_a_fault_of_the_fill_is_an_internal_error_of_rsk(monkeypatch):
     AssertionError, never the ValidationError that blames the input."""
     from octarray import octahedron
 
-    monkeypatch.setattr(octahedron, "or_step", _min_step)
+    monkeypatch.setattr(octahedron, "or_row", _min_row)
     with pytest.raises(AssertionError, match="the ceiling or the wall"):
         rsk(Array([[1, 0], [0, 0]]))
     rng = random.Random(41)
@@ -365,20 +366,20 @@ def test_tetra_fill_equals_the_generic_engine_in_one_or_step_per_point(monkeypat
     from octarray import octahedron
 
     calls = []
-    real = octahedron.or_step
+    real = octahedron.or_row
 
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
+    def counting(t, s, u, w, start):
+        calls.append(len(t) - start)
+        real(t, s, u, w, start)
 
-    monkeypatch.setattr(octahedron, "or_step", counting)
+    monkeypatch.setattr(octahedron, "or_row", counting)
     rng = random.Random(214)
     for _ in range(150):
         n = rng.randint(0, 7)
         ground, frontwall = random_tetra_faces(rng, n)
         calls.clear()
         T = tetra_propagate(ground, frontwall, n)
-        assert len(calls) == comb(n + 1, 3)
+        assert sum(calls) == comb(n + 1, 3)
         pts = {(x, y, z) for x in range(n + 1) for y in range(n + 1 - x)
                for z in range(n + 1 - x - y)}
         want = generic_fill(pts, ground, frontwall)

@@ -161,6 +161,38 @@ def test_rsk_rsk_inverse_and_condense_down_match_the_fraction_references():
             "condensations disagree on the shared edge"} <= errors, errors
 
 
+def shaped_array(rng, n, m, max_denom):
+    """An n x m array of masses k/q with q <= max_denom."""
+    return Array([[Fraction(rng.randint(0, 3 * max_denom), rng.randint(1, max_denom))
+                   for _ in range(n)] for _ in range(m)])
+
+
+def test_rsk_inverse_matches_the_per_point_reference_on_every_shape():
+    """The backward fill, one row per call on layers turned in x and on the
+    short side, against the reference's point-by-point fill of the whole
+    prism: tall, wide and square arrays, 1 x k and k x 1, integer and
+    rational, with the values, their types and the error texts of
+    mismatched, swapped and perturbed pairs."""
+    rng = random.Random(30)
+    shapes = [(1, 1), (1, 6), (6, 1), (2, 7), (7, 2), (3, 5), (5, 3), (4, 4), (6, 6)]
+    errors = set()
+    for n, m in shapes:
+        for max_denom in (1, 1, 4, 6):
+            a, b = shaped_array(rng, n, m, max_denom), shaped_array(rng, n, m, max_denom)
+            (d, l), (bd, bl) = rsk(a), rsk(b)
+            other = rsk(shaped_array(rng, n + 1, m, max_denom))[1]
+            for pair in ((d, l), (d, bl), (bd, l), (l, d), (d, other),
+                         (perturbed(rng, d), l), (d, perturbed(rng, l))):
+                got = outcome(rsk_inverse, *pair)
+                assert got == outcome(rsk_inverse_reference, *pair), (n, m, pair)
+                errors.add(got[2] if got[0] == "raised" else "returned")
+            assert rsk_inverse(d, l) == a
+    assert errors == {"returned", "condensation sizes differ",
+                      "first argument is not tight downwards",
+                      "second argument is not tight leftwards",
+                      "condensations disagree on the shared edge"}, errors
+
+
 def test_a_rational_negative_mixed_difference_is_quoted_unscaled():
     rng = random.Random(3)
     raised = 0

@@ -27,8 +27,8 @@ TIMEOUT = 600  # seconds for each pytest run
 
 # (name, module, text, replacement, test file that should kill it)
 MUTANTS = [
-    ("or_step takes the min", "octahedron.py",
-     "return (q if q > p else p) - f0", "return (q if q < p else p) - f0",
+    ("or_row takes the min", "octahedron.py",
+     "v = t[i] = (q if q > p else p) - s[i - 1]", "v = t[i] = (q if q < p else p) - s[i - 1]",
      "test_octahedron.py"),
     ("condense_pair keeps the running min", "condense.py",
      "        if beta > best:", "        if beta < best:", "test_condense.py"),
@@ -71,7 +71,7 @@ MUTANTS = [
     ("_nuop_offsets does not reverse nu", "bijections.py",
      "for row in reversed(f.ints)]", "for row in f.ints]", "test_bijections.py"),
     ("the forward fill starts one column late", "octahedron.py",
-     "                start = y\n", "                start = y + 1\n", "test_octahedron.py"),
+     "start = min(y, len(h))", "start = min(y + 1, len(h))", "test_octahedron.py"),
     ("the copied triangle is one column short", "octahedron.py",
      "h[1:y] = slope[1:y]", "h[1:y - 1] = slope[1:y - 1]", "test_octahedron.py"),
     ("tetrahedron edge check skips x = 0", "octahedron.py",
@@ -141,6 +141,14 @@ MUTANTS = [
      "_mixed_differences(slope, D)", "test_octahedron.py"),
     ("rsk fills the long side", "octahedron.py",
      "    flip = a.m > a.n\n", "    flip = a.m < a.n\n", "test_octahedron.py"),
+    ("rsk_inverse writes the wall at column n", "octahedron.py",
+     "[[v] + zeros for v in fl[z][:z + 1]]", "[zeros + [v] for v in fl[z][:z + 1]]",
+     "test_octahedron.py"),
+    ("rsk_inverse reads the slope unturned", "octahedron.py",
+     "slope = [R[y][y][::-1] for y", "slope = [R[y][y] for y", "test_octahedron.py"),
+    ("rsk_inverse checks the shadow at column 0", "octahedron.py",
+     "if any(row[n] for layer in R for row in layer):",
+     "if any(row[0] for layer in R for row in layer):", "test_octahedron.py"),
 ]
 
 
