@@ -3,10 +3,10 @@
 Reads JSON from stdin (or ``--input FILE``), writes JSON to stdout.
 Exit codes: 0 success, 1 domain error (invalid object for the requested
 operation), 2 malformed input (bad JSON, JSON nested deeper than
-MAX_JSON_DEPTH, missing fields, bad arguments), 3 internal error (an
-AssertionError: a broken invariant of the program, not of the input).  Each
-failure writes {"error": ..., "detail": ...} to stderr, apart from
-argparse's own usage errors.
+MAX_JSON_DEPTH, missing fields, bad arguments, argparse's usage errors), 3
+internal error (an AssertionError: a broken invariant of the program, not
+of the input).  Each failure writes {"error": ..., "detail": ...} to
+stderr; --help writes to stdout and exits 0.
 
 Every array is read once, by serialize.decode_array, into an Array whose
 state is its masses as ints over their least common denominator D.  The
@@ -14,11 +14,17 @@ array commands (condense in each direction, rsk, rsk --inverse and
 propagate) run the kernels on those ints and write each value v / D with
 serialize.encode_array or scaled_to_json, so they make no Fraction.
 
-Output is json.dumps(obj, indent=2) byte for byte, written by _dumps: rows of
-exact ints take one %-format and flat rows of ints and strings one C-encoder
-call; every other value takes json.dumps.  An output integer past the
-interpreter's int-to-str digit limit, or a term of an output "p/q" past it,
-exits 1 with an error naming the limit.
+Output is json.dumps(obj, indent=2) byte for byte, written by _dumps.  A
+flat row, or a list of rows, of exact ints and strings is written by one
+%-format, its template cached per (row lengths, indent) in a bounded
+lru_cache, each string JSON-encoded first; propagate's values, the rows
+[x, y, z, v] of the prism in sorted (x, y, z) order, by one template per
+(n, m) with x, y and z written in, also cached.  The caches pay only when
+output shapes repeat within one process, as in a long-lived caller; a
+call that finds no template builds it first.  Dict members that are ints
+or strings are written directly; every other value takes json.dumps.  An
+output integer past the interpreter's int-to-str digit limit, or a term
+of an output "p/q" past it, exits 1 with an error naming the limit.
 """
 
 import argparse
@@ -119,13 +125,62 @@ def _decode_both(obj, a: str, b: str, decoder, kind: str) -> tuple:
     return _decode(obj[a], decoder), _decode(obj[b], decoder)
 
 
-@functools.cache
-def _row_encoder(sep):
-    return json.JSONEncoder(separators=("," + sep, ": ")).encode
+def _cells(values):
+    """values as %-format arguments, each string JSON-encoded, or None
+    unless every value is an exact int or a string."""
+    values = tuple(values)
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return values
+    if kinds <= {int, str}:
+        return tuple([encode_basestring_ascii(v) if type(v) is str else v for v in values])
+    return None
+
+
+def _bracket(cells, pad):
+    """The JSON list of these written cells at indent pad, one per line."""
+    if not cells:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(cells) + pad + "]"
+
+
+@functools.lru_cache(maxsize=256)
+def _template(shape, pad):
+    """The %-format, at indent pad, of a flat row of shape cells (an int)
+    or of rows of these lengths (a tuple), one %s per cell."""
+    if type(shape) is int:
+        return _bracket(["%s"] * shape, pad)
+    return _bracket([_template(k, pad + "  ") for k in shape], pad)
+
+
+class _PrismValues:
+    """The values of a prism function on {0 <= x <= n, 0 <= y <= z <= m} in
+    sorted (x, y, z) order, exact ints or strings: _dumps writes them as
+    the rows [x, y, z, v]."""
+
+    def __init__(self, n: int, m: int, values):
+        self.n, self.m, self.values = n, m, values
+
+
+@functools.lru_cache(maxsize=16)
+def _prism_template(n: int, m: int, pad: str) -> str:
+    """The %-format of the rows [x, y, z, v] of the prism for (n, m) at
+    indent pad: x, y and z written in, each v left as %s."""
+    row = _template(4, pad + "  ")
+    return _bracket([row % (x, y, z, "%s") for x in range(n + 1)
+                     for y in range(m + 1) for z in range(y, m + 1)], pad)
 
 
 def _dumps(obj, pad="\n"):
     """json.dumps(obj, indent=2), byte for byte, for dicts with str keys."""
+    kind = type(obj)
+    if kind is int:
+        return repr(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is _PrismValues:
+        return _prism_template(obj.n, obj.m, pad) % _cells(obj.values)
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
         items = (inner + encode_basestring_ascii(k) + ": " + _dumps(v, inner)
@@ -133,17 +188,14 @@ def _dumps(obj, pad="\n"):
         return "{" + ",".join(items) + pad + "}"
     if not isinstance(obj, (list, tuple)) or not obj:
         return json.dumps(obj)
-    kinds = set(map(type, obj))
-    if kinds <= {int, str}:  # a flat row: one C-encoder call
-        return "[" + inner + _row_encoder(inner)(obj)[1:-1] + pad + "]"
-    if (kinds <= {list, tuple} and obj[0] and len(set(map(len, obj))) == 1
-            and set(map(type, chain.from_iterable(obj))) <= {int}):
-        # equal rows of exact ints: one %-format over all their values
-        cell = inner + "  "
-        row = "[" + cell + ("," + cell).join(["%d"] * len(obj[0])) + inner + "]"
-        text = "[" + ",".join([inner + row] * len(obj)) + pad + "]"
-        return text % tuple(chain.from_iterable(obj))
-    return "[" + ",".join(inner + _dumps(v, inner) for v in obj) + pad + "]"
+    cells = _cells(obj)
+    if cells is not None:  # a flat row
+        return _template(len(cells), pad) % cells
+    if set(map(type, obj)) <= {list, tuple}:
+        cells = _cells(chain.from_iterable(obj))
+        if cells is not None:  # rows
+            return _template(tuple(map(len, obj)), pad) % cells
+    return _bracket([_dumps(v, inner) for v in obj], pad)
 
 
 def _emit(obj):
@@ -204,13 +256,13 @@ def cmd_propagate(args):
     # answers polarized_concave
     L, D = array_layers(a.ints), a.D
     solid = prism_function(L)
-    values = [[*p, v] for p, v in solid.values.items()]  # in sorted (x, y, z) order
+    values = solid.values.values()  # in sorted (x, y, z) order
     if D != 1:
-        values = [[x, y, z, scaled_to_json(v, D)] for x, y, z, v in values]
+        values = [scaled_to_json(v, D) for v in values]
     _emit({
         "n": a.n,
         "m": a.m,
-        "values": values,
+        "values": _PrismValues(a.n, a.m, values),
         "top": serialize.json_rows(D, L[-1]),  # the ceiling layer z = m
         # the recurrence fills every octahedron's top: polarized by construction
         "polarized": True,
@@ -312,9 +364,17 @@ def cmd_verify(args):
         sys.exit(1)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser, its usage errors raised as MalformedInput; its
+    subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise MalformedInput(message)
+
+
 @functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="octarray",
         description="Condensation, octahedron propagation, and tableau "
         "bijections on non-negative arrays.",
@@ -376,9 +436,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.fn(args)
     except MalformedInput as exc:
         error, detail, code = "malformed input", str(exc), 2

@@ -458,14 +458,42 @@ def test_verify_rsk_bijection_draws_a_third_more_inverse_cases(cli, cases, total
     assert (code, out, err) == (0, f"rsk bijection (round trips): {total} case(s), ok\n", "")
 
 
-def test_main_gives_the_same_output_after_an_argument_error(cli, capsys):
+def test_main_gives_the_same_output_after_an_argument_error(cli):
     first = cli(["condense", "down"], ARRAY)
-    with pytest.raises(SystemExit) as exc:
-        main(["condense", "sideways"])
-    assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    code, out, err = cli(["condense", "sideways"])
+    assert (code, out) == (2, "")
+    assert "invalid choice" in json.loads(err)["detail"]
     assert cli(["condense", "down"], ARRAY) == first
     assert first[0] == 0
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["lr", "1,2"], "the following arguments are required: mu, nu"),
+    ([], "the following arguments are required: command"),
+    (["transpose"], "argument command: invalid choice: 'transpose' (choose from "
+     "'condense', 'rsk', 'propagate', 'hive', 'commute', 'associate', 'lr', "
+     "'tableau', 'verify')"),
+    (["condense", "sideways"], "argument direction: invalid choice: 'sideways' "
+     "(choose from 'down', 'left', 'right', 'up')"),
+    (["verify", "thm1", "--cases", "x"], "argument --cases: invalid int value: 'x'"),
+    (["verify", "nosuch"], "argument suite: invalid choice: 'nosuch' (choose from "
+     + ", ".join(map(repr, sorted(checks.SUITES))) + ")"),
+    (["rsk", "--inverse", "extra"], "unrecognized arguments: extra"),
+    (["--input"], "argument --input/-i: expected one argument"),
+])
+def test_usage_errors_exit_2_with_json_on_stderr(cli, argv, detail):
+    code, out, err = cli(argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "malformed input", "detail": detail}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["lr", "-h"]])
+def test_help_goes_to_stdout_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: octarray") and err == ""
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -542,13 +570,11 @@ def test_lr_partition_parts_take_ascii_integers_only(cli, text):
 
 @pytest.mark.parametrize("flag", ["--seed", "--cases", "--n", "--max-mass"])
 @pytest.mark.parametrize("text", NOT_ASCII_INTEGERS, ids=repr)
-def test_verify_integer_flags_take_ascii_integers_only(capsys, flag, text):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "thm2", "--cases", "1", flag, text])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert f"invalid int value: {text!r}" in err
+def test_verify_integer_flags_take_ascii_integers_only(cli, flag, text):
+    code, out, err = cli(["verify", "thm2", "--cases", "1", flag, text])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "malformed input",
+                               "detail": f"argument {flag}: invalid int value: {text!r}"}
 
 
 def test_integer_arguments_keep_signs_and_leading_zeros(cli):

@@ -1,14 +1,19 @@
 """The CLI's JSON emitter against json.dumps(obj, indent=2).
 
-cli._dumps takes shortcuts for rows of exact ints and for flat rows of ints
-and strings; its output must still equal json.dumps(obj, indent=2) byte for
-byte.  Random values are nested dicts and lists over ints (negative, and at
-the digit limit), booleans, None, an IntEnum, awkward strings and rows:
-equal, ragged, empty, int and "p/q" mixed, with a bool or an IntEnum among
-ints.  With hypothesis installed the generator is drawn by hypothesis;
-without it, a seeded loop runs the same test body.  Every fixture is also
-run through every subcommand form, and each JSON output must be the indented
-dump of itself.
+cli._dumps writes every flat row, and every list of rows, of exact ints and
+strings by one %-format, its template cached per (row lengths, indent) in a
+bounded lru_cache; propagate writes its values through one template per
+(n, m), made from the same row template with x, y and z written in.  Its
+output must still equal json.dumps(obj, indent=2) byte for byte, whatever
+the caches already hold.  Random values are nested dicts and lists over
+ints (negative, and at the digit limit), booleans, None, an IntEnum,
+awkward strings and rows: equal, ragged, empty, int and "p/q" mixed, with a
+bool or an IntEnum among ints.  With hypothesis installed the generator is
+drawn by hypothesis; without it, a seeded loop runs the same test body.
+The same rows are written at several indents, rows of equal totals in two
+shapes, and propagate's output is checked against the object built from
+the solid's points.  Every fixture is also run through every subcommand
+form, and each JSON output must be the indented dump of itself.
 """
 
 import enum
@@ -19,8 +24,12 @@ import sys
 
 import pytest
 
+from octarray import serialize
+from octarray.checks import random_array
 from octarray.cli import _dumps, main
 from octarray.fixtures import load_fixture
+from octarray.octahedron import PRISM_FRAME, array_layers, is_flat_concave, prism_function
+from octarray.scalars import scaled_to_json
 
 CASES = 200
 
@@ -101,6 +110,49 @@ def test_dumps_equals_indented_json_dumps(rng):
     [(1, 2), [3, 4]], [[[1, 2]], [[3, 4]]], [{"a": 1}, {"a": 2}], ["\x00", "é"]])
 def test_dumps_on_edge_values(obj):
     assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_one_process_writes_each_shape_at_each_indent():
+    # the template cache must tell apart indents, and shapes of one total
+    rows = [[1, "2/3"], [3]]
+    objects = [rows, {"rows": rows}, {"a": {"rows": rows}}, [[1], [2, 3]], [[1, 2, 3]],
+               [1, 2, 3], {"d": [1, 2, 3]}, [[], [1, 2]], [[1, 2], []], [[1, 2]], [1, 2]]
+    for _ in range(2):
+        for obj in objects + objects[::-1]:
+            assert _dumps(obj) == json.dumps(obj, indent=2), obj
+
+
+@pytest.mark.parametrize("obj", [[1, True], [[2, 3], [4, False]], {"a": True, "b": 1},
+                                 [True, 1], [[True]], {"k": [False, "1/2"]}])
+def test_a_bool_among_ints_is_never_written_as_an_int(obj):
+    _dumps([1, 2])  # int templates of these shapes are in the cache first
+    _dumps([[2, 3], [4, 5]])
+    assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+def propagate_object(a):
+    """propagate's output object, built from the solid's points."""
+    L, D = array_layers(a.ints), a.D
+    solid = prism_function(L)
+    return {"n": a.n, "m": a.m,
+            "values": [[x, y, z, scaled_to_json(v, D)] for (x, y, z), v in solid.values.items()],
+            "top": serialize.json_rows(D, L[-1]),
+            "polarized": True,
+            "polarized_concave": is_flat_concave(solid, PRISM_FRAME)}
+
+
+def test_propagate_writes_the_points_of_its_solid(capsys, monkeypatch):
+    rng = random.Random(31)
+    # 36 shapes, more than the per-(n, m) cache holds: written on misses and hits
+    for n in range(1, 7):
+        for m in range(1, 7):
+            for q in (1, 4):
+                a = random_array(rng, n, m, 5, q)
+                monkeypatch.setattr(sys, "stdin", io.StringIO(
+                    json.dumps(serialize.encode_array(a))))
+                assert main(["propagate"]) == 0
+                want = json.dumps(propagate_object(a), indent=2) + "\n"
+                assert capsys.readouterr().out == want, (n, m, q)
 
 
 @pytest.mark.parametrize("obj", [[[AT_LIMIT * 10]], [AT_LIMIT * 10, "1/2"],

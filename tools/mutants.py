@@ -149,6 +149,18 @@ MUTANTS = [
     ("rsk_inverse checks the shadow at column 0", "octahedron.py",
      "if any(row[n] for layer in R for row in layer):",
      "if any(row[0] for layer in R for row in layer):", "test_octahedron.py"),
+    ("the template cache is keyed without the indent", "cli.py",
+     "@functools.lru_cache(maxsize=256)\ndef _template(shape, pad):\n",
+     "def _template(shape, pad, _seen={}):\n"
+     "    if shape not in _seen:\n"
+     "        _seen[shape] = _built(shape, pad)\n"
+     "    return _seen[shape]\n\n\n"
+     "def _built(shape, pad):\n", "test_emit.py"),
+    ("a string cell is written unencoded", "cli.py",
+     "encode_basestring_ascii(v) if type(v) is str else v for v in values",
+     "v for v in values", "test_emit.py"),
+    ("the propagate template swaps y and z", "cli.py",
+     'row % (x, y, z, "%s")', 'row % (x, z, y, "%s")', "test_emit.py"),
 ]
 
 
