@@ -3,10 +3,19 @@
 Reads JSON from stdin (or ``--input FILE``), writes JSON to stdout.
 Exit codes: 0 success, 1 domain error (invalid object for the requested
 operation), 2 malformed input (bad JSON, JSON nested deeper than
-MAX_JSON_DEPTH, missing fields, bad arguments, argparse's usage errors), 3
-internal error (an AssertionError: a broken invariant of the program, not
-of the input).  Each failure writes {"error": ..., "detail": ...} to
-stderr; --help writes to stdout and exits 0.
+MAX_JSON_DEPTH, missing fields, bad arguments and every other usage
+error), 3 internal error (an AssertionError: a broken invariant of the
+program, not of the input).  Each failure writes {"error": ..., "detail":
+...} to stderr; --help writes to stdout and exits 0.
+
+The argv is read by one command table, build_parser(): each command's
+function, positionals (with their choices), switches and int options.  It
+reads what argparse read and gives argparse's usage-error texts, except
+that it takes no abbreviated option (--func), no --opt=value, no short
+flag glued to a value or to another flag (-iFILE, -hh) and no "--": each
+of these is an unrecognized argument, exit 2.  A word "-<digits>" is a
+value, as in argparse.  The --help text is written from the table; it is
+not argparse's.
 
 Every array is read once, by serialize.decode_array, into an Array whose
 state is its masses as ints over their least common denominator D.  The
@@ -27,13 +36,14 @@ output integer past the interpreter's int-to-str digit limit, or a term
 of an output "p/q" past it, exits 1 with an error naming the limit.
 """
 
-import argparse
 import functools
 import json
-import sys
 import re
+import sys
+from collections import namedtuple
 from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .arrays import Array, transpose
 from .bijections import (
@@ -206,21 +216,21 @@ def _emit(obj):
     sys.stdout.write(text + "\n")
 
 
-def _int_arg(text) -> int:
+def _int_arg(text, flag=None) -> int:
     """An integer argument: "[-]p" in parse_scalar's grammar, ASCII digits."""
     try:
         if "/" not in text:
             return parse_scalar(text)
     except ValidationError:
         pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    raise MalformedInput(f"argument {flag}: invalid int value: {text!r}")
 
 
 def _partition_arg(text):
     try:
         return tuple(_int_arg(x) for x in text.split(",") if x != "")
-    except argparse.ArgumentTypeError:
-        raise MalformedInput(f"bad partition argument {text!r}")
+    except MalformedInput:
+        raise MalformedInput(f"bad partition argument {text!r}") from None
 
 
 def cmd_condense(args):
@@ -364,80 +374,137 @@ def cmd_verify(args):
         sys.exit(1)
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """argparse's parser, its usage errors raised as MalformedInput; its
-    subcommand parsers are of the same class."""
+# A row of the command table: the function that runs the command, its help
+# line, its positionals as (name, choices or None) in order, its switches
+# (flag: help) and its int options (flag: default).
+Command = namedtuple("Command", "fn help positionals switches ints",
+                     defaults=((), {}, {}))
 
-    def error(self, message):
-        raise MalformedInput(message)
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
 @functools.cache
 def build_parser():
-    parser = _ArgumentParser(
-        prog="octarray",
-        description="Condensation, octahedron propagation, and tableau "
-        "bijections on non-negative arrays.",
-    )
-    parser.add_argument("--input", "-i", help="read JSON from FILE instead of stdin")
-    sub = parser.add_subparsers(dest="command", required=True)
+    """The command table: each command's name mapped to its Command."""
+    return {
+        "condense": Command(cmd_condense, "condense an array to a tight one",
+                            [("direction", ("down", "left", "right", "up"))]),
+        "rsk": Command(cmd_rsk, "both condensations via one propagation", switches={
+            "--inverse": "recover the array from its two condensations"}),
+        "propagate": Command(cmd_propagate, "fill the prism recurrence for an array"),
+        "hive": Command(cmd_hive, "inspect a triangle function, or convert between "
+                        "triangles and standard pairs", switches={
+            "--to-pair": "convert a triangle function to a standard pair",
+            "--from-pair": "convert a standard pair to a triangle function"}),
+        "commute": Command(cmd_commute, "apply the commuter to a pair", switches={
+            "--functional": "input and output are triangle functions"}),
+        "associate": Command(cmd_associate, "apply the associator to a couple", switches={
+            "--inverse": "apply the inverse associator",
+            "--functional": "input and output are triangle functions"}),
+        "lr": Command(cmd_lr, "Littlewood-Richardson coefficient",
+                      [("lam", None), ("mu", None), ("nu", None)],
+                      {"--oracle": "also count by direct skew tableau enumeration"}),
+        "tableau": Command(cmd_tableau, "render an array or pair as a tableau", switches={
+            "--wall": "transpose first (for left-tight arrays)"}),
+        "verify": Command(cmd_verify, "run a randomized verification suite",
+                          [("suite", tuple(sorted(checks.SUITES)))],
+                          ints={"--seed": 0, "--cases": None, "--n": None,
+                                "--max-mass": None}),
+    }
 
-    p = sub.add_parser("condense", help="condense an array to a tight one")
-    p.add_argument("direction", choices=["down", "left", "right", "up"])
-    p.set_defaults(fn=cmd_condense)
 
-    p = sub.add_parser("rsk", help="both condensations via one propagation")
-    p.add_argument("--inverse", action="store_true",
-                   help="recover the array from its two condensations")
-    p.set_defaults(fn=cmd_rsk)
+# words that argparse reads as negative numbers, and so as values
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
 
-    p = sub.add_parser("propagate", help="fill the prism recurrence for an array")
-    p.set_defaults(fn=cmd_propagate)
 
-    p = sub.add_parser("hive", help="inspect a triangle function, or convert "
-                       "between triangles and standard pairs")
-    p.add_argument("--to-pair", action="store_true")
-    p.add_argument("--from-pair", action="store_true")
-    p.set_defaults(fn=cmd_hive)
+def _is_option(word: str) -> bool:
+    return word[:1] == "-" and len(word) > 1 and " " not in word \
+        and not _NEGATIVE.match(word)
 
-    p = sub.add_parser("commute", help="apply the commuter to a pair")
-    p.add_argument("--functional", action="store_true",
-                   help="input and output are triangle functions")
-    p.set_defaults(fn=cmd_commute)
 
-    p = sub.add_parser("associate", help="apply the associator to a couple")
-    p.add_argument("--inverse", action="store_true")
-    p.add_argument("--functional", action="store_true",
-                   help="input and output are triangle functions")
-    p.set_defaults(fn=cmd_associate)
+def _value(words, flag: str) -> str:
+    """The word after an option that takes one."""
+    word = next(words, None)
+    if word is None or _is_option(word):
+        raise MalformedInput(f"argument {flag}: expected one argument")
+    return word
 
-    p = sub.add_parser("lr", help="Littlewood-Richardson coefficient")
-    p.add_argument("lam")
-    p.add_argument("mu")
-    p.add_argument("nu")
-    p.add_argument("--oracle", action="store_true",
-                   help="also count by direct skew tableau enumeration")
-    p.set_defaults(fn=cmd_lr)
 
-    p = sub.add_parser("tableau", help="render an array or pair as a tableau")
-    p.add_argument("--wall", action="store_true",
-                   help="transpose first (for left-tight arrays)")
-    p.set_defaults(fn=cmd_tableau)
+def _invalid_choice(name: str, word: str, choices) -> MalformedInput:
+    return MalformedInput(f"argument {name}: invalid choice: {word!r} "
+                          f"(choose from {', '.join(map(repr, choices))})")
 
-    p = sub.add_parser("verify", help="run a randomized verification suite")
-    p.add_argument("suite", choices=sorted(checks.SUITES))
-    p.add_argument("--seed", type=_int_arg, default=0)
-    p.add_argument("--cases", type=_int_arg)
-    p.add_argument("--n", type=_int_arg)
-    p.add_argument("--max-mass", type=_int_arg)
-    p.set_defaults(fn=cmd_verify)
 
-    return parser
+def _help(table: dict, name) -> str:
+    """The --help text of command name, or of the program if name is None."""
+    row = "  {:<21}  {}".format
+    options = [("-h, --help", "show this help message and exit")]
+    if name is None:
+        words = ["[-h]", "[--input FILE]", "{" + ",".join(table) + "}", "..."]
+        about = ["Condensation, octahedron propagation, and tableau bijections "
+                 "on non-negative arrays.", "", "commands:",
+                 *(row(cmd, c.help) for cmd, c in table.items())]
+        options.append(("--input FILE, -i FILE", "read JSON from FILE instead of stdin"))
+    else:
+        c = table[name]
+        words = [name, "[-h]", *(f"[{flag}]" for flag in c.switches),
+                 *(f"[{flag} INT]" for flag in c.ints)]
+        words += ["{" + ",".join(choices) + "}" if choices else pos
+                  for pos, choices in c.positionals]
+        about = [c.help]
+        options += c.switches.items()
+    return "\n".join([" ".join(["usage: octarray", *words]),
+                      "", *about, "", "options:",
+                      *(row(*option).rstrip() for option in options), ""])
+
+
+def _read_argv(table: dict, argv) -> SimpleNamespace:
+    """argv read by the command table: [--input FILE | -i FILE] COMMAND,
+    then the command's positionals, switches and int options in any order,
+    each usage error raised as MalformedInput with argparse's text."""
+    name = cmd = None
+    values, wanted, extras, source = {}, [], [], None
+    words = iter(argv)
+    for word in words:
+        if word == "-h" or word == "--help":
+            sys.stdout.write(_help(table, name))
+            raise SystemExit(0)
+        if not _is_option(word):
+            if cmd is None:
+                name, cmd = word, table.get(word)
+                if cmd is None:
+                    raise _invalid_choice("command", word, table)
+                values = {_dest(flag): False for flag in cmd.switches}
+                values.update((_dest(flag), v) for flag, v in cmd.ints.items())
+                wanted = list(cmd.positionals)
+            elif wanted:
+                pos, choices = wanted.pop(0)
+                if choices and word not in choices:
+                    raise _invalid_choice(pos, word, choices)
+                values[pos] = word
+            else:
+                extras.append(word)
+        elif cmd is None and (word == "--input" or word == "-i"):
+            source = _value(words, "--input/-i")
+        elif cmd is not None and word in cmd.switches:
+            values[_dest(word)] = True
+        elif cmd is not None and word in cmd.ints:
+            values[_dest(word)] = _int_arg(_value(words, word), word)
+        else:
+            extras.append(word)
+    if wanted or cmd is None:
+        missing = [pos for pos, _ in wanted] if cmd else ["command"]
+        raise MalformedInput(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise MalformedInput(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(fn=cmd.fn, input=source, **values)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _read_argv(build_parser(), sys.argv[1:] if argv is None else argv)
         args.fn(args)
     except MalformedInput as exc:
         error, detail, code = "malformed input", str(exc), 2

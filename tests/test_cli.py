@@ -496,6 +496,54 @@ def test_help_goes_to_stdout_and_exits_0(capsys, argv):
     assert out.startswith("usage: octarray") and err == ""
 
 
+# argvs a command table can read differently from argparse; the last six
+# are forms argparse took and the table does not (an abbreviation, an
+# attached value, short flags glued to a value or to each other and the
+# end-of-options marker)
+@pytest.mark.parametrize("argv, detail", [
+    (["verify", "thm1", "--seed"], "argument --seed: expected one argument"),
+    (["verify", "thm1", "--seed", "--cases", "1"], "argument --seed: expected one argument"),
+    (["lr", "1", "2", "3", "4"], "unrecognized arguments: 4"),
+    (["condense", "down", "--input", "array.json"],
+     "unrecognized arguments: --input array.json"),
+    (["lr", "--func", "1", "1", "1"], "unrecognized arguments: --func"),
+    (["lr", "-1,2", "1", "0"], "the following arguments are required: nu"),
+    (["--oracle", "lr", "1", "1"], "the following arguments are required: nu"),
+    (["--oracle", "lr", "1", "1", "2"], "unrecognized arguments: --oracle"),
+    (["verify", "-1", "thm1"], "argument suite: invalid choice: '-1' (choose from "
+     + ", ".join(map(repr, sorted(checks.SUITES))) + ")"),
+    (["associate", "--func"], "unrecognized arguments: --func"),
+    (["verify", "thm2", "--seed=3"], "unrecognized arguments: --seed=3"),
+    (["-iarray.json", "condense", "down"], "unrecognized arguments: -iarray.json"),
+    (["-hh", "condense", "down"], "unrecognized arguments: -hh"),
+    (["condense", "down", "-hx"], "unrecognized arguments: -hx"),
+    (["--", "condense", "down"], "unrecognized arguments: --"),
+])
+def test_usage_errors_of_the_command_table(cli, argv, detail):
+    code, out, err = cli(argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "malformed input", "detail": detail}
+
+
+def test_a_switch_may_repeat_and_is_off_again_in_the_next_call(cli):
+    first = cli(["rsk"], ARRAY)
+    assert first[0] == 0
+    code, out, err = cli(["rsk", "--inverse", "--inverse"], json.loads(first[1]))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rows"] == ARRAY["rows"]
+    assert cli(["rsk"], ARRAY) == first
+
+
+@pytest.mark.parametrize("name", ["condense", "rsk", "propagate", "hive", "commute",
+                                  "associate", "lr", "tableau", "verify"])
+def test_help_after_each_command_prints_its_usage(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "-h"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"usage: octarray {name} [-h]") and err == ""
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["verify", "thm2", "--n", "0"], "--n"),
     (["verify", "thm1", "--max-mass", "-1"], "--max-mass"),

@@ -1,18 +1,17 @@
 """The CLI contract as a fuzzing oracle.
 
-Each case draws an argv from the parser's own subcommand table (every
-positional, switch and integer option it declares) and a JSON text for
-stdin made of nested objects and lists, ints, booleans, "p/q" and "1/0"
-strings, decimal and exponent strings, floats, integer literals over the
-digit limit, two literals at the limit side by side and arrays nested past
-the recursion limit, often shaped like the tagged objects the commands
-read.  It runs ``cli.main`` in-process and asserts the contract: the exit
-code is 0, 1, 2 or 3, and on a non-zero exit stderr holds one JSON object.
-With hypothesis installed the generator is drawn by hypothesis; without it,
-a seeded loop runs the same test body.
+Each case draws an argv from the CLI's own command table, ``build_parser()``
+(every positional with its choices, every switch and every integer option
+it declares), and a JSON text for stdin made of nested objects and lists,
+ints, booleans, "p/q" and "1/0" strings, decimal and exponent strings,
+floats, integer literals over the digit limit, two literals at the limit
+side by side and arrays nested past the recursion limit, often shaped like
+the tagged objects the commands read.  It runs ``cli.main`` in-process and
+asserts the contract: the exit code is 0, 1, 2 or 3, and on a non-zero exit
+stderr holds one JSON object.  With hypothesis installed the generator is
+drawn by hypothesis; without it, a seeded loop runs the same test body.
 """
 
-import argparse
 import io
 import json
 import random
@@ -49,12 +48,6 @@ KEYS = ["type", "rows", "kind", "n", "m", "a", "b", "d", "l", "f", "g",
         "first", "second"]
 
 
-def subcommands():
-    (table,) = (a for a in build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction))
-    return table.choices
-
-
 def partition_text(rng):
     """Mostly small partitions; sometimes junk, negatives or huge parts."""
     parts = [str(rng.randint(0, 4)) for _ in range(rng.randint(0, 4))]
@@ -64,19 +57,15 @@ def partition_text(rng):
     return "0," + text if text.startswith("-") else text  # not an option
 
 
-def argv_for(rng, name, parser):
+def argv_for(rng, name, command):
     argv = [name]
-    for action in parser._actions:
-        if isinstance(action, argparse._HelpAction):
-            continue
-        if not action.option_strings:  # a positional
-            argv.append(rng.choice(action.choices) if action.choices
-                        else partition_text(rng))
-        elif action.nargs == 0:  # a switch
-            if rng.random() < 0.5:
-                argv.append(action.option_strings[0])
-        else:  # an integer option, kept small so that verify stays fast
-            argv += [action.option_strings[0], str(rng.randint(-1, 3))]
+    for _, choices in command.positionals:
+        argv.append(rng.choice(choices) if choices else partition_text(rng))
+    for flag in command.switches:
+        if rng.random() < 0.5:
+            argv.append(flag)
+    for flag in command.ints:  # kept small so that verify stays fast
+        argv += [flag, str(rng.randint(-1, 3))]
     return argv
 
 
@@ -138,7 +127,7 @@ def document(rng, argv):
 
 @random_cases
 def test_every_call_keeps_the_exit_code_and_stderr_contract(capsys, monkeypatch, rng):
-    table = subcommands()
+    table = build_parser()
     name = rng.choice(sorted(table))
     argv = argv_for(rng, name, table[name])
     text = document(rng, argv)

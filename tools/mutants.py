@@ -161,6 +161,15 @@ MUTANTS = [
      "v for v in values", "test_emit.py"),
     ("the propagate template swaps y and z", "cli.py",
      'row % (x, y, z, "%s")', 'row % (x, z, y, "%s")', "test_emit.py"),
+    ("the argv reader skips the choice check", "cli.py",
+     "if choices and word not in choices:", "if False:", "test_cli.py"),
+    ("the argv reader does not demand the last positional", "cli.py",
+     "    if wanted or cmd is None:\n", "    if len(wanted) > 1 or cmd is None:\n",
+     "test_cli.py"),
+    ("the argv reader keeps switches set in the call before", "cli.py",
+     "values = {_dest(flag): False for flag in cmd.switches}",
+     "values = _read_argv.__dict__.setdefault(name, {_dest(f): False for f in cmd.switches})",
+     "test_cli.py"),
 ]
 
 
