@@ -41,7 +41,7 @@ from .hives import (
 )
 from .octahedron import (TetraFunction, array_layers, layer_wall, rsk,
                          rsk_inverse, tetra_propagate)
-from .scalars import check_partition, trim
+from .scalars import _quoted, check_partition, trim
 from .values import Value
 
 
@@ -61,7 +61,7 @@ class SSYT(Value):
         _semistandard(rows, (0,) * len(rows))
         # rows increase rightwards and columns upwards: rows[0][0] is least
         if rows and rows[0] and rows[0][0] < 1:
-            raise ValidationError(f"letter {rows[0][0]} out of range")
+            raise ValidationError(f"letter {_quoted(rows[0][0])} out of range")
         object.__setattr__(self, "rows", rows)
 
 
@@ -83,7 +83,7 @@ def _semistandard(rows, inner) -> None:
 def _letter(x) -> int:
     """x itself if it is an int (not a bool), else ValidationError."""
     if not isinstance(x, int) or isinstance(x, bool):
-        raise ValidationError(f"letter {x!r} is not an integer")
+        raise ValidationError(f"letter {_quoted(x)} is not an integer")
     return x
 
 
@@ -156,7 +156,7 @@ def is_yamanouchi(word) -> bool:
     counts = {}
     for x in word:
         if _letter(x) < 1:
-            raise ValidationError(f"letter {x} out of range")
+            raise ValidationError(f"letter {_quoted(x)} out of range")
         counts[x] = counts.get(x, 0) + 1
         if x > 1 and counts[x] > counts.get(x - 1, 0):
             return False

@@ -8,14 +8,17 @@ error), 3 internal error (an AssertionError: a broken invariant of the
 program, not of the input).  Each failure writes {"error": ..., "detail":
 ...} to stderr; --help writes to stdout and exits 0.
 
-The argv is read by one command table, build_parser(): each command's
-function, positionals (with their choices), switches and int options.  It
-reads what argparse read and gives argparse's usage-error texts, except
-that it takes no abbreviated option (--func), no --opt=value, no short
-flag glued to a value or to another flag (-iFILE, -hh) and no "--": each
-of these is an unrecognized argument, exit 2.  A word "-<digits>" is a
-value, as in argparse.  The --help text is written from the table; it is
-not argparse's.
+The argv is read by one command table, build_parser(), the only place that
+knows a valid argv: each command's function, positionals (with their
+choices), switches, int options (with their least values) and a pair of
+switches that exclude each other.  It reads what argparse read and gives
+argparse's usage-error texts, except that it takes no abbreviated option
+(--func), no --opt=value, no short flag glued to a value or to another
+flag (-iFILE, -hh) and no "--": each of these is an unrecognized argument,
+exit 2.  A word "-<digits>" is a value, as in argparse.  A value below its
+least is an error as soon as it is read.  Errors quote arguments, but for
+the --input file's name, through scalars._quoted, cut past about 30
+characters.  The --help text is written from the table; it is not argparse's.
 
 Every array is read once, by serialize.decode_array, into an Array whose
 state is its masses as ints over their least common denominator D.  The
@@ -77,7 +80,7 @@ from .octahedron import (
     rsk,
     rsk_inverse,
 )
-from .scalars import parse_scalar, scalar_to_json, scaled_to_json, too_many_digits
+from .scalars import _quoted, parse_scalar, scalar_to_json, scaled_to_json, too_many_digits
 from . import checks, serialize
 
 MAX_JSON_DEPTH = 100
@@ -164,13 +167,9 @@ def _template(shape, pad):
     return _bracket([_template(k, pad + "  ") for k in shape], pad)
 
 
-class _PrismValues:
-    """The values of a prism function on {0 <= x <= n, 0 <= y <= z <= m} in
-    sorted (x, y, z) order, exact ints or strings: _dumps writes them as
-    the rows [x, y, z, v]."""
-
-    def __init__(self, n: int, m: int, values):
-        self.n, self.m, self.values = n, m, values
+# The values of a prism function on {0 <= x <= n, 0 <= y <= z <= m}, in sorted
+# (x, y, z) order, exact ints or strings: _dumps writes the rows [x, y, z, v].
+_PrismValues = namedtuple("_PrismValues", "n m values")
 
 
 @functools.lru_cache(maxsize=16)
@@ -216,21 +215,24 @@ def _emit(obj):
     sys.stdout.write(text + "\n")
 
 
-def _int_arg(text, flag=None) -> int:
-    """An integer argument: "[-]p" in parse_scalar's grammar, ASCII digits."""
+def _int_arg(text, flag=None, least=None) -> int:
+    """An integer argument: "[-]p" in ASCII digits, at least least if given."""
     try:
         if "/" not in text:
-            return parse_scalar(text)
+            value = parse_scalar(text)
+            if least is None or value >= least:
+                return value
+            raise MalformedInput(f"{flag} must be at least {least}, got {_quoted(value)}")
     except ValidationError:
         pass
-    raise MalformedInput(f"argument {flag}: invalid int value: {text!r}")
+    raise MalformedInput(f"argument {flag}: invalid int value: {_quoted(text)}")
 
 
 def _partition_arg(text):
     try:
         return tuple(_int_arg(x) for x in text.split(",") if x != "")
     except MalformedInput:
-        raise MalformedInput(f"bad partition argument {text!r}") from None
+        raise MalformedInput(f"bad partition argument {_quoted(text)}") from None
 
 
 def cmd_condense(args):
@@ -281,8 +283,6 @@ def cmd_propagate(args):
 
 
 def cmd_hive(args):
-    if args.from_pair and args.to_pair:
-        raise MalformedInput("--from-pair and --to-pair exclude each other")
     obj = _read_json(args)
     if args.from_pair:
         p = _decode(obj, serialize.decode_pair)
@@ -313,8 +313,6 @@ def cmd_commute(args):
 
 
 def cmd_associate(args):
-    if args.functional and args.inverse:
-        raise MalformedInput("--functional and --inverse exclude each other")
     obj = _read_json(args)
     if args.functional:
         f, g = _decode_both(obj, "f", "g", serialize.decode_triangle, "triangles")
@@ -352,20 +350,10 @@ def cmd_tableau(args):
 
 
 def cmd_verify(args):
-    for flag, value, least in (("--n", args.n, 1), ("--cases", args.cases, 0),
-                               ("--max-mass", args.max_mass, 0)):
-        if value is not None and value < least:
-            raise MalformedInput(f"{flag} must be at least {least}, got {value}")
     suite = checks.SUITES[args.suite]
     # each suite takes the keywords it declares; other flags are ignored
-    flags = {
-        "seed": args.seed,
-        "cases": args.cases,
-        "n": args.n,
-        "max_n": args.n,
-        "max_mass": args.max_mass,
-        "maxtotal": args.max_mass,
-    }
+    flags = dict(seed=args.seed, cases=args.cases, n=args.n, max_n=args.n,
+                 max_mass=args.max_mass, maxtotal=args.max_mass)
     code = suite.__code__
     takes = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
     report = suite(**{k: v for k, v in flags.items() if v is not None and k in takes})
@@ -376,9 +364,10 @@ def cmd_verify(args):
 
 # A row of the command table: the function that runs the command, its help
 # line, its positionals as (name, choices or None) in order, its switches
-# (flag: help) and its int options (flag: default).
-Command = namedtuple("Command", "fn help positionals switches ints",
-                     defaults=((), {}, {}))
+# (flag: help), its int options (flag: (default, least value or None)) and
+# a pair of switches that exclude each other, if any.
+Command = namedtuple("Command", "fn help positionals switches ints excludes",
+                     defaults=((), {}, {}, ()))
 
 
 def _dest(flag: str) -> str:
@@ -397,12 +386,14 @@ def build_parser():
         "hive": Command(cmd_hive, "inspect a triangle function, or convert between "
                         "triangles and standard pairs", switches={
             "--to-pair": "convert a triangle function to a standard pair",
-            "--from-pair": "convert a standard pair to a triangle function"}),
+            "--from-pair": "convert a standard pair to a triangle function"},
+            excludes=("--from-pair", "--to-pair")),
         "commute": Command(cmd_commute, "apply the commuter to a pair", switches={
             "--functional": "input and output are triangle functions"}),
         "associate": Command(cmd_associate, "apply the associator to a couple", switches={
             "--inverse": "apply the inverse associator",
-            "--functional": "input and output are triangle functions"}),
+            "--functional": "input and output are triangle functions"},
+            excludes=("--functional", "--inverse")),
         "lr": Command(cmd_lr, "Littlewood-Richardson coefficient",
                       [("lam", None), ("mu", None), ("nu", None)],
                       {"--oracle": "also count by direct skew tableau enumeration"}),
@@ -410,8 +401,8 @@ def build_parser():
             "--wall": "transpose first (for left-tight arrays)"}),
         "verify": Command(cmd_verify, "run a randomized verification suite",
                           [("suite", tuple(sorted(checks.SUITES)))],
-                          ints={"--seed": 0, "--cases": None, "--n": None,
-                                "--max-mass": None}),
+                          ints={"--seed": (0, None), "--cases": (None, 0),
+                                "--n": (None, 1), "--max-mass": (None, 0)}),
     }
 
 
@@ -433,7 +424,7 @@ def _value(words, flag: str) -> str:
 
 
 def _invalid_choice(name: str, word: str, choices) -> MalformedInput:
-    return MalformedInput(f"argument {name}: invalid choice: {word!r} "
+    return MalformedInput(f"argument {name}: invalid choice: {_quoted(word)} "
                           f"(choose from {', '.join(map(repr, choices))})")
 
 
@@ -477,7 +468,7 @@ def _read_argv(table: dict, argv) -> SimpleNamespace:
                 if cmd is None:
                     raise _invalid_choice("command", word, table)
                 values = {_dest(flag): False for flag in cmd.switches}
-                values.update((_dest(flag), v) for flag, v in cmd.ints.items())
+                values.update((_dest(flag), v) for flag, (v, _) in cmd.ints.items())
                 wanted = list(cmd.positionals)
             elif wanted:
                 pos, choices = wanted.pop(0)
@@ -491,14 +482,17 @@ def _read_argv(table: dict, argv) -> SimpleNamespace:
         elif cmd is not None and word in cmd.switches:
             values[_dest(word)] = True
         elif cmd is not None and word in cmd.ints:
-            values[_dest(word)] = _int_arg(_value(words, word), word)
+            values[_dest(word)] = _int_arg(_value(words, word), word, cmd.ints[word][1])
         else:
             extras.append(word)
     if wanted or cmd is None:
         missing = [pos for pos, _ in wanted] if cmd else ["command"]
         raise MalformedInput(f"the following arguments are required: {', '.join(missing)}")
-    if extras:
+    if extras:  # a word of 29 characters or more is quoted, and cut
+        extras = (_quoted(w) if len(w) > 28 else w for w in extras)
         raise MalformedInput(f"unrecognized arguments: {' '.join(extras)}")
+    if cmd.excludes and all(values[_dest(flag)] for flag in cmd.excludes):
+        raise MalformedInput(" and ".join(cmd.excludes) + " exclude each other")
     return SimpleNamespace(fn=cmd.fn, input=source, **values)
 
 

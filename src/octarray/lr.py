@@ -9,9 +9,9 @@ are bijections between such sets are suites in checks.
 
 from functools import cache
 
-# is_d_tight, is_l_tight and is_discrete_concave are unused here but bound for
-# the benchmark's tracer, which looks them up in this module (ROADMAP item 1)
-from .arrays import Array, _tight_rows, diag, is_d_tight, is_l_tight
+# is_l_tight and is_discrete_concave are unused here but bound for the
+# benchmark's tracer, which counts lr's search candidates by them (ROADMAP item 1)
+from .arrays import Array, _tight_rows, diag, is_l_tight
 from .errors import ValidationError
 from .hives import StandardPair, TriangleFunction, _rhombus_rules, is_discrete_concave
 from .scalars import check_partition, pad_partitions, partial_sums

@@ -606,14 +606,19 @@ def test_tableau_over_the_letter_limit_exit_1(cli):
 
 
 NOT_ASCII_INTEGERS = ["2_0", "٢", " 2", "+2", "1/2", "4/2", "x", "9" * 5000]
+# an error quotes a text of 28 characters or fewer whole, and cuts a longer
+# one to its first 12 and last 13 characters
+CUT = {"9" * 5000: "'999999999999...9999999999999'",
+       "9" * 5000 + ",1": "'999999999999...99999999999,1'"}
 
 
 @pytest.mark.parametrize("text", NOT_ASCII_INTEGERS, ids=repr)
 def test_lr_partition_parts_take_ascii_integers_only(cli, text):
     code, out, err = cli(["lr", f"{text},1", "1,0", "2,1"])
     assert (code, out) == (2, "")
+    quoted = CUT.get(text + ",1", repr(text + ",1"))
     assert json.loads(err) == {"error": "malformed input",
-                               "detail": f"bad partition argument {text + ',1'!r}"}
+                               "detail": f"bad partition argument {quoted}"}
 
 
 @pytest.mark.parametrize("flag", ["--seed", "--cases", "--n", "--max-mass"])
@@ -621,8 +626,60 @@ def test_lr_partition_parts_take_ascii_integers_only(cli, text):
 def test_verify_integer_flags_take_ascii_integers_only(cli, flag, text):
     code, out, err = cli(["verify", "thm2", "--cases", "1", flag, text])
     assert (code, out) == (2, "")
+    quoted = CUT.get(text, repr(text))
     assert json.loads(err) == {"error": "malformed input",
-                               "detail": f"argument {flag}: invalid int value: {text!r}"}
+                               "detail": f"argument {flag}: invalid int value: {quoted}"}
+
+
+@pytest.mark.parametrize("argv, code, detail", [
+    (["condense", "x" * 3000], 2, "argument direction: invalid choice: "
+     "'xxxxxxxxxxxx...xxxxxxxxxxxxx' (choose from 'down', 'left', 'right', 'up')"),
+    (["z" * 3000], 2, "argument command: invalid choice: 'zzzzzzzzzzzz...zzzzzzzzzzzzz' "
+     "(choose from 'condense', 'rsk', 'propagate', 'hive', 'commute', 'associate', "
+     "'lr', 'tableau', 'verify')"),
+    (["verify", "thm1", "--n", "-" + "9" * 4000], 2,
+     "--n must be at least 1, got -99999999999999999...9999999999999999999"),
+    (["verify", "thm1", "--seed", "9" * 5000], 2,
+     "argument --seed: invalid int value: '999999999999...9999999999999'"),
+    (["lr", "1," + "9" * 4000, "1", "2"], 1, "argument 0 is not weakly decreasing "
+     "non-negative: (1, 999999999999999999...9999999999999999999)"),
+    (["rsk", "x" * 28, "y" * 29, "--" + "w" * 3000], 2, "unrecognized arguments: "
+     + "x" * 28 + " 'yyyyyyyyyyyy...yyyyyyyyyyyyy' '--wwwwwwwwww...wwwwwwwwwwwww'"),
+], ids=["choice", "command", "least", "int", "partition", "unrecognized"])
+def test_an_error_quotes_a_long_argument_cut(cli, argv, code, detail):
+    status, out, err = cli(argv)
+    assert (status, out) == (code, "")
+    assert json.loads(err)["detail"] == detail
+    assert len(detail) < 200
+
+
+@pytest.mark.parametrize("argv, detail", [
+    # an out-of-range value wins as soon as it is read: over a later
+    # unrecognized argument, a later -h, a later out-of-range value and the
+    # same option given again in range
+    (["verify", "thm1", "--n", "0", "extra"], "--n must be at least 1, got 0"),
+    (["verify", "thm1", "--n", "0", "-h"], "--n must be at least 1, got 0"),
+    (["verify", "thm1", "--cases", "-1", "--n", "0"], "--cases must be at least 0, got -1"),
+    (["verify", "thm1", "--max-mass", "-1", "--max-mass", "1"],
+     "--max-mass must be at least 0, got -1"),
+    # a bad value read before it still wins
+    (["verify", "thm1", "--seed", "x", "--n", "0"], "argument --seed: invalid int value: 'x'"),
+    # switches that exclude each other lose to an unrecognized argument
+    (["associate", "--inverse", "--seed", "1", "--functional"],
+     "unrecognized arguments: --seed 1"),
+], ids=["least-before-unrecognized", "least-before-help", "least-in-argv-order",
+        "least-before-repeat", "bad-int-before-least", "unrecognized-before-pair"])
+def test_which_usage_error_wins(cli, argv, detail):
+    code, out, err = cli(argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "malformed input", "detail": detail}
+
+
+def test_switches_that_exclude_each_other_lose_to_a_later_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hive", "--from-pair", "--to-pair", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: octarray hive [-h]")
 
 
 def test_integer_arguments_keep_signs_and_leading_zeros(cli):

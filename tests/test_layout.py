@@ -119,3 +119,25 @@ def test_prism_fill_normalizes_nothing():
         assert "normalize" not in called, name
     assert "normalize" in {node.id for node in ast.walk(functions["propagate_prism_faces"])
                            if isinstance(node, ast.Name)}
+
+
+# names imported only so that bench/tracing.py finds them in the module that
+# makes the calls it counts
+TRACED_ONLY = {("condense.py", "is_d_tight"), ("lr.py", "is_l_tight"),
+               ("lr.py", "is_discrete_concave")}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every imported name is read somewhere in its module, the package's
+    re-exports in __init__.py and the tracer's targets aside."""
+    unused = set()
+    for name, tree in _trees().items():
+        if name == "__init__.py":
+            continue
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.update((name, x) for x in imported - used)
+    assert sorted(unused - TRACED_ONLY) == []
+    assert TRACED_ONLY <= unused  # a target the module now calls needs no exception

@@ -80,6 +80,16 @@ def test_check_partition_reads_integer_partitions_only():
         check_partition((1, 2))
 
 
+def test_check_partition_quotes_six_parts_and_40_digits_whole():
+    text = "^partition is not weakly decreasing non-negative: "
+    for parts, quoted in [((1, 2, 3, 4, 5, 6), "(1, 2, 3, 4, 5, 6)"),
+                          ((1, 2, 3, 4, 5, 6, 7), "(1, 2, 3, 4, 5, 6, ...)"),
+                          ((1, 10 ** 39), "(1, 1" + "0" * 39 + ")"),
+                          ((1, 10 ** 4000), "(1, 1" + "0" * 17 + "..." + "0" * 19 + ")")]:
+        with pytest.raises(ValidationError, match=re.escape(quoted).join([text, "$"])):
+            check_partition(parts)
+
+
 def test_pad_partitions_pads_to_a_common_length_of_at_least_one():
     assert pad_partitions((2, 1), (), (3,)) == ((2, 1), (0, 0), (3, 0))
     assert pad_partitions((), ()) == ((0,), (0,))

@@ -170,6 +170,11 @@ MUTANTS = [
      "values = {_dest(flag): False for flag in cmd.switches}",
      "values = _read_argv.__dict__.setdefault(name, {_dest(f): False for f in cmd.switches})",
      "test_cli.py"),
+    ("the least check is off by one", "cli.py",
+     "if least is None or value >= least:", "if least is None or value >= least - 1:",
+     "test_cli.py"),
+    ("the switch-pair check takes either switch", "cli.py",
+     "if cmd.excludes and all(", "if cmd.excludes and any(", "test_cli.py"),
 ]
 
 
