@@ -134,9 +134,8 @@ def test_no_module_imports_a_name_it_never_uses():
     for name, tree in _trees().items():
         if name == "__init__.py":
             continue
-        imported = {(alias.asname or alias.name).split(".")[0]
-                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
-                    for alias in node.names}
+        imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused.update((name, x) for x in imported - used)
     assert sorted(unused - TRACED_ONLY) == []

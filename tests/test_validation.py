@@ -80,8 +80,10 @@ CASES = [
     (lambda: tetra_propagate(ZERO, ZERO, 2.0), "n must be an int >= 0, got 2.0"),
     (lambda: triangle_from_points(1, {(0, 0): 0}), "no value at the point (0, 1)"),
     # a letter is quoted as every bad value is: cut past about 30 characters
-    (lambda: SSYT([["x" * 3000]]), "letter 'xxxxxxxxxxxx...xxxxxxxxxxxxx' is not an integer"),
-    (lambda: SSYT([[-10 ** 50]]), "letter -10000000000000000...0000000000000000000 out of range"),
+    (lambda: SSYT([["x" * 3000]]),
+     "letter 'xxxxxxxxxxxx...xxxxxxxxxxxxx' is not an integer"),
+    (lambda: SSYT([[-10 ** 50]]),
+     "letter -10000000000000000...0000000000000000000 out of range"),
     (lambda: is_yamanouchi([1, -2 * 10 ** 50]),
      "letter -20000000000000000...0000000000000000000 out of range"),
 ]
