@@ -15,8 +15,9 @@ switches that exclude each other.  It reads what argparse read and gives
 argparse's usage-error texts, except that it takes no abbreviated option
 (--func), no --opt=value, no short flag glued to a value or to another
 flag (-iFILE, -hh) and no "--": each of these is an unrecognized argument,
-exit 2.  A word "-<digits>" is a value, as in argparse.  A value below its
-least is an error as soon as it is read.  Errors quote arguments, but for
+exit 2.  A word "-<digits>" is a value, as in argparse.  Least values and
+switch pairs are checked once the argv is read, least values in the
+table's order (--cases before --n).  Errors quote arguments, but for
 the --input file's name, through scalars._quoted, cut past about 30
 characters.  The --help text is written from the table; it is not argparse's.
 
@@ -215,14 +216,11 @@ def _emit(obj):
     sys.stdout.write(text + "\n")
 
 
-def _int_arg(text, flag=None, least=None) -> int:
-    """An integer argument: "[-]p" in ASCII digits, at least least if given."""
+def _int_arg(text, flag=None) -> int:
+    """An integer argument: "[-]p" in ASCII digits."""
     try:
         if "/" not in text:
-            value = parse_scalar(text)
-            if least is None or value >= least:
-                return value
-            raise MalformedInput(f"{flag} must be at least {least}, got {_quoted(value)}")
+            return parse_scalar(text)
     except ValidationError:
         pass
     raise MalformedInput(f"argument {flag}: invalid int value: {_quoted(text)}")
@@ -482,7 +480,7 @@ def _read_argv(table: dict, argv) -> SimpleNamespace:
         elif cmd is not None and word in cmd.switches:
             values[_dest(word)] = True
         elif cmd is not None and word in cmd.ints:
-            values[_dest(word)] = _int_arg(_value(words, word), word, cmd.ints[word][1])
+            values[_dest(word)] = _int_arg(_value(words, word), word)
         else:
             extras.append(word)
     if wanted or cmd is None:
@@ -491,6 +489,10 @@ def _read_argv(table: dict, argv) -> SimpleNamespace:
     if extras:  # a word of 29 characters or more is quoted, and cut
         extras = (_quoted(w) if len(w) > 28 else w for w in extras)
         raise MalformedInput(f"unrecognized arguments: {' '.join(extras)}")
+    for flag, (_, least) in cmd.ints.items():  # the last value given counts
+        value = values[_dest(flag)]
+        if least is not None and value is not None and value < least:
+            raise MalformedInput(f"{flag} must be at least {least}, got {_quoted(value)}")
     if cmd.excludes and all(values[_dest(flag)] for flag in cmd.excludes):
         raise MalformedInput(" and ".join(cmd.excludes) + " exclude each other")
     return SimpleNamespace(fn=cmd.fn, input=source, **values)

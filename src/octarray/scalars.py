@@ -147,7 +147,10 @@ def check_partition(p, name: str = "partition") -> tuple:
     and non-negative, or ValidationError naming it."""
     seq = tuple(normalize(x) for x in p)
     if any(x < y for x, y in zip(seq, seq[1:])) or (seq and seq[-1] < 0):
-        raise ValidationError(f"{name} is not weakly decreasing non-negative: {_quoted(seq)}")
+        k = next(k for k, x in enumerate(seq) if x < 0 or k and x > seq[k - 1])
+        at = f" at part {k}: {_quoted(seq[k])}" if k >= 6 else ""  # past the quote's cut
+        raise ValidationError(f"{name} is not weakly decreasing non-negative: "
+                              f"{_quoted(seq)}{at}")
     if any(type(x) is not int for x in seq):
         raise ValidationError(f"{name} must be an integer partition")
     return seq

@@ -654,32 +654,41 @@ def test_an_error_quotes_a_long_argument_cut(cli, argv, code, detail):
 
 
 @pytest.mark.parametrize("argv, detail", [
-    # an out-of-range value wins as soon as it is read: over a later
-    # unrecognized argument, a later -h, a later out-of-range value and the
-    # same option given again in range
-    (["verify", "thm1", "--n", "0", "extra"], "--n must be at least 1, got 0"),
-    (["verify", "thm1", "--n", "0", "-h"], "--n must be at least 1, got 0"),
-    (["verify", "thm1", "--cases", "-1", "--n", "0"], "--cases must be at least 0, got -1"),
-    (["verify", "thm1", "--max-mass", "-1", "--max-mass", "1"],
-     "--max-mass must be at least 0, got -1"),
-    # a bad value read before it still wins
-    (["verify", "thm1", "--seed", "x", "--n", "0"], "argument --seed: invalid int value: 'x'"),
+    # least values are checked once the argv is read: after an unrecognized
+    # argument and a value that is no int, in the table's order
+    (["verify", "thm1", "--n", "0", "extra"], "unrecognized arguments: extra"),
+    (["verify", "thm1", "--n", "0", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["verify", "thm1", "--n", "0", "--cases", "-1"], "--cases must be at least 0, got -1"),
+    (["verify", "thm1", "--max-mass", "-1", "--n", "0"], "--n must be at least 1, got 0"),
     # switches that exclude each other lose to an unrecognized argument
     (["associate", "--inverse", "--seed", "1", "--functional"],
      "unrecognized arguments: --seed 1"),
-], ids=["least-before-unrecognized", "least-before-help", "least-in-argv-order",
-        "least-before-repeat", "bad-int-before-least", "unrecognized-before-pair"])
+], ids=["unrecognized-before-least", "bad-int-before-least", "least-in-table-order",
+        "n-before-max-mass", "unrecognized-before-pair"])
 def test_which_usage_error_wins(cli, argv, detail):
     code, out, err = cli(argv)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "malformed input", "detail": detail}
 
 
-def test_switches_that_exclude_each_other_lose_to_a_later_help(capsys):
+@pytest.mark.parametrize("argv", [
+    ["verify", "thm1", "--n", "0", "--n", "2", "--cases", "0"],
+    ["verify", "thm1", "--cases", "-1", "--cases", "0"],
+    ["verify", "thm1", "--max-mass", "-1", "--max-mass", "1", "--cases", "0"],
+])
+def test_the_last_value_of_a_repeated_option_is_checked(cli, argv):
+    code, out, err = cli(argv)
+    assert (code, err) == (0, "")
+    assert out == "thm1 (tetrahedron propagation): 0 case(s), ok\n"
+
+
+@pytest.mark.parametrize("argv", [["verify", "thm1", "--n", "0", "-h"],
+                                  ["hive", "--from-pair", "--to-pair", "-h"]])
+def test_a_later_help_wins_over_a_least_value_and_a_switch_pair(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["hive", "--from-pair", "--to-pair", "-h"])
+        main(argv)
     assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: octarray hive [-h]")
+    assert capsys.readouterr().out.startswith(f"usage: octarray {argv[0]} [-h]")
 
 
 def test_integer_arguments_keep_signs_and_leading_zeros(cli):

@@ -84,6 +84,11 @@ def test_check_partition_quotes_six_parts_and_40_digits_whole():
     text = "^partition is not weakly decreasing non-negative: "
     for parts, quoted in [((1, 2, 3, 4, 5, 6), "(1, 2, 3, 4, 5, 6)"),
                           ((1, 2, 3, 4, 5, 6, 7), "(1, 2, 3, 4, 5, 6, ...)"),
+                          # a fault past the cut is named with its index
+                          ((1, 1, 1, 1, 1, 1, 2), "(1, 1, 1, 1, 1, 1, ...) at part 6: 2"),
+                          ((5, 4, 3, 2, 1, 0, 0, -1), "(5, 4, 3, 2, 1, 0, ...) at part 7: -1"),
+                          ((9,) * 20 + (10 ** 4000,), "(9, 9, 9, 9, 9, 9, ...) at part 20: 1"
+                           + "0" * 17 + "..." + "0" * 19),
                           ((1, 10 ** 39), "(1, 1" + "0" * 39 + ")"),
                           ((1, 10 ** 4000), "(1, 1" + "0" * 17 + "..." + "0" * 19 + ")")]:
         with pytest.raises(ValidationError, match=re.escape(quoted).join([text, "$"])):

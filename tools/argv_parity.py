@@ -11,17 +11,16 @@ prints the keywords it was given, so a run takes seconds.
 
 Two kinds of difference are counted and not failed:
 
-* order: the working tree exits 2 because an int option's value is below
-  its least value, and the argv holds that option followed by such a value.
-  The value is refused as soon as it is read, before any later fault, -h or
-  repeat of the option.
+* order: both exit 2 on a value below its option's least value, and they
+  name different options.  Of two such values REF reported --n first; the
+  working tree reports them in the table's order, --cases first.
 * echo: the exit codes, stdout and error kinds agree, and the two error
   texts differ in one stretch only, which the working tree cut with "...".
 
 The first other difference is printed, and the script exits 1.  Usage, from
 the root of a checkout:
 
-    python tools/argv_parity.py REF [--count N]
+    python tools/argv_parity.py REF
 """
 
 import io
@@ -131,18 +130,7 @@ def run(src: str, path: str) -> None:
     json.dump(results, sys.stdout)
 
 
-LEAST = re.compile(r"(--[a-z-]+) must be at least (-?\d+), got .*")
-
-
-def _below_least(argv, flag: str, least: int) -> bool:
-    """True iff argv holds flag followed by an int below least."""
-    for word, value in zip(argv, argv[1:]):
-        try:
-            if word == flag and re.fullmatch(r"-?\d+", value) and int(value) < least:
-                return True
-        except ValueError:  # past the int-to-str digit limit
-            pass
-    return False
+LEAST = re.compile(r"(--[a-z-]+) must be at least \d+, got .*")
 
 
 def _error(result):
@@ -153,18 +141,17 @@ def _error(result):
         return None
 
 
-def kind(argv, ref, new):
+def kind(ref, new):
     """"same", "order" or "echo" (module docstring), or None."""
     if ref == new:
         return "same"
-    doc = _error(new)
-    if new[0] == 2 and doc and (m := LEAST.fullmatch(doc["detail"])):
-        if _below_least(argv, m.group(1), int(m.group(2))):
-            return "order"
-    old = _error(ref)
+    old, doc = _error(ref), _error(new)
     if ref[:2] != new[:2] or not doc or not old or old["error"] != doc["error"]:
         return None
     a, b = old["detail"], doc["detail"]
+    flags = [m and m.group(1) for m in map(LEAST.fullmatch, (a, b))]
+    if ref[0] == 2 and all(flags) and flags[0] != flags[1]:
+        return "order"
     start = len(os.path.commonprefix([a, b]))
     end = len(os.path.commonprefix([a[start:][::-1], b[start:][::-1]]))
     return "echo" if "..." in b[start:len(b) - end] else None
@@ -176,9 +163,7 @@ def main(argv) -> int:
         return 0
     if not argv or argv[0].startswith("-"):
         raise SystemExit(__doc__)
-    ref, count = argv[0], COUNT
-    if argv[1:2] == ["--count"]:
-        count = int(argv[2])
+    ref = argv[0]
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory(prefix="octarray-argv-parity-") as tmp:
         tmp = Path(tmp)
@@ -187,7 +172,7 @@ def main(argv) -> int:
                         str(archive), ref, "src"], check=True)
         (tmp / "ref").mkdir()
         subprocess.run(["tar", "-xf", str(archive), "-C", str(tmp / "ref")], check=True)
-        drawn = cases(count)
+        drawn = cases(COUNT)
         path = tmp / "cases.json"
         path.write_text(json.dumps(drawn))
         outputs = []
@@ -197,13 +182,11 @@ def main(argv) -> int:
             outputs.append(json.loads(proc.stdout))
     counts = Counter()
     for (words, _), ref_result, new_result in zip(drawn, *outputs):
-        label = kind(words, ref_result, new_result)
+        label = kind(ref_result, new_result)
         if label is None:
             print(f"argv {words!r}\n  {ref}: {ref_result!r}\n"
                   f"  working tree: {new_result!r}")
             return 1
-        if label != "same":  # split by whether REF ran the command
-            label += " (REF exit 0)" if ref_result[0] == 0 else ""
         counts[label] += 1
     print(f"{len(drawn)} argvs:", ", ".join(f"{n} {k}" for k, n in sorted(counts.items())))
     return 0

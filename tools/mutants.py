@@ -171,7 +171,7 @@ MUTANTS = [
      "values = _read_argv.__dict__.setdefault(name, {_dest(f): False for f in cmd.switches})",
      "test_cli.py"),
     ("the least check is off by one", "cli.py",
-     "if least is None or value >= least:", "if least is None or value >= least - 1:",
+     "value is not None and value < least:", "value is not None and value < least - 1:",
      "test_cli.py"),
     ("the switch-pair check takes either switch", "cli.py",
      "if cmd.excludes and all(", "if cmd.excludes and any(", "test_cli.py"),
