@@ -24,6 +24,7 @@ the class's _check.
 from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
+from operator import add, sub
 
 from .errors import ValidationError
 from .scalars import Scalar, scale_rows, scaled_to_json, unscale_rows
@@ -144,7 +145,7 @@ def _integral(rows) -> list:
     row = [0] * (len(rows[0]) + 1)
     values = [row]
     for r in rows:
-        row = [low + acc for low, acc in zip(row, accumulate(r, initial=0))]
+        row = list(map(add, row, accumulate(r, initial=0)))
         values.append(row)
     return values
 
@@ -155,11 +156,13 @@ def integrate(a: Array) -> CornerFunction:
 
 
 def _differences(vals) -> list:
-    """Mixed differences of the rows vals[j][i], unchecked."""
-    return [
-        [h1 - h0 - l1 + l0 for l0, l1, h0, h1 in zip(low, low[1:], high, high[1:])]
-        for low, high in zip(vals, vals[1:])
-    ]
+    """Mixed differences of the rows vals[j][i], unchecked: the differences
+    along each row of the differences between consecutive rows."""
+    out = []
+    for low, high in zip(vals, vals[1:]):
+        d = list(map(sub, high, low))
+        out.append(list(map(sub, d[1:], d)))
+    return out
 
 
 def _nonnegative(rows, D: int, where: str) -> list:

@@ -352,7 +352,7 @@ def _com_prism(f: TriangleFunction):
     filled in its ints over D."""
     p = hive_to_pair(f)
     c = central_reverse(concat(condense_right(p.a), p.b))
-    return c.D, array_layers(c.ints)
+    return c.D, list(array_layers(c.ints))
 
 
 def _nuop_offsets(f: TriangleFunction, D: int) -> list:

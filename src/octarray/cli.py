@@ -264,7 +264,7 @@ def cmd_propagate(args):
     # the prism is filled in a's ints; the rhombus inequalities do not
     # change under positive scaling, so the solid of the same layers
     # answers polarized_concave
-    L, D = array_layers(a.ints), a.D
+    L, D = list(array_layers(a.ints)), a.D
     solid = prism_function(L)
     values = solid.values.values()  # in sorted (x, y, z) order
     if D != 1:

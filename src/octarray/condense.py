@@ -1,29 +1,40 @@
 """Condensation operators: moving mass down, left, right or up until tight.
 
-The two-row kernel condense_pair is the workhorse.  Given rows (u, v) (u
+The two-row kernel is condense_pair.  Given rows (u, v) (u
 below v) it moves as much mass from v down to u as the tightness condition
 allows, preserving all column sums.  With cumulative sums U, V and
 beta_k = V(k) - U(k-1), the new bottom integral is
 
     u'(1) + ... + u'(i) = U(i) + max_{k <= i} beta_k,
 
-and v' absorbs whatever is left in each column.
+and v' absorbs whatever is left in each column.  Sweeps of condense_pair
+over adjacent row pairs are the reference schedules of checks
+(condense_down_ascending, condense_down_random), which the verification
+suites and the tests hold the condensations to.
 
-down_rows condenses rows of ints down, and left_rows, right_rows and
-up_rows run it on the transposed or centrally reversed rows.  Condensation
-commutes with positive scaling, so each condense_* function runs the
-matching one on an Array's ints and hands the rows, over the same D, to
-Array._scaled.
+The condensations are read off one octahedron-recurrence fill instead,
+octahedron.array_layers (Theorem 2): over the double integral of an array,
+the ceiling of the prism integrates its down-condensation and the wall
+x = n its left-condensation.  _down reads one face off the short side, as
+rsk does: the ceiling of the fill over the rows, or, if they outnumber the
+columns, the wall of the fill over their transpose, transposed.  The fill
+has min(n, m) + 1 layers and keeps one layer below the one it fills.  The
+left-condensation is the down-condensation of the transpose, and right and
+up are left and down of the central reverse.  Condensation commutes with
+positive scaling, so each condense_* function runs on an Array's ints and
+hands the rows, over the same D, to Array._scaled.
 
 Tightness forces a triangle of zeros: row j of a down-tight array has no
 mass left of column j (the array form of a semistandard tableau whose row j
-holds no letter below j; Knuth 1970), so its rows j >= n vanish.
-down_rows skips the work this forces.
+holds no letter below j; Knuth 1970), so the fill copies the matching
+triangle of each layer from its slope instead of computing it.
 """
 
-from .arrays import Array, _reversed, _tight_rows, central_reverse, row_sums
+from .arrays import Array, _differences, _reversed, _tight_rows, central_reverse, row_sums
 from .arrays import is_d_tight  # noqa: F401 -- bench/tracing.py counts condense.is_d_tight
 from .errors import ValidationError
+from .hives import extended_differences
+from .octahedron import array_ceiling, array_wall
 
 
 def condense_pair(u, v):
@@ -60,68 +71,42 @@ def condense_pair(u, v):
     return tuple(u_new), tuple(v_new)
 
 
-def down_rows(rows) -> list:
-    """Condense rows of ints down: the int core of all four condensations.
-
-    One insertion pass: each row k = 1..m-1 is pushed down through the
-    pairs (k-1, k), (k-2, k-1), ..., (0, 1) on top of the tight rows below
-    it, stopping as soon as a pair is left unchanged.  Rows n..k-1 are
-    zero (module docstring), so row k drops straight to row min(k, n).
-    Row j is zero left of column j, and on such a prefix condense_pair
-    moves the upper row down whole and leaves the rest as a call on the
-    tails would; so pair (j, j+1) runs condense_pair on the columns from j
-    on only.  That is at most min(k, n) calls for row k; the result is
-    checked to be tight.
-    """
-    rows = list(map(tuple, rows))
-    n = len(rows[0])
-    zeros = (0,) * n
-    pair = condense_pair
-    for k in range(1, len(rows)):
-        top = min(k, n)
-        # rows top..k-1 are zero: the swaps through them exchange two rows
-        rows[top], rows[k] = rows[k], rows[top]
-        v = rows[top]
-        for j in range(top - 1, -1, -1):
-            u = rows[j]
-            tail = u[j:]
-            u_tail, v_tail = pair(tail, v[j:])
-            if u_tail == tail and v[:j] == zeros[:j]:
-                break
-            rows[j + 1] = zeros[:j] + v_tail
-            rows[j] = v = v[:j] + u_tail
-    if not _tight_rows(rows):
-        raise AssertionError("insertion schedule did not reach a tight array")
-    return rows
+def _down(rows) -> list:
+    """The down-condensation of rows of ints, read off the prism over the
+    short side as rsk does: the ceiling of the fill over the rows, or, if
+    they outnumber their columns, the wall of the fill over their
+    transpose, transposed.  The result is checked to be a tight array."""
+    m = len(rows)
+    if m > len(rows[0]):
+        d = list(zip(*extended_differences(array_wall(list(zip(*rows))), m)))
+    else:
+        d = _differences(array_ceiling(rows))
+    if min(map(min, d)) < 0:
+        raise AssertionError("the ceiling or the wall has a negative mixed difference")
+    if not _tight_rows(d):
+        raise AssertionError("the condensation read off the prism is not tight")
+    return d
 
 
-def left_rows(rows) -> list:
-    return list(zip(*down_rows(zip(*rows))))
-
-
-def right_rows(rows) -> list:
-    return _reversed(left_rows(_reversed(rows)))
-
-
-def up_rows(rows) -> list:
-    return _reversed(down_rows(_reversed(rows)))
+def _left(rows) -> list:
+    return list(zip(*_down(list(zip(*rows)))))
 
 
 def condense_down(a: Array) -> Array:
     """Move mass downwards until the array is tight (the unique fixpoint)."""
-    return Array._scaled(a.D, down_rows(a.ints))
+    return Array._scaled(a.D, _down(a.ints))
 
 
 def condense_left(a: Array) -> Array:
-    return Array._scaled(a.D, left_rows(a.ints))
+    return Array._scaled(a.D, _left(a.ints))
 
 
 def condense_right(a: Array) -> Array:
-    return Array._scaled(a.D, right_rows(a.ints))
+    return Array._scaled(a.D, _reversed(_left(_reversed(a.ints))))
 
 
 def condense_up(a: Array) -> Array:
-    return Array._scaled(a.D, up_rows(a.ints))
+    return Array._scaled(a.D, _reversed(_down(_reversed(a.ints))))
 
 
 def shape(a: Array) -> tuple:

@@ -11,22 +11,31 @@ faces x = 0 and y = 0, the recurrence
 
 fills everything else.  The ceiling z = m then carries the integral of the
 down-condensation and the wall x = n the integral of the left-condensation,
-which gives a second, independent route to both condensations.  Only this
-module fills prism layers L[z][y][x] = F(x, y, z): array_layers over the
-rows of an array, propagate_prism_faces over outside faces, tetra_propagate
-over a tetrahedron.  layer_wall reads walls and prism_function makes a
-solid of the layers, its points in sorted (x, y, z) order; cli.cmd_propagate
-also reads the ceiling L[-1], and bijections.com_prime a slice of L[n].
-Over an Array the layers are filled in its ints and divided back only where
-a value is read.  The restrictions to a ceiling or a wall read their rows
-with scalars.scale_rows and check nothing: a solid filled from rational
-faces sums Fractions, which stay Fractions where the sum is integral.
+which is how condense computes both.  Only this module fills prism layers
+L[z][y][x] = F(x, y, z): array_layers over the rows of an array,
+propagate_prism_faces over outside faces, tetra_propagate over a
+tetrahedron.  Over an Array the layers are filled in its ints and divided
+back only where a value is read.  The restrictions to a ceiling or a wall
+read their rows with scalars.scale_rows and check nothing: a solid filled
+from rational faces sums Fractions, which stay Fractions where the sum is
+integral.
+
+The fill streams: it yields each layer once it is filled and keeps only
+the layer below, and array_layers makes each layer just before it is
+filled, so it hands out an iterator.  Who needs every layer takes a list
+of them: prism_function makes a solid of the layers, its points in sorted
+(x, y, z) order, layer_wall reads walls, cli.cmd_propagate also reads the
+ceiling L[-1], and bijections.com_prime a slice of L[n].  rsk,
+array_ceiling and array_wall keep only the last layer and the wall x = n:
+memory O(n m), where the whole prism over the short side holds O(n k^2),
+k = min(n, m).
 
 Over an array, layer z integrates the down-condensation of the first z
 rows, and row i of a down-tight array has no mass left of column i (the
 array form of a semistandard tableau whose row i holds no letter below i;
 Knuth 1970).  So the triangle x < y of each layer is forced,
-F(x, y, z) = F(x, z, z), and array_layers copies it from the slope.
+F(x, y, z) = F(x, z, z): the fill over an array makes each row a copy of
+the slope and computes only the points with x >= y.
 
 RSK is symmetric: transposing an array swaps its two condensations (Knuth
 1970).  So rsk and rsk_inverse fill the prism over a or a^T, whichever has
@@ -181,38 +190,66 @@ def _zero_layers(n: int, m: int) -> list:
     return [[[0] * (n + 1) for _ in range(z + 1)] for z in range(m + 1)]
 
 
-def _prism_layers(L: list, over_array: bool = False) -> list:
-    """The prism recurrence, filled layer by layer: L[z][y][x] = F(x, y, z).
+def _prism_layers(layers, over_array: bool = False):
+    """The prism recurrence, filled layer by layer: yields each layer
+    L[z][y][x] = F(x, y, z) of the iterable of preset layers once it is
+    filled, and keeps only the layer below.
 
-    The faces of L -- the slope y = z, the front y = 0 and the shadow
-    x = 0 -- are already set; every other point is filled in place, up to
-    the end of its row (tetra_propagate's row y holds y + 1 values), by one
-    or_row per row: F(., y, z) from F(., y, z - 1), F(., y + 1, z) and
-    F(., y - 1, z - 1).  With over_array, the faces are those of
-    array_layers, so the forced triangle x < y is copied from the slope
-    (module docstring) and or_row fills only the points with x >= y.
+    The faces of each layer -- the slope y = z, the front y = 0 and the
+    shadow x = 0 -- are already set; every other point is filled in place,
+    up to the end of its row (tetra_propagate's row y holds y + 1 values),
+    by one or_row per row: F(., y, z) from F(., y, z - 1), F(., y + 1, z)
+    and F(., y - 1, z - 1).  With over_array, the layers are those of
+    array_layers: each row 0 < y < z is made here as a copy of the slope,
+    whose triangle x < y is forced (module docstring), and or_row fills
+    only the points with x >= y.
     """
-    for z in range(1, len(L)):
-        below, here = L[z - 1], L[z]
+    below = None
+    for z, here in enumerate(layers):
         slope = here[z]
         for y in range(z - 1, 0, -1):
-            h = here[y]
-            start = 1
             if over_array:
-                h[1:y] = slope[1:y]
+                here[y] = h = slope[:]
                 start = min(y, len(h))
+            else:
+                h = here[y]
+                start = 1
             or_row(h, below[y], here[y + 1], below[y - 1], start)
-    return L
+        yield here
+        below = here
 
 
-def array_layers(rows) -> list:
-    """Layers L[z][y][x] = F(x, y, z) of the prism over the array with these
-    rows: its double integral on the slope face, zeros on the front and the
-    shadow, which meet the slope where the integral vanishes, on the axes."""
-    L = _zero_layers(len(rows[0]), len(rows))
-    for y, row in enumerate(_integral(rows)):
-        L[y][y] = row
-    return _prism_layers(L, over_array=True)
+def _array_presets(rows):
+    """The preset layers over an array, made one at a time: the front and
+    the slope of layer z, with None in the rows between them."""
+    f = iter(_integral(rows))
+    front = next(f)  # f(., 0) = 0: layer 0 is the one row of both faces
+    yield [front]
+    for z, slope in enumerate(f, 1):
+        yield [front[:]] + [None] * (z - 1) + [slope]
+
+
+def array_layers(rows):
+    """The layers L[z][y][x] = F(x, y, z) of the prism over the array with
+    these rows, yielded as they are filled: its double integral on the
+    slope face, zeros on the front and the shadow, which meet the slope
+    where the integral vanishes, on the axes.  Each layer is made from its
+    integral row just before it is filled."""
+    return _prism_layers(_array_presets(rows), over_array=True)
+
+
+def array_ceiling(rows) -> list:
+    """The ceiling z = m of the prism over the array with these rows, which
+    integrates its down-condensation; the fill keeps one layer below."""
+    for top in array_layers(rows):
+        pass
+    return top
+
+
+def array_wall(rows) -> list:
+    """The wall x = n of the prism over the array with these rows, which
+    integrates its left-condensation: rows [F(n, y, z) for y <= z]."""
+    return [[row[-1] for row in layer] for layer in array_layers(rows)]
 
 
 def layer_wall(L: list, x: int) -> list:
@@ -249,7 +286,7 @@ def propagate_prism_faces(n: int, m: int, slope, front, shadow) -> PrismFunction
             if (x == 0 or y == 0) and row[x] != v:
                 raise ValidationError(f"face data disagree at {(x, y, y)}")
             row[x] = v
-    return prism_function(_prism_layers(L))
+    return prism_function(list(_prism_layers(L)))
 
 
 def prism_propagate(a: Array) -> PrismFunction:
@@ -283,10 +320,11 @@ def rsk(a: Array):
     wall and ceiling give (down, left) transposed (module docstring).
     """
     flip = a.m > a.n
-    L = array_layers(list(zip(*a.ints)) if flip else a.ints)
-    n = max(a.n, a.m)
-    d = _differences(L[-1])
-    l = extended_differences(layer_wall(L, n), n)
+    wall = []
+    for top in array_layers(list(zip(*a.ints)) if flip else a.ints):
+        wall.append([row[-1] for row in top])
+    d = _differences(top)
+    l = extended_differences(wall, max(a.n, a.m))
     if min(map(min, d)) < 0 or min(map(min, l)) < 0:
         raise AssertionError("the ceiling or the wall has a negative mixed difference")
     if flip:

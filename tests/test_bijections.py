@@ -194,8 +194,9 @@ def test_functional_commuter_fills_one_prism(fn, monkeypatch):
         calls.clear()
         fn(f)
         # the 2n columns of the reversed concatenation, n rows: one step
-        # per point 1 <= y < z <= n, y <= x <= 2n
-        assert sum(calls) == sum(2 * n + 1 - y for z in range(2, n + 1)
+        # per point 1 <= y < z <= n, y <= x <= 2n; before it, the n x n
+        # fill of condense_right(diag(lam)), y <= x <= n
+        assert sum(calls) == sum(3 * n + 2 - 2 * y for z in range(2, n + 1)
                                  for y in range(1, z))
 
 def test_associate_rejects_incompatible_couples():

@@ -420,9 +420,9 @@ def test_verify_passes_each_suite_the_flags_it_takes(cli, argv, report):
 
 
 def test_verify_exits_1_and_lists_the_failures_of_a_broken_suite(capsys, monkeypatch):
-    # thm2 compares the wall with condense_left; with the down-condensation
-    # in its place, every case whose two condensations differ fails
-    monkeypatch.setattr(checks, "condense_left", octarray.condense_down)
+    # thm2 compares the wall with the sweeps run on the transpose; with the
+    # transposes skipped, every case whose two condensations differ fails
+    monkeypatch.setattr(checks, "transpose", lambda a: a)
     with pytest.raises(SystemExit) as exc:
         main(["verify", "thm2", "--cases", "3", "--n", "2"])
     assert exc.value.code == 1

@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -15,6 +17,7 @@ from octarray import (
     is_d_tight,
     is_l_tight,
     row_sums,
+    rsk,
     schutzenberger,
     shape,
     transpose,
@@ -141,23 +144,36 @@ def test_condense_down_is_positively_homogeneous():
             assert condense_down(scaled(a, c)) == scaled(condense_down(a), c)
 
 
-def test_condense_down_makes_at_most_m_choose_2_pair_calls(monkeypatch):
-    calls = []
-    real = condense_module.condense_pair
+def test_each_condensation_fills_one_prism_on_the_short_side(monkeypatch):
+    """No condense_pair call: with k = min(n, m) and N = max(n, m), each
+    direction takes one or_row step per free point of the k-layer prism
+    over a or a^T, 1 <= y < z <= k, y <= x <= N."""
+    from octarray import octahedron
 
-    def counting(u, v):
-        calls.append(1)
-        return real(u, v)
+    pair_calls, steps = [], []
+    real_pair, real_row = condense_module.condense_pair, octahedron.or_row
 
-    monkeypatch.setattr(condense_module, "condense_pair", counting)
+    def counting_pair(u, v):
+        pair_calls.append(1)
+        return real_pair(u, v)
+
+    def counting_row(t, s, u, w, start):
+        steps.append(len(t) - start)
+        real_row(t, s, u, w, start)
+
+    monkeypatch.setattr(condense_module, "condense_pair", counting_pair)
+    monkeypatch.setattr(octahedron, "or_row", counting_row)
     rng = random.Random(104)
     for m in range(1, 13):
-        for sparse in (False, True):
-            calls.clear()
-            condense_down(random_rational_array(rng, 6, m, sparse))
-            assert m - 1 <= len(calls) <= m * (m - 1) // 2
-            # rows 6.. of a tight array vanish, so row k takes min(k, 6) calls
-            assert len(calls) <= sum(min(k, 6) for k in range(m))
+        for n, sparse in ((6, False), (6, True), (m, False), (13 - m, True)):
+            a = random_rational_array(rng, n, m, sparse)
+            k, N = min(n, m), max(n, m)
+            for condense in (condense_down, condense_left, condense_right, condense_up):
+                steps.clear()
+                condense(a)
+                assert sum(steps) == sum(N + 1 - y for z in range(2, k + 1)
+                                         for y in range(1, z)), (n, m, condense)
+    assert pair_calls == []
 
 
 def test_condense_pair_on_empty_rows():
@@ -176,20 +192,55 @@ def _boundary_arrays(rng):
         yield random_rational_array(rng, n, m, sparse=True, max_denom=4)
 
 
+def left_ref(a):
+    return transpose(condense_down_ascending(transpose(a)))
+
+
+def right_ref(a):
+    return transpose(central_reverse(condense_down_ascending(transpose(central_reverse(a)))))
+
+
+def up_ref(a):
+    return central_reverse(condense_down_ascending(central_reverse(a)))
+
+
+# each direction with its reference: the ascending pair sweeps, turned
+SWEEPS = ((condense_down, condense_down_ascending), (condense_left, left_ref),
+          (condense_right, right_ref), (condense_up, up_ref))
+
+
 def test_each_direction_equals_the_ascending_schedule():
-    def right_ref(a):
-        return transpose(central_reverse(
-            condense_down_ascending(transpose(central_reverse(a)))))
-
-    def up_ref(a):
-        return central_reverse(condense_down_ascending(central_reverse(a)))
-
-    def left_ref(a):
-        return transpose(condense_down_ascending(transpose(a)))
-
     rng = random.Random(119)
     for a in _boundary_arrays(rng):
-        assert condense_down(a) == condense_down_ascending(a)
-        assert condense_left(a) == left_ref(a)
-        assert condense_right(a) == right_ref(a)
-        assert condense_up(a) == up_ref(a)
+        for condense, ref in SWEEPS:
+            assert condense(a) == ref(a), (condense.__name__, a)
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
+def test_every_small_array_condenses_as_the_sweeps_do(n, m):
+    """Every array of the box with total <= 4, and the same arrays with
+    each mass k read as k/4, in all four directions: the prism is filled
+    over a when m <= n and over a^T when m > n."""
+    for masses in product(range(5), repeat=n * m):
+        if sum(masses) > 4:
+            continue
+        for q in (1, 4):
+            a = Array([[Fraction(x, q) for x in masses[j * n:(j + 1) * n]]
+                       for j in range(m)])
+            for condense, ref in SWEEPS:
+                assert condense(a) == ref(a), (condense.__name__, a)
+
+
+def test_condense_down_and_rsk_keep_one_layer_below():
+    """The fill streams its layers: on an 80 x 80 array the tracemalloc
+    peak of condense_down and of rsk stays under 2 MB, where a fill that
+    keeps all 81 layers holds about 8 MB."""
+    a = random_array(random.Random(120), 80, 80, 9)
+    for fn in (condense_down, rsk):
+        tracemalloc.start()
+        try:
+            fn(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, (fn.__name__, peak)

@@ -132,7 +132,7 @@ def test_a_bool_among_ints_is_never_written_as_an_int(obj):
 
 def propagate_object(a):
     """propagate's output object, built from the solid's points."""
-    L, D = array_layers(a.ints), a.D
+    L, D = list(array_layers(a.ints)), a.D
     solid = prism_function(L)
     return {"n": a.n, "m": a.m,
             "values": [[x, y, z, scaled_to_json(v, D)] for (x, y, z), v in solid.values.items()],

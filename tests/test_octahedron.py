@@ -31,7 +31,7 @@ from octarray import (
     tetra_slope_wall,
     transpose,
 )
-from octarray.checks import random_array, random_couple
+from octarray.checks import condense_down_ascending, random_array, random_couple
 from octarray.octahedron import array_layers, or_step
 from octarray.scalars import normalize
 
@@ -161,8 +161,8 @@ def test_rsk_on_rationals_round_trips_and_gives_the_condensations():
     for _ in range(40):
         a = random_array(rng, rng.randint(1, 6), rng.randint(1, 6), 9, 12)
         d, l = rsk(a)
-        assert d == condense_down(a)
-        assert l == condense_left(a)
+        assert d == condense_down_ascending(a)
+        assert l == transpose(condense_down_ascending(transpose(a)))
         assert rsk_inverse(d, l) == a
 
 
@@ -197,7 +197,7 @@ def test_array_layers_equal_the_full_fill_from_the_faces():
         for a in (random_array(rng, n, m, 9), random_array(rng, n, m, 5, 4), sparse):
             f = integrate(a)
             G = propagate_prism_faces(n, m, f.value, lambda x, z: 0, lambda y, z: 0)
-            L = array_layers(a.rows)
+            L = list(array_layers(a.rows))
             assert [[len(row) for row in layer] for layer in L] == [
                 [n + 1] * (z + 1) for z in range(m + 1)]
             for z, layer in enumerate(L):

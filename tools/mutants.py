@@ -32,14 +32,17 @@ MUTANTS = [
      "test_octahedron.py"),
     ("condense_pair keeps the running min", "condense.py",
      "        if beta > best:", "        if beta < best:", "test_condense.py"),
-    ("insertion schedule skips the bottom pair", "condense.py",
-     "for j in range(top - 1, -1, -1):", "for j in range(top - 1, 0, -1):",
+    ("the flip reads the ceiling where it should read the wall", "condense.py",
+     "extended_differences(array_wall(", "extended_differences(array_ceiling(",
      "test_condense.py"),
-    ("row k drops one row too far", "condense.py",
-     "        top = min(k, n)\n", "        top = min(k, n - 1)\n", "test_condense.py"),
-    ("the unchanged-pair exit ignores the prefix", "condense.py",
-     "if u_tail == tail and v[:j] == zeros[:j]:", "if u_tail == tail:",
-     "test_condense.py"),
+    ("condense_right drops its second reversal", "condense.py",
+     "_reversed(_left(_reversed(a.ints)))", "_left(_reversed(a.ints))", "test_condense.py"),
+    ("the ceiling read-out keeps every layer", "octahedron.py",
+     "    for top in array_layers(rows):\n        pass\n    return top\n",
+     "    return list(array_layers(rows))[-1]\n", "test_condense.py"),
+    ("the wall is read at x = 0", "octahedron.py",
+     "[[row[-1] for row in layer] for layer in array_layers(rows)]",
+     "[[row[0] for row in layer] for layer in array_layers(rows)]", "test_condense.py"),
     ("the row scan tolerates one unit", "arrays.py",
      "            if acc_low < acc_high:", "            if acc_low < acc_high - 1:",
      "test_arrays.py"),
@@ -73,7 +76,8 @@ MUTANTS = [
     ("the forward fill starts one column late", "octahedron.py",
      "start = min(y, len(h))", "start = min(y + 1, len(h))", "test_octahedron.py"),
     ("the copied triangle is one column short", "octahedron.py",
-     "h[1:y] = slope[1:y]", "h[1:y - 1] = slope[1:y - 1]", "test_octahedron.py"),
+     "here[y] = h = slope[:]", "here[y] = h = slope[:y - 1] + [0] * (len(slope) - y + 1)",
+     "test_octahedron.py"),
     ("tetrahedron edge check skips x = 0", "octahedron.py",
      "        if normalize(frontwall(x, 0)) != L[x][x][0]:",
      "        if x and normalize(frontwall(x, 0)) != L[x][x][0]:", "test_octahedron.py"),
@@ -134,7 +138,7 @@ MUTANTS = [
      'HiveType(lam if self.side == "left" else lam[::-1],', "HiveType(lam,",
      "test_acceptance.py"),
     ("rsk reads the ceiling with the input checker", "octahedron.py",
-     "    d = _differences(L[-1])\n", "    d = _mixed_differences(L[-1], a.D)\n",
+     "    d = _differences(top)\n", "    d = _mixed_differences(top, a.D)\n",
      "test_octahedron.py"),
     ("rsk_inverse returns the transposed slope untransposed", "octahedron.py",
      "_mixed_differences(list(zip(*slope)) if flip else slope, D)",
