@@ -34,7 +34,7 @@ from .arrays import Array, _differences, _reversed, _tight_rows, central_reverse
 from .arrays import is_d_tight  # noqa: F401 -- bench/tracing.py counts condense.is_d_tight
 from .errors import ValidationError
 from .hives import extended_differences
-from .octahedron import array_ceiling, array_wall
+from .octahedron import array_ceiling, array_layers, layer_wall
 
 
 def condense_pair(u, v):
@@ -78,7 +78,8 @@ def _down(rows) -> list:
     transpose, transposed.  The result is checked to be a tight array."""
     m = len(rows)
     if m > len(rows[0]):
-        d = list(zip(*extended_differences(array_wall(list(zip(*rows))), m)))
+        wall = layer_wall(array_layers(list(zip(*rows))), m)
+        d = list(zip(*extended_differences(wall, m)))
     else:
         d = _differences(array_ceiling(rows))
     if min(map(min, d)) < 0:

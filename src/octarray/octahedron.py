@@ -25,10 +25,9 @@ the layer below, and array_layers makes each layer just before it is
 filled, so it hands out an iterator.  Who needs every layer takes a list
 of them: prism_function makes a solid of the layers, its points in sorted
 (x, y, z) order, layer_wall reads walls, cli.cmd_propagate also reads the
-ceiling L[-1], and bijections.com_prime a slice of L[n].  rsk,
-array_ceiling and array_wall keep only the last layer and the wall x = n:
-memory O(n m), where the whole prism over the short side holds O(n k^2),
-k = min(n, m).
+ceiling L[-1], and bijections.com_prime a slice of L[n].  rsk and
+condense keep only the last layer and the wall x = n: memory O(n m), where
+the whole prism over the short side holds O(n k^2), k = min(n, m).
 
 Over an array, layer z integrates the down-condensation of the first z
 rows, and row i of a down-tight array has no mass left of column i (the
@@ -246,14 +245,9 @@ def array_ceiling(rows) -> list:
     return top
 
 
-def array_wall(rows) -> list:
-    """The wall x = n of the prism over the array with these rows, which
-    integrates its left-condensation: rows [F(n, y, z) for y <= z]."""
-    return [[row[-1] for row in layer] for layer in array_layers(rows)]
-
-
-def layer_wall(L: list, x: int) -> list:
-    """The wall at x of the layers L: rows [F(x, y, z) for y <= z], z = 0..m."""
+def layer_wall(L, x: int) -> list:
+    """The wall at x of the layers L, a list or the iterator of a fill: rows
+    [F(x, y, z) for y <= z], z = 0..m."""
     return [[row[x] for row in layer] for layer in L]
 
 

@@ -33,16 +33,16 @@ MUTANTS = [
     ("condense_pair keeps the running min", "condense.py",
      "        if beta > best:", "        if beta < best:", "test_condense.py"),
     ("the flip reads the ceiling where it should read the wall", "condense.py",
-     "extended_differences(array_wall(", "extended_differences(array_ceiling(",
-     "test_condense.py"),
+     "wall = layer_wall(array_layers(list(zip(*rows))), m)",
+     "wall = array_ceiling(list(zip(*rows)))", "test_condense.py"),
     ("condense_right drops its second reversal", "condense.py",
      "_reversed(_left(_reversed(a.ints)))", "_left(_reversed(a.ints))", "test_condense.py"),
     ("the ceiling read-out keeps every layer", "octahedron.py",
      "    for top in array_layers(rows):\n        pass\n    return top\n",
      "    return list(array_layers(rows))[-1]\n", "test_condense.py"),
-    ("the wall is read at x = 0", "octahedron.py",
-     "[[row[-1] for row in layer] for layer in array_layers(rows)]",
-     "[[row[0] for row in layer] for layer in array_layers(rows)]", "test_condense.py"),
+    ("the wall is read at x = 0", "condense.py",
+     "layer_wall(array_layers(list(zip(*rows))), m)",
+     "layer_wall(array_layers(list(zip(*rows))), 0)", "test_condense.py"),
     ("the row scan tolerates one unit", "arrays.py",
      "            if acc_low < acc_high:", "            if acc_low < acc_high - 1:",
      "test_arrays.py"),
