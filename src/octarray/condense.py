@@ -1,8 +1,8 @@
 """Condensation operators: moving mass down, left, right or up until tight.
 
-The two-row kernel is condense_pair.  Given rows (u, v) (u
-below v) it moves as much mass from v down to u as the tightness condition
-allows, preserving all column sums.  With cumulative sums U, V and
+The two-row kernel is condense_pair.  Given rows (u, v) (u below v) it
+moves as much mass from v down to u as the tightness condition allows,
+preserving all column sums.  With cumulative sums U, V and
 beta_k = V(k) - U(k-1), the new bottom integral is
 
     u'(1) + ... + u'(i) = U(i) + max_{k <= i} beta_k,
