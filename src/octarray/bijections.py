@@ -39,7 +39,7 @@ from .hives import (
     hive_to_pair,
     increments,
 )
-from .octahedron import (TetraFunction, array_layers, layer_wall, rsk,
+from .octahedron import (TetraFunction, array_ceiling, array_layers, layer_wall, rsk,
                          rsk_inverse, tetra_propagate)
 from .scalars import _quoted, check_partition, trim
 from .values import Value
@@ -348,11 +348,11 @@ def associate_functional(f: TriangleFunction, g: TriangleFunction):
 
 
 def _com_prism(f: TriangleFunction):
-    """(D, layers) of the prism over the reversed concatenation of f's pair,
-    filled in its ints over D."""
+    """(D, rows): the reversed concatenation of f's pair as ints over D, the
+    array whose prism both functional commuters fill."""
     p = hive_to_pair(f)
     c = central_reverse(concat(condense_right(p.a), p.b))
-    return c.D, list(array_layers(c.ints))
+    return c.D, c.ints
 
 
 def _nuop_offsets(f: TriangleFunction, D: int) -> list:
@@ -367,8 +367,9 @@ def com_prime(f: TriangleFunction) -> TriangleFunction:
     """The commuter on hives: propagate the reversed concatenation through
     the doubled prism and read the ceiling on the right-hand triangle."""
     n = f.n
-    D, L = _com_prism(f)
-    out = TriangleFunction._scaled(D, [row[n:n + v + 1] for v, row in enumerate(L[n])])
+    D, rows = _com_prism(f)
+    top = array_ceiling(rows)
+    out = TriangleFunction._scaled(D, [row[n:n + v + 1] for v, row in enumerate(top)])
     lam, mu, nu = increments(f)
     got = increments(out)
     if got != (mu, lam, nu):
@@ -381,11 +382,12 @@ def hk_wall_h(f: TriangleFunction) -> TriangleFunction:
     renormalised by the reversed diagonal increments.  Its increments are
     (-reversed(nu), mu, -reversed(lam)), and rotating it by
     h(i, j) = result(n-j, n-j+i) recovers com_prime(f)."""
-    D, L = _com_prism(f)
+    D, rows = _com_prism(f)
     E = lcm(D, f.D)
     k = E // D
+    wall = layer_wall(array_layers(rows), f.n)
     return TriangleFunction._scaled(E, [[v * k + c for v in row] for row, c in
-                                        zip(layer_wall(L, f.n), _nuop_offsets(f, E))])
+                                        zip(wall, _nuop_offsets(f, E))])
 
 
 def rho2_prime(f: TriangleFunction) -> TriangleFunction:

@@ -19,7 +19,6 @@ from .arrays import (
     col_sums,
     concat,
     diag,
-    is_d_tight,
     row_sums,
     split,
     transpose,
@@ -167,15 +166,16 @@ def check_rsk_bijection(cases=300, inv_cases=None, seed=0, max_n=5, max_m=5,
 
 def condense_down_random(a: Array, rng) -> Array:
     """The shapes suite's random schedule: condense a violating row pair
-    drawn by rng until none is left."""
-    rows = [list(r) for r in a.rows]
+    drawn by rng until none is left; on a's ints, as tightness and
+    condensation commute with positive scaling."""
+    rows = list(a.ints)
     m = len(rows)
     for _ in range(1000 * m * m + 1001):
-        bad = [j for j in range(m - 1) if not is_d_tight(Array(rows[j:j + 2]))]
+        bad = [j for j in range(m - 1) if not _tight_rows(rows[j:j + 2])]
         if not bad:
-            return Array(rows)
+            return Array._scaled(a.D, rows)
         j = rng.choice(bad)
-        rows[j], rows[j + 1] = map(list, condense_pair(rows[j], rows[j + 1]))
+        rows[j], rows[j + 1] = condense_pair(rows[j], rows[j + 1])
     raise AssertionError("randomized condensation schedule did not converge")
 
 

@@ -20,14 +20,16 @@ read their rows with scalars.scale_rows and check nothing: a solid filled
 from rational faces sums Fractions, which stay Fractions where the sum is
 integral.
 
-The fill streams: it yields each layer once it is filled and keeps only
-the layer below, and array_layers makes each layer just before it is
-filled, so it hands out an iterator.  Who needs every layer takes a list
-of them: prism_function makes a solid of the layers, its points in sorted
-(x, y, z) order, layer_wall reads walls, cli.cmd_propagate also reads the
-ceiling L[-1], and bijections.com_prime a slice of L[n].  rsk and
-condense keep only the last layer and the wall x = n: memory O(n m), where
-the whole prism over the short side holds O(n k^2), k = min(n, m).
+Both fills stream: each makes a layer just before it fills it and keeps
+only its neighbour.  array_layers yields each layer once it is filled and
+keeps the one below; rsk_inverse keeps the one above and the slope.  Who
+needs every layer takes a list of them: prism_function makes a solid of
+the layers, its points in sorted (x, y, z) order, and cli.cmd_propagate
+also reads the ceiling L[-1].  The others read faces off the stream: rsk
+the ceiling and the wall x = n, condense and bijections.com_prime the
+ceiling (array_ceiling), condense and bijections.hk_wall_h a wall
+(layer_wall).  So both fills hold O(n m), where the prism over the short
+side holds O(n k^2), k = min(n, m).
 
 Over an array, layer z integrates the down-condensation of the first z
 rows, and row i of a down-tight array has no mass left of column i (the
@@ -53,9 +55,9 @@ Every fill applies the one octahedron rule, as or_row, once per row it
 computes: on every primitive octahedron the sum over the main diagonal
 equals the larger of the sums over the other two diagonals.  There is one
 fill per direction: _prism_layers forward (over an array, all but the
-forced triangle) and rsk_inverse backward, on layers turned in x,
-R[z][y][i] = F(n - i, y, z), so that its rows also run up in i; or_step is
-the one-point case, for is_polarized.
+forced triangle) and rsk_inverse backward, on layers turned in x, whose
+row y holds F(n - i, y, z) at i, so that its rows also run up in i; or_step
+is the one-point case, for is_polarized.
 
 A propagated solid is polarized by construction: the primitive octahedra
 that fit in the prism are exactly those whose top (x, y, z) has x >= 1 and
@@ -184,11 +186,6 @@ class PrismFunction(Solid):
     _fields = ("values", "n", "m")
 
 
-def _zero_layers(n: int, m: int) -> list:
-    """Layers L[z][y][x] of the prism {0 <= x <= n, 0 <= y <= z <= m}, all zero."""
-    return [[[0] * (n + 1) for _ in range(z + 1)] for z in range(m + 1)]
-
-
 def _prism_layers(layers, over_array: bool = False):
     """The prism recurrence, filled layer by layer: yields each layer
     L[z][y][x] = F(x, y, z) of the iterable of preset layers once it is
@@ -198,34 +195,21 @@ def _prism_layers(layers, over_array: bool = False):
     shadow x = 0 -- are already set; every other point is filled in place,
     up to the end of its row (tetra_propagate's row y holds y + 1 values),
     by one or_row per row: F(., y, z) from F(., y, z - 1), F(., y + 1, z)
-    and F(., y - 1, z - 1).  With over_array, the layers are those of
-    array_layers: each row 0 < y < z is made here as a copy of the slope,
-    whose triangle x < y is forced (module docstring), and or_row fills
+    and F(., y - 1, z - 1).  With over_array, the iterable holds the rows
+    f(., z) of an array's integral instead, and layer z is made here from
+    its slope f(., z): the front f(., 0) = 0, copies of the slope, whose
+    triangle x < y is forced (module docstring), and the slope; or_row fills
     only the points with x >= y.
     """
     below = None
     for z, here in enumerate(layers):
-        slope = here[z]
+        if over_array:  # f(., 0) = 0: layer 0 is the one row of both faces
+            here = [here[:] if y else [0] * len(here) for y in range(z)] + [here]
         for y in range(z - 1, 0, -1):
-            if over_array:
-                here[y] = h = slope[:]
-                start = min(y, len(h))
-            else:
-                h = here[y]
-                start = 1
-            or_row(h, below[y], here[y + 1], below[y - 1], start)
+            h = here[y]
+            or_row(h, below[y], here[y + 1], below[y - 1], min(y, len(h)) if over_array else 1)
         yield here
         below = here
-
-
-def _array_presets(rows):
-    """The preset layers over an array, made one at a time: the front and
-    the slope of layer z, with None in the rows between them."""
-    f = iter(_integral(rows))
-    front = next(f)  # f(., 0) = 0: layer 0 is the one row of both faces
-    yield [front]
-    for z, slope in enumerate(f, 1):
-        yield [front[:]] + [None] * (z - 1) + [slope]
 
 
 def array_layers(rows):
@@ -234,7 +218,7 @@ def array_layers(rows):
     slope face, zeros on the front and the shadow, which meet the slope
     where the integral vanishes, on the axes.  Each layer is made from its
     integral row just before it is filled."""
-    return _prism_layers(_array_presets(rows), over_array=True)
+    return _prism_layers(_integral(rows), over_array=True)
 
 
 def array_ceiling(rows) -> list:
@@ -267,9 +251,9 @@ def propagate_prism_faces(n: int, m: int, slope, front, shadow) -> PrismFunction
     shadow(y, z) gives F on x = 0, each value normalized; shadow overwrites
     front on their edge, and slope must agree with both, checked in (y, x).
     """
-    L = _zero_layers(check_size(n, "n"), check_size(m, "m"))
-    for z in range(m + 1):
-        L[z][0] = [normalize(front(x, z)) for x in range(n + 1)]
+    n, m = check_size(n, "n"), check_size(m, "m")
+    L = [[[normalize(front(x, z)) for x in range(n + 1)]]
+         + [[0] * (n + 1) for _ in range(z)] for z in range(m + 1)]
     for z in range(m + 1):
         for y in range(z + 1):
             L[z][y][0] = normalize(shadow(y, z))
@@ -334,8 +318,10 @@ def rsk_inverse(d: Array, l: Array) -> Array:
     d must be tight downwards, l tight leftwards, of equal sizes and with
     the matching corner integrals on the shared edge.  They are propagated
     backwards along (-1, 0, -1) from the ceiling and the wall, layer by
-    layer, on layers turned in x (module docstring); the recovered shadow
-    face x = 0 must vanish, and the slope face must integrate a
+    layer, on layers turned in x (module docstring), keeping only the layer
+    above the one filled and the slope.  The recovered shadow face x = 0
+    must vanish, checked on each layer once it is filled, so a non-matching
+    pair fails at its first bad layer; and the slope face must integrate a
     non-negative array.  Every check reads d and l as given; if they have
     more rows than columns, the fill then runs in the prism of their
     transposes, and its slope is transposed back.
@@ -360,25 +346,27 @@ def rsk_inverse(d: Array, l: Array) -> Array:
     if flip:  # integration commutes with transposition
         fd, fl, m, n = list(zip(*fl)), list(zip(*fd)), n, m
 
-    # R[z][y][i] = F(n - i, y, z), the layers turned in x: the ceiling
-    # z = m reversed, whose column 0 is the wall x = n by the check above;
-    # under it, rows of the wall value (m <= n, so fl[z][y]) and zeros, as
-    # both integrals vanish on the front y = 0.  The rule is symmetric in
-    # the two ends of the main diagonal, so one or_row per row fills layer
-    # z - 1 from z; the shadow x = 0 is column n.
+    # The layers turned in x, here[y][i] = F(n - i, y, z): the ceiling z = m
+    # reversed, whose column 0 is the wall x = n by the check above, and
+    # under it, each made just before it is filled, rows of the wall value
+    # (m <= n, so fl[z][y]) and zeros, as both integrals vanish on the front
+    # y = 0.  The rule is symmetric in the two ends of the main diagonal, so
+    # one or_row per row fills layer z - 1 from z; the shadow x = 0 is column
+    # n, zero on the ceiling (f(0, .) = 0) and checked on each layer below,
+    # whose slope row is kept, turned.
     zeros = [0] * n
-    R = [[[v] + zeros for v in fl[z][:z + 1]] for z in range(m)]
-    R.append([row[::-1] for row in fd])
+    here = [row[::-1] for row in fd]
+    turned = [here[m]]
     for z in range(m, 0, -1):
-        here, below = R[z], R[z - 1]
+        below = [[v] + zeros for v in fl[z - 1][:z]]
         for y in range(1, z):
             or_row(below[y], here[y], below[y - 1], here[y + 1], 1)
-    if any(row[n] for layer in R for row in layer):
-        raise ValidationError(
-            "recovered shadow face is non-zero; the condensations are "
-            "not a matching pair"
-        )
-    slope = [R[y][y][::-1] for y in range(m + 1)]
+        if any(row[n] for row in below):
+            raise ValidationError("recovered shadow face is non-zero; the condensations "
+                                  "are not a matching pair")
+        turned.append(below[-1])
+        here = below
+    slope = [row[::-1] for row in reversed(turned)]
     return Array._scaled(D, _mixed_differences(list(zip(*slope)) if flip else slope, D))
 
 

@@ -9,6 +9,7 @@ from octarray import (
     Array,
     ValidationError,
     central_reverse,
+    com_prime,
     condense_down,
     condense_left,
     condense_pair,
@@ -18,13 +19,15 @@ from octarray import (
     is_l_tight,
     row_sums,
     rsk,
+    rsk_inverse,
     schutzenberger,
     shape,
     transpose,
 )
 from octarray import condense as condense_module
 from octarray import serialize
-from octarray.checks import condense_down_ascending, condense_down_random, random_array
+from octarray.checks import (condense_down_ascending, condense_down_random, random_array,
+                             random_hive)
 
 
 def random_rational_array(rng, n, m, sparse=False, max_denom=12):
@@ -232,15 +235,21 @@ def test_every_small_array_condenses_as_the_sweeps_do(n, m):
 
 
 def test_condense_down_and_rsk_keep_one_layer_below():
-    """The fill streams its layers: on an 80 x 80 array the tracemalloc
-    peak of condense_down and of rsk stays under 2 MB, where a fill that
-    keeps all 81 layers holds about 8 MB."""
+    """The fills stream their layers: on an 80 x 80 array the tracemalloc
+    peak of condense_down, rsk and rsk_inverse stays under 2 MB, where a
+    fill that keeps all 81 layers holds about 8 MB (11 MB for the backward
+    fill); so does that of com_prime on a hive of size 40 under 1 MB, where
+    its 41 layers hold about 2 MB."""
     a = random_array(random.Random(120), 80, 80, 9)
-    for fn in (condense_down, rsk):
+    d, l = rsk(a)
+    hive = random_hive(random.Random(121), 40)
+    for fn, args, bound in ((condense_down, (a,), 2_000_000), (rsk, (a,), 2_000_000),
+                            (rsk_inverse, (d, l), 2_000_000),
+                            (com_prime, (hive,), 1_000_000)):
         tracemalloc.start()
         try:
-            fn(a)
+            fn(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2_000_000, (fn.__name__, peak)
+        assert peak < bound, (fn.__name__, peak)

@@ -1,8 +1,8 @@
 """Only octahedron.py fills the prism's layers L[z][y][x], in one fill per
 direction: other modules fill prisms through its public functions, and the
-layers it returns are indexed outside it in two places only,
-cli.cmd_propagate (the ceiling L[-1]) and bijections.com_prime (a slice of
-L[n]).  hives reads shapes off condensed blocks and imports nothing from
+layers it returns are indexed outside it in one place only,
+cli.cmd_propagate (the ceiling L[-1]); bijections reads the ceiling and the
+wall of a fill through array_ceiling and layer_wall.  hives reads shapes off condensed blocks and imports nothing from
 condense.  lr only counts: it imports nothing from the bijections, the
 verification suites or the value base, and no module imports its private
 names.  Importing the CLI loads no introspection module."""

@@ -1,9 +1,9 @@
 """Compare how the working tree and a parent commit read the same argvs.
 
-The script exports REF's src/ with git archive into a temporary directory.
-It then runs REF's cli.main and the working tree's cli.main, each in its own
-interpreter, on the same fixed-seed argvs, and compares exit code, stdout
-and stderr argv by argv.  The argvs draw on the working tree's command
+The script exports REF's src/ with git archive into a temporary directory
+(reftree.py).  It then runs REF's cli.main and the working tree's
+cli.main, each in its own interpreter, on the same fixed-seed argvs, and
+compares exit code, stdout and stderr argv by argv.  The argvs draw on the working tree's command
 table (commands, choices, switches and int options), on values and junk,
 on -h and --help and on words of 29 characters or more; each comes with a
 small JSON text on stdin.  Every verify suite is replaced by a stub that
@@ -28,14 +28,13 @@ import json
 import os
 import random
 import re
-import subprocess
 import sys
-import tempfile
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
-ROOT = Path(__file__).resolve().parents[1]
+from reftree import ROOT, outputs, reference
+
 COUNT = 20_000
 SEED = 0
 
@@ -165,23 +164,13 @@ def main(argv) -> int:
         raise SystemExit(__doc__)
     ref = argv[0]
     sys.path.insert(0, str(ROOT / "src"))
-    with tempfile.TemporaryDirectory(prefix="octarray-argv-parity-") as tmp:
-        tmp = Path(tmp)
-        archive = tmp / "ref.tar"
-        subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", "-o",
-                        str(archive), ref, "src"], check=True)
-        (tmp / "ref").mkdir()
-        subprocess.run(["tar", "-xf", str(archive), "-C", str(tmp / "ref")], check=True)
+    with reference(ref) as tmp:
         drawn = cases(COUNT)
         path = tmp / "cases.json"
         path.write_text(json.dumps(drawn))
-        outputs = []
-        for src in (tmp / "ref" / "src", ROOT / "src"):
-            proc = subprocess.run([sys.executable, __file__, "--run", src, path], cwd=tmp,
-                                  capture_output=True, text=True, check=True)
-            outputs.append(json.loads(proc.stdout))
+        results = outputs(__file__, tmp, path)
     counts = Counter()
-    for (words, _), ref_result, new_result in zip(drawn, *outputs):
+    for (words, _), ref_result, new_result in zip(drawn, *results):
         label = kind(ref_result, new_result)
         if label is None:
             print(f"argv {words!r}\n  {ref}: {ref_result!r}\n"

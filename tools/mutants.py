@@ -74,9 +74,10 @@ MUTANTS = [
     ("_nuop_offsets does not reverse nu", "bijections.py",
      "for row in reversed(f.ints)]", "for row in f.ints]", "test_bijections.py"),
     ("the forward fill starts one column late", "octahedron.py",
-     "start = min(y, len(h))", "start = min(y + 1, len(h))", "test_octahedron.py"),
+     "min(y, len(h)) if over_array", "min(y + 1, len(h)) if over_array",
+     "test_octahedron.py"),
     ("the copied triangle is one column short", "octahedron.py",
-     "here[y] = h = slope[:]", "here[y] = h = slope[:y - 1] + [0] * (len(slope) - y + 1)",
+     "here = [here[:] if y else", "here = [here[:y - 1] + [0] * (len(here) - y + 1) if y else",
      "test_octahedron.py"),
     ("tetrahedron edge check skips x = 0", "octahedron.py",
      "        if normalize(frontwall(x, 0)) != L[x][x][0]:",
@@ -146,13 +147,17 @@ MUTANTS = [
     ("rsk fills the long side", "octahedron.py",
      "    flip = a.m > a.n\n", "    flip = a.m < a.n\n", "test_octahedron.py"),
     ("rsk_inverse writes the wall at column n", "octahedron.py",
-     "[[v] + zeros for v in fl[z][:z + 1]]", "[zeros + [v] for v in fl[z][:z + 1]]",
+     "[[v] + zeros for v in fl[z - 1][:z]]", "[zeros + [v] for v in fl[z - 1][:z]]",
      "test_octahedron.py"),
     ("rsk_inverse reads the slope unturned", "octahedron.py",
-     "slope = [R[y][y][::-1] for y", "slope = [R[y][y] for y", "test_octahedron.py"),
+     "slope = [row[::-1] for row in reversed(turned)]", "slope = turned[::-1]",
+     "test_octahedron.py"),
     ("rsk_inverse checks the shadow at column 0", "octahedron.py",
-     "if any(row[n] for layer in R for row in layer):",
-     "if any(row[0] for layer in R for row in layer):", "test_octahedron.py"),
+     "if any(row[n] for row in below):", "if any(row[0] for row in below):",
+     "test_octahedron.py"),
+    ("the backward fill keeps every layer", "octahedron.py",
+     "        here = below\n", "        here = below\n        fl.append(below)\n",
+     "test_condense.py"),
     ("the template cache is keyed without the indent", "cli.py",
      "@functools.lru_cache(maxsize=256)\ndef _template(shape, pad):\n",
      "def _template(shape, pad, _seen={}):\n"
