@@ -39,8 +39,7 @@ from .hives import (
     hive_to_pair,
     increments,
 )
-from .octahedron import (TetraFunction, array_ceiling, array_layers, layer_wall, rsk,
-                         rsk_inverse, tetra_propagate)
+from .octahedron import TetraFunction, array_faces, rsk, rsk_inverse, tetra_propagate
 from .scalars import _quoted, check_partition, trim
 from .values import Value
 
@@ -368,7 +367,7 @@ def com_prime(f: TriangleFunction) -> TriangleFunction:
     the doubled prism and read the ceiling on the right-hand triangle."""
     n = f.n
     D, rows = _com_prism(f)
-    top = array_ceiling(rows)
+    top = array_faces(rows)[0]
     out = TriangleFunction._scaled(D, [row[n:n + v + 1] for v, row in enumerate(top)])
     lam, mu, nu = increments(f)
     got = increments(out)
@@ -385,7 +384,7 @@ def hk_wall_h(f: TriangleFunction) -> TriangleFunction:
     D, rows = _com_prism(f)
     E = lcm(D, f.D)
     k = E // D
-    wall = layer_wall(array_layers(rows), f.n)
+    wall = array_faces(rows, f.n)[1]
     return TriangleFunction._scaled(E, [[v * k + c for v in row] for row, c in
                                         zip(wall, _nuop_offsets(f, E))])
 

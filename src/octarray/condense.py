@@ -12,29 +12,31 @@ over adjacent row pairs are the reference schedules of checks
 (condense_down_ascending, condense_down_random), which the verification
 suites and the tests hold the condensations to.
 
-The condensations are read off one octahedron-recurrence fill instead,
-octahedron.array_layers (Theorem 2): over the double integral of an array,
-the ceiling of the prism integrates its down-condensation and the wall
-x = n its left-condensation.  _down reads one face off the short side, as
-rsk does: the ceiling of the fill over the rows, or, if they outnumber the
-columns, the wall of the fill over their transpose, transposed.  The fill
-has min(n, m) + 1 layers and keeps one layer below the one it fills.  The
-left-condensation is the down-condensation of the transpose, and right and
-up are left and down of the central reverse.  Condensation commutes with
-positive scaling, so each condense_* function runs on an Array's ints and
-hands the rows, over the same D, to Array._scaled.
+The condensations are read off one octahedron-recurrence fill instead
+(Theorem 2): over the double integral of an array, the ceiling of the
+prism integrates its down-condensation and the wall x = n its
+left-condensation.  _down takes both faces of the fill over the short side
+from octahedron.array_faces, as rsk does, and reads one: the ceiling of the
+fill over the rows, or, if they outnumber the columns, the wall of the
+fill over their transpose, transposed.  The fill has min(n, m) + 1 layers
+and keeps one layer below the one it fills.  The left-condensation is the
+down-condensation of the transpose, and right and up are left and down of
+the central reverse.  Condensation commutes with positive scaling, so each
+condense_* function runs on an Array's ints and hands the rows, over the
+same D, to Array._scaled.
 
 Tightness forces a triangle of zeros: row j of a down-tight array has no
 mass left of column j (the array form of a semistandard tableau whose row j
 holds no letter below j; Knuth 1970), so the fill copies the matching
-triangle of each layer from its slope instead of computing it.
+triangle of each layer, its diagonal included, from its slope instead of
+computing it.
 """
 
 from .arrays import Array, _differences, _reversed, _tight_rows, central_reverse, row_sums
 from .arrays import is_d_tight  # noqa: F401 -- bench/tracing.py counts condense.is_d_tight
 from .errors import ValidationError
 from .hives import extended_differences
-from .octahedron import array_ceiling, array_layers, layer_wall
+from .octahedron import array_faces
 
 
 def condense_pair(u, v):
@@ -77,11 +79,9 @@ def _down(rows) -> list:
     they outnumber their columns, the wall of the fill over their
     transpose, transposed.  The result is checked to be a tight array."""
     m = len(rows)
-    if m > len(rows[0]):
-        wall = layer_wall(array_layers(list(zip(*rows))), m)
-        d = list(zip(*extended_differences(wall, m)))
-    else:
-        d = _differences(array_ceiling(rows))
+    flip = m > len(rows[0])
+    top, wall = array_faces(list(zip(*rows)) if flip else rows)
+    d = list(zip(*extended_differences(wall, m))) if flip else _differences(top)
     if min(map(min, d)) < 0:
         raise AssertionError("the ceiling or the wall has a negative mixed difference")
     if not _tight_rows(d):

@@ -25,18 +25,19 @@ only its neighbour.  array_layers yields each layer once it is filled and
 keeps the one below; rsk_inverse keeps the one above and the slope.  Who
 needs every layer takes a list of them: prism_function makes a solid of
 the layers, its points in sorted (x, y, z) order, and cli.cmd_propagate
-also reads the ceiling L[-1].  The others read faces off the stream: rsk
-the ceiling and the wall x = n, condense and bijections.com_prime the
-ceiling (array_ceiling), condense and bijections.hk_wall_h a wall
-(layer_wall).  So both fills hold O(n m), where the prism over the short
-side holds O(n k^2), k = min(n, m).
+also reads the ceiling L[-1].  Everyone else reads faces off the stream
+through one reader, array_faces: the ceiling and the wall at one x, by
+default the wall x = n (rsk, condense, bijections.com_prime and, at the
+inner wall, bijections.hk_wall_h).  So both fills hold O(n m), where the
+prism over the short side holds O(n k^2), k = min(n, m).
 
 Over an array, layer z integrates the down-condensation of the first z
 rows, and row i of a down-tight array has no mass left of column i (the
 array form of a semistandard tableau whose row i holds no letter below i;
-Knuth 1970).  So the triangle x < y of each layer is forced,
-F(x, y, z) = F(x, z, z): the fill over an array makes each row a copy of
-the slope and computes only the points with x >= y.
+Knuth 1970).  So the triangle x <= y of each layer is forced,
+F(x, y, z) = F(x, z, z), its diagonal x = y included: the fill over an
+array makes each row a copy of the slope and computes only the points with
+x > y.
 
 RSK is symmetric: transposing an array swaps its two condensations (Knuth
 1970).  So rsk and rsk_inverse fill the prism over a or a^T, whichever has
@@ -55,9 +56,9 @@ Every fill applies the one octahedron rule, as or_row, once per row it
 computes: on every primitive octahedron the sum over the main diagonal
 equals the larger of the sums over the other two diagonals.  There is one
 fill per direction: _prism_layers forward (over an array, all but the
-forced triangle) and rsk_inverse backward, on layers turned in x, whose
-row y holds F(n - i, y, z) at i, so that its rows also run up in i; or_step
-is the one-point case, for is_polarized.
+forced triangle and its diagonal) and rsk_inverse backward, on layers
+turned in x, whose row y holds F(n - i, y, z) at i, so that its rows also
+run up in i; or_step is the one-point case, for is_polarized.
 
 A propagated solid is polarized by construction: the primitive octahedra
 that fit in the prism are exactly those whose top (x, y, z) has x >= 1 and
@@ -198,8 +199,8 @@ def _prism_layers(layers, over_array: bool = False):
     and F(., y - 1, z - 1).  With over_array, the iterable holds the rows
     f(., z) of an array's integral instead, and layer z is made here from
     its slope f(., z): the front f(., 0) = 0, copies of the slope, whose
-    triangle x < y is forced (module docstring), and the slope; or_row fills
-    only the points with x >= y.
+    triangle x <= y is forced (module docstring), and the slope; or_row
+    fills only the points with x > y.
     """
     below = None
     for z, here in enumerate(layers):
@@ -207,7 +208,7 @@ def _prism_layers(layers, over_array: bool = False):
             here = [here[:] if y else [0] * len(here) for y in range(z)] + [here]
         for y in range(z - 1, 0, -1):
             h = here[y]
-            or_row(h, below[y], here[y + 1], below[y - 1], min(y, len(h)) if over_array else 1)
+            or_row(h, below[y], here[y + 1], below[y - 1], min(y + 1, len(h)) if over_array else 1)
         yield here
         below = here
 
@@ -221,18 +222,15 @@ def array_layers(rows):
     return _prism_layers(_integral(rows), over_array=True)
 
 
-def array_ceiling(rows) -> list:
-    """The ceiling z = m of the prism over the array with these rows, which
-    integrates its down-condensation; the fill keeps one layer below."""
+def array_faces(rows, x: int = -1) -> tuple:
+    """(ceiling, wall) of the prism over the array with these rows: the
+    last layer, which integrates its down-condensation, and the wall at x
+    as rows [F(x, y, z) for y <= z], z = 0..m, which at x = n integrates
+    its left-condensation.  The fill keeps one layer below."""
+    wall = []
     for top in array_layers(rows):
-        pass
-    return top
-
-
-def layer_wall(L, x: int) -> list:
-    """The wall at x of the layers L, a list or the iterator of a fill: rows
-    [F(x, y, z) for y <= z], z = 0..m."""
-    return [[row[x] for row in layer] for layer in L]
+        wall.append([row[x] for row in top])
+    return top, wall
 
 
 def prism_function(L: list) -> PrismFunction:
@@ -298,9 +296,7 @@ def rsk(a: Array):
     wall and ceiling give (down, left) transposed (module docstring).
     """
     flip = a.m > a.n
-    wall = []
-    for top in array_layers(list(zip(*a.ints)) if flip else a.ints):
-        wall.append([row[-1] for row in top])
+    top, wall = array_faces(list(zip(*a.ints)) if flip else a.ints)
     d = _differences(top)
     l = extended_differences(wall, max(a.n, a.m))
     if min(map(min, d)) < 0 or min(map(min, l)) < 0:

@@ -49,7 +49,7 @@ from octarray import (
 )
 from octarray import serialize
 from octarray.checks import _partitions, random_array, random_couple, random_standard_pair
-from octarray.octahedron import array_layers, layer_wall
+from octarray.octahedron import array_faces
 
 
 def test_ssyt_from_fixture_arrays(f1, f1_array, f2, f2_array):
@@ -194,9 +194,9 @@ def test_functional_commuter_fills_one_prism(fn, monkeypatch):
         calls.clear()
         fn(f)
         # the 2n columns of the reversed concatenation, n rows: one step
-        # per point 1 <= y < z <= n, y <= x <= 2n; before it, the n x n
-        # fill of condense_right(diag(lam)), y <= x <= n
-        assert sum(calls) == sum(3 * n + 2 - 2 * y for z in range(2, n + 1)
+        # per point 1 <= y < z <= n, y < x <= 2n; before it, the n x n
+        # fill of condense_right(diag(lam)), y < x <= n
+        assert sum(calls) == sum(3 * n - 2 * y for z in range(2, n + 1)
                                  for y in range(1, z))
 
 def test_associate_rejects_incompatible_couples():
@@ -273,7 +273,7 @@ def _hk_wall_h_by_values(f):
     """hk_wall_h read through values: the wall divided back, then shifted."""
     p = hive_to_pair(f)
     c = central_reverse(concat(condense_right(p.a), p.b))
-    wall = layer_wall(array_layers(c.ints), f.n)
+    wall = array_faces(c.ints, f.n)[1]
     return TriangleFunction([[Fraction(v, c.D) + o for v in row]
                              for row, o in zip(wall, _nuop_offsets_by_values(f))])
 

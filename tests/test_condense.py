@@ -150,7 +150,7 @@ def test_condense_down_is_positively_homogeneous():
 def test_each_condensation_fills_one_prism_on_the_short_side(monkeypatch):
     """No condense_pair call: with k = min(n, m) and N = max(n, m), each
     direction takes one or_row step per free point of the k-layer prism
-    over a or a^T, 1 <= y < z <= k, y <= x <= N."""
+    over a or a^T, 1 <= y < z <= k, y < x <= N."""
     from octarray import octahedron
 
     pair_calls, steps = [], []
@@ -174,7 +174,7 @@ def test_each_condensation_fills_one_prism_on_the_short_side(monkeypatch):
             for condense in (condense_down, condense_left, condense_right, condense_up):
                 steps.clear()
                 condense(a)
-                assert sum(steps) == sum(N + 1 - y for z in range(2, k + 1)
+                assert sum(steps) == sum(N - y for z in range(2, k + 1)
                                          for y in range(1, z)), (n, m, condense)
     assert pair_calls == []
 

@@ -1,11 +1,12 @@
 """Only octahedron.py fills the prism's layers L[z][y][x], in one fill per
 direction: other modules fill prisms through its public functions, and the
 layers it returns are indexed outside it in one place only,
-cli.cmd_propagate (the ceiling L[-1]); bijections reads the ceiling and the
-wall of a fill through array_ceiling and layer_wall.  hives reads shapes off condensed blocks and imports nothing from
-condense.  lr only counts: it imports nothing from the bijections, the
-verification suites or the value base, and no module imports its private
-names.  Importing the CLI loads no introspection module."""
+cli.cmd_propagate (the ceiling L[-1]); condense and bijections read the
+ceiling and a wall of a fill through its one reader, array_faces.  hives
+reads shapes off condensed blocks and imports nothing from condense.  lr
+only counts: it imports nothing from the bijections, the verification
+suites or the value base, and no module imports its private names.
+Importing the CLI loads no introspection module."""
 
 import ast
 import os
@@ -54,15 +55,24 @@ def test_hives_imports_nothing_from_condense():
     assert [x for x in _imports_from("condense") if x[0] == "hives.py"] == []
 
 
-def test_prism_layers_is_referenced_only_in_octahedron():
-    users = {
-        name
-        for name, tree in _trees().items()
+def _modules_referencing(name):
+    return {
+        module
+        for module, tree in _trees().items()
         for node in ast.walk(tree)
-        if "_prism_layers" in (getattr(node, "id", None), getattr(node, "attr", None),
-                               getattr(node, "name", None))
+        if name in (getattr(node, "id", None), getattr(node, "attr", None),
+                    getattr(node, "name", None))
     }
-    assert users == {"octahedron.py"}
+
+
+def test_prism_layers_is_referenced_only_in_octahedron():
+    assert _modules_referencing("_prism_layers") == {"octahedron.py"}
+
+
+def test_only_cli_takes_the_layers_of_a_fill_over_an_array():
+    """Everyone else reads the faces of the fill through array_faces;
+    cmd_propagate lists every layer."""
+    assert _modules_referencing("array_layers") == {"octahedron.py", "cli.py"}
 
 
 def test_only_the_two_fills_and_is_polarized_reference_or_step():

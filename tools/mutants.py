@@ -33,16 +33,15 @@ MUTANTS = [
     ("condense_pair keeps the running min", "condense.py",
      "        if beta > best:", "        if beta < best:", "test_condense.py"),
     ("the flip reads the ceiling where it should read the wall", "condense.py",
-     "wall = layer_wall(array_layers(list(zip(*rows))), m)",
-     "wall = array_ceiling(list(zip(*rows)))", "test_condense.py"),
+     "extended_differences(wall, m)", "extended_differences(top, m)", "test_condense.py"),
     ("condense_right drops its second reversal", "condense.py",
      "_reversed(_left(_reversed(a.ints)))", "_left(_reversed(a.ints))", "test_condense.py"),
-    ("the ceiling read-out keeps every layer", "octahedron.py",
-     "    for top in array_layers(rows):\n        pass\n    return top\n",
-     "    return list(array_layers(rows))[-1]\n", "test_condense.py"),
-    ("the wall is read at x = 0", "condense.py",
-     "layer_wall(array_layers(list(zip(*rows))), m)",
-     "layer_wall(array_layers(list(zip(*rows))), 0)", "test_condense.py"),
+    ("the face reader keeps every layer", "octahedron.py",
+     "    for top in array_layers(rows):\n", "    for top in list(array_layers(rows)):\n",
+     "test_condense.py"),
+    ("the wall is read at x = 0", "octahedron.py",
+     "def array_faces(rows, x: int = -1)", "def array_faces(rows, x: int = 0)",
+     "test_condense.py"),
     ("the row scan tolerates one unit", "arrays.py",
      "            if acc_low < acc_high:", "            if acc_low < acc_high - 1:",
      "test_arrays.py"),
@@ -73,8 +72,8 @@ MUTANTS = [
      "grid[c, j + 1] <= x", "grid[c, j + 1] < x", "test_bijections.py"),
     ("_nuop_offsets does not reverse nu", "bijections.py",
      "for row in reversed(f.ints)]", "for row in f.ints]", "test_bijections.py"),
-    ("the forward fill starts one column late", "octahedron.py",
-     "min(y, len(h)) if over_array", "min(y + 1, len(h)) if over_array",
+    ("the forward fill starts two columns late", "octahedron.py",
+     "min(y + 1, len(h)) if over_array", "min(y + 2, len(h)) if over_array",
      "test_octahedron.py"),
     ("the copied triangle is one column short", "octahedron.py",
      "here = [here[:] if y else", "here = [here[:y - 1] + [0] * (len(here) - y + 1) if y else",

@@ -17,7 +17,10 @@ every kind of shape (square, more rows, more columns, 1 x k and k x 1):
   condensation with the left-condensation of the last array of its shape,
   and a pair that is perturbed, transposed or not condensed at all;
 * com_prime and hk_wall_h on hives of sizes 1 to 10, and on each hive
-  with one value raised.
+  with one value raised;
+* associate_functional on compatible couples of hives of sizes 1 to 10,
+  the pair_to_hive of checks.random_couple, half of them with one value of
+  the second hive raised.
 
 The inputs are drawn with REF's package, the reference, and handed to
 both runs as data, so both see the same calls, and a fault in the working
@@ -97,6 +100,12 @@ def cases() -> list:
             for label, values in ((f"hive {n}.{j}", h),
                                   (f"hive {n}.{j} raised", raised(h, rng, n))):
                 out += [(label, name, [values]) for name in ("com_prime", "hk_wall_h")]
+    for n in range(1, 11):
+        for j in range(HIVES_PER_SIZE):
+            f, g = (encode(octarray.pair_to_hive(p).values)
+                    for p in octarray.checks.random_couple(rng, n, 3, 1 + j % 4))
+            label = f"couple {n}.{j}" + (" raised" if j % 2 else "")
+            out.append((label, "associate_functional", [f, raised(g, rng, n) if j % 2 else g]))
     return out
 
 
@@ -116,7 +125,8 @@ def run(src: str, path: str) -> None:
     sys.path.insert(0, src)
     import octarray
 
-    wrap = {"com_prime": octarray.TriangleFunction, "hk_wall_h": octarray.TriangleFunction}
+    wrap = dict.fromkeys(("com_prime", "hk_wall_h", "associate_functional"),
+                         octarray.TriangleFunction)
     results = []
     for _, name, args in json.loads(Path(path).read_text()):
         try:
