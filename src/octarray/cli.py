@@ -216,7 +216,7 @@ def _emit(obj):
     sys.stdout.write(text + "\n")
 
 
-def _int_arg(text, flag=None) -> int:
+def _int_arg(text, flag) -> int:
     """An integer argument: "[-]p" in ASCII digits."""
     try:
         if "/" not in text:
@@ -226,11 +226,18 @@ def _int_arg(text, flag=None) -> int:
     raise MalformedInput(f"argument {flag}: invalid int value: {_quoted(text)}")
 
 
+_PARTITION = re.compile(r"(?:(?:-?[0-9]+)?,)*(?:-?[0-9]+)?")
+
+
 def _partition_arg(text):
+    """Parts "[-]p" in ASCII digits between commas, as a tuple of ints;
+    empty parts are skipped."""
     try:
-        return tuple(_int_arg(x) for x in text.split(",") if x != "")
-    except MalformedInput:
-        raise MalformedInput(f"bad partition argument {_quoted(text)}") from None
+        if _PARTITION.fullmatch(text):
+            return tuple([int(x) for x in text.split(",") if x])
+    except ValueError:  # a part past the int-to-str digit limit
+        pass
+    raise MalformedInput(f"bad partition argument {_quoted(text)}")
 
 
 def cmd_condense(args):

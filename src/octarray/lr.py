@@ -78,9 +78,9 @@ def _hives(lam, mu, nu):
     if sum(lam) + sum(mu) != sum(nu):
         return [], 0
     size, sides, interior, lows, highs, fixed = _hive_plan(n)
-    vals = [0] * size
+    vals, top = [0] * size, sum(lam)
     for (p, q, r), l, m, x in zip(sides, *map(partial_sums, (lam, mu, nu))):
-        vals[p], vals[q], vals[r] = l, sum(lam) + m, x
+        vals[p], vals[q], vals[r] = l, top + m, x
     if any(vals[a] + vals[b] < vals[c] + vals[d] for a, b, c, d in fixed):
         return [], 0
     found, entered = [], 0
@@ -118,10 +118,10 @@ def enumerate_hives(lam, mu, nu):
 
 
 def _standard_pairs(lam, mu, nu):
-    """(a, bs): the first component of every standard pair of a checked type
-    (lam, mu, nu), the diagonal of lam, and the list of second components.
+    """The second components of the standard pairs of a checked type (lam,
+    mu, nu), as a list of Arrays; the first component of each is diag(lam).
 
-    These range over the integer arrays with column sums mu, row sums
+    They range over the integer arrays with column sums mu, row sums
     nu - lam and support on or above the diagonal, filtered by the two
     tightness conditions.  The cells are filled row by row, smallest value
     first, with an explicit stack.  Both conditions on rows up to j are
@@ -131,12 +131,11 @@ def _standard_pairs(lam, mu, nu):
     off the column masses placed so far (mu - col_left).
     """
     n = len(nu)
-    a = diag(lam)
     rsums = [nu[j] - lam[j] for j in range(n)]
     if any(r < 0 for r in rsums) or sum(mu) != sum(rsums):
-        return a, []
+        return []
     results = []
-    arows = [list(row) for row in a.ints]
+    arows = [[x if i == j else 0 for i in range(n)] for j, x in enumerate(lam)]  # diag(lam)
     rows = [[0] * n for _ in range(n)]
     col_left = list(mu)
     # row j (0-based, bottom to top) has mass in columns i <= j only; its
@@ -180,23 +179,24 @@ def _standard_pairs(lam, mu, nu):
             row_left = rsums[j + 1]
         else:  # every row placed its mass, so every column has its mass too
             results.append(Array._scaled(1, rows))
-    return a, results
+    return results
 
 
 def enumerate_standard_pairs(lam, mu, nu):
-    """All integer standard pairs of type (lam, mu, nu), in the order
-    _standard_pairs finds their second components."""
-    a, bs = _standard_pairs(*_integer_type(lam, mu, nu))
-    return [StandardPair._built(a, b) for b in bs]
+    """All integer standard pairs of type (lam, mu, nu), with the one first
+    component diag(lam), in the order _standard_pairs finds their second."""
+    lam, mu, nu = _integer_type(lam, mu, nu)
+    a = diag(lam)
+    return [StandardPair._built(a, b) for b in _standard_pairs(lam, mu, nu)]
 
 
 def lr_coefficient(lam, mu, nu) -> int:
     """The number of integer hives of the given type, cross-checked against
-    the number of integer standard pairs; the type is checked once, and
-    neither hives nor pairs are built as values."""
+    the number of integer standard pairs; the type is checked once, and no
+    hive, pair or diagonal first component is built as a value."""
     lam, mu, nu = pad_partitions(lam, mu, nu)
     hives = len(_hives(lam, mu, nu)[0])
-    pairs = len(_standard_pairs(lam, mu, nu)[1])
+    pairs = len(_standard_pairs(lam, mu, nu))
     if hives != pairs:
         raise AssertionError(
             f"hive count {hives} != pair count {pairs} for {(lam, mu, nu)}")

@@ -8,7 +8,7 @@ read_scalar is the one reader of exact values: an int, a Fraction, or a
 string "[-]p" or "[-]p/q" in ASCII digits, read to its terms (p, q) in
 lowest terms.  parse_scalar (also bound as normalize) makes an int or a
 Fraction of them, so the library and the CLI raise the same text for a bad
-value, and the CLI's integer arguments are read by it too.  An error quotes
+value, and the CLI's int options are read by it too.  An error quotes
 at most a few dozen characters of a bad value.
 
 A rational grid is an integer grid over one common denominator D, the lcm
@@ -144,14 +144,18 @@ def check_size(n, name: str) -> int:
 
 def check_partition(p, name: str = "partition") -> tuple:
     """p as an integer partition: a tuple of exact ints, weakly decreasing
-    and non-negative, or ValidationError naming it."""
-    seq = tuple(normalize(x) for x in p)
-    if any(x < y for x, y in zip(seq, seq[1:])) or (seq and seq[-1] < 0):
+    and non-negative, or ValidationError naming it.  Exact int parts are
+    taken whole after one type test; other parts are read by normalize."""
+    seq = tuple(p)
+    exact = set(map(type, seq)) <= {int}
+    if not exact:
+        seq = tuple(map(normalize, seq))
+    if list(seq) != sorted(seq, reverse=True) or seq and seq[-1] < 0:
         k = next(k for k, x in enumerate(seq) if x < 0 or k and x > seq[k - 1])
         at = f" at part {k}: {_quoted(seq[k])}" if k >= 6 else ""  # past the quote's cut
         raise ValidationError(f"{name} is not weakly decreasing non-negative: "
                               f"{_quoted(seq)}{at}")
-    if any(type(x) is not int for x in seq):
+    if not exact and any(type(x) is not int for x in seq):
         raise ValidationError(f"{name} must be an integer partition")
     return seq
 

@@ -9,7 +9,9 @@ import pytest
 
 import octarray
 from octarray import checks, pair_to_hive, serialize
-from octarray.cli import MAX_JSON_DEPTH, main
+from octarray.cli import MAX_JSON_DEPTH, MalformedInput, _partition_arg, main
+from octarray.errors import ValidationError
+from octarray.scalars import _quoted, parse_scalar
 
 ARRAY = {"type": "array", "rows": [[2, 3, 1], [1, 1, 5], [1, 2, 2]]}
 
@@ -619,6 +621,70 @@ def test_lr_partition_parts_take_ascii_integers_only(cli, text):
     quoted = CUT.get(text + ",1", repr(text + ",1"))
     assert json.loads(err) == {"error": "malformed input",
                                "detail": f"bad partition argument {quoted}"}
+
+
+LIMIT = sys.get_int_max_str_digits()
+PARTITION_ALPHABET = "0123456789,-+/_ \u0663"  # \u0663 is the Arabic-Indic digit three
+PARTITION_EDGES = {"empty": "", "comma": ",", "empty parts": "1,,2,", "minus zero": "-0",
+                   "leading zeros": "007", "at the digit limit": "1," + "9" * LIMIT,
+                   "past the digit limit": "9" * (LIMIT + 1) + ",1"}
+
+
+def partition_by_parse_scalar(text):
+    """The partition argument's reference reader: each non-empty part read
+    by parse_scalar, "/" refused; the tuple of ints or the error text."""
+    try:
+        if "/" not in text:
+            return tuple(parse_scalar(x) for x in text.split(",") if x)
+    except ValidationError:
+        pass
+    return f"bad partition argument {_quoted(text)}"
+
+
+def partition_read(text):
+    try:
+        parts = _partition_arg(text)
+    except MalformedInput as exc:
+        return str(exc)
+    assert all(type(x) is int for x in parts)
+    return parts
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # a seeded loop instead
+    def partition_texts(test):
+        def run():
+            rng = random.Random(0)
+            for _ in range(500):
+                test("".join(rng.choices(PARTITION_ALPHABET, k=rng.randint(0, 10))))
+
+        run.__name__ = test.__name__
+        return run
+else:
+    def partition_texts(test):
+        return settings(max_examples=500, deadline=None, database=None)(
+            given(st.text(PARTITION_ALPHABET, max_size=10))(test))
+
+
+@partition_texts
+def test_a_partition_argument_reads_as_parse_scalar_reads_its_parts(text):
+    assert partition_read(text) == partition_by_parse_scalar(text)
+
+
+@pytest.mark.parametrize("text", PARTITION_EDGES.values(), ids=PARTITION_EDGES)
+def test_partition_argument_edges_read_as_parse_scalar_reads_them(text):
+    assert partition_read(text) == partition_by_parse_scalar(text)
+
+
+def test_a_partition_part_past_the_digit_limit_exit_2_quoted_cut(cli):
+    code, out, err = cli(["lr", "1", "9" * (LIMIT + 1), "1"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "malformed input", "detail":
+                               "bad partition argument '999999999999...9999999999999'"}
+    code, out, err = cli(["lr", "9" * LIMIT, "0", "9" * LIMIT, "--oracle"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"coefficient": 1, "oracle": 1}
 
 
 @pytest.mark.parametrize("flag", ["--seed", "--cases", "--n", "--max-mass"])

@@ -220,4 +220,4 @@ def test_row_pruned_pair_search_equals_the_leaf_checked_search():
     types = random_types(random.Random(12), 300, 5) + random_types(random.Random(13), 40, 6, 2)
     assert any(not leaf_checked_pairs(*t) for t in types)
     for t in types:
-        assert [b.ints for b in lr._standard_pairs(*t)[1]] == leaf_checked_pairs(*t), t
+        assert [b.ints for b in lr._standard_pairs(*t)] == leaf_checked_pairs(*t), t

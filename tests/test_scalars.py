@@ -1,5 +1,7 @@
 import io
+import itertools
 import json
+import random
 import re
 import sys
 from fractions import Fraction
@@ -12,6 +14,7 @@ from octarray.cli import main
 from octarray.errors import ValidationError
 from octarray.hives import TriangleFunction
 from octarray.scalars import (
+    _quoted,
     check_partition,
     normalize,
     pad_partitions,
@@ -93,6 +96,61 @@ def test_check_partition_quotes_six_parts_and_40_digits_whole():
                           ((1, 10 ** 4000), "(1, 1" + "0" * 17 + "..." + "0" * 19 + ")")]:
         with pytest.raises(ValidationError, match=re.escape(quoted).join([text, "$"])):
             check_partition(parts)
+
+
+PARTS = [3, 2, 1, 0, -1, True, 1.0, Fraction(4, 2), Fraction(1, 2), "2"]
+
+
+def partition_by_normalize(p):
+    """check_partition's reference: every part read by normalize, then the
+    order and integer checks; (the tuple, its types) or the error text."""
+    try:
+        seq = tuple(normalize(x) for x in p)
+    except ValidationError as exc:
+        return str(exc)
+    if any(x < y for x, y in zip(seq, seq[1:])) or (seq and seq[-1] < 0):
+        k = next(k for k, x in enumerate(seq) if x < 0 or k and x > seq[k - 1])
+        at = f" at part {k}: {_quoted(seq[k])}" if k >= 6 else ""
+        return f"partition is not weakly decreasing non-negative: {_quoted(seq)}{at}"
+    if any(type(x) is not int for x in seq):
+        return "partition must be an integer partition"
+    return seq, [type(x) for x in seq]
+
+
+def checked_partition(p):
+    try:
+        seq = check_partition(p)
+    except ValidationError as exc:
+        return str(exc)
+    return seq, [type(x) for x in seq]
+
+
+def test_check_partition_takes_exact_ints_whole_and_reads_other_parts():
+    # every tuple of up to three parts, and random longer ones, as a tuple
+    # and as a one-shot generator
+    rng = random.Random(38)
+    parts = [p for k in range(4) for p in itertools.product(PARTS, repeat=k)]
+    parts += [tuple(rng.choices(PARTS[:5] if rng.random() < 0.5 else PARTS, k=rng.randint(4, 9)))
+              for _ in range(400)]
+    for _ in range(100):  # exact ints: sorted, then with the last part too big or negative
+        p = tuple(sorted(rng.choices(range(6), k=rng.randint(4, 9)), reverse=True))
+        parts += [p, p[:-1] + (p[0] + 1,), p[:-1] + (-1,)]
+    outcomes = set()
+    for p in parts:
+        expected = partition_by_normalize(p)
+        assert checked_partition(p) == expected, p
+        assert checked_partition(x for x in p) == expected, p
+        outcomes.add(expected if type(expected) is str else "ok")
+    assert {"ok", "inexact scalar not allowed: True",
+            "partition must be an integer partition"} <= outcomes
+    assert any(" at part " in o for o in outcomes)
+
+
+def test_an_lr_argument_names_a_fault_past_its_sixth_part(capsys):
+    assert main(["lr", "1,1,1,1,1,1,2", "1", "1"]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "validation", "detail": "argument 0 is not weakly decreasing "
+        "non-negative: (1, 1, 1, 1, 1, 1, ...) at part 6: 2"}
 
 
 def test_pad_partitions_pads_to_a_common_length_of_at_least_one():

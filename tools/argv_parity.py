@@ -38,7 +38,8 @@ from reftree import ROOT, outputs, reference
 COUNT = 20_000
 SEED = 0
 
-VALUES = ["0", "1", "-1", "3", "01", "2,1", "1,2", "3,1,0", "1/2", "x", "1,2,3,4,5,6,7"]
+VALUES = ["0", "1", "-1", "3", "01", "2,1", "1,2", "3,1,0", "1/2", "x", "1,2,3,4,5,6,7",
+          "1,,2", ",", "-0", "-0,1", "2_0", "+2", "٢,1"]
 JUNK = ["extra", "-x", "--nosuch", "--func", "--seed=3", "-iarray.json", "-hh", "--",
         "--input", "-i", "-", "missing.json"]
 LONG = ["x" * 29, "9" * 41, "-" + "9" * 45, "1," + "9" * 45, "--" + "y" * 30,

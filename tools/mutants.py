@@ -114,8 +114,11 @@ MUTANTS = [
      "        return x.numerator, x.denominator\n", "        return x.numerator, 1\n",
      "test_scalars.py"),
     ("check_partition accepts a non-integral part", "scalars.py",
-     "    if any(type(x) is not int for x in seq):",
+     "    if not exact and any(type(x) is not int for x in seq):",
      "    if False and any(type(x) is not int for x in seq):", "test_scalars.py"),
+    ("the exact-int path skips the order check", "scalars.py",
+     "    if list(seq) != sorted(seq, reverse=True)",
+     "    if not exact and list(seq) != sorted(seq, reverse=True)", "test_scalars.py"),
     ("a size mismatch between the two sides is not reported", "checks.py",
      "    if len(left) != len(right):", "    if False:", "test_checks.py"),
     ("the writer skips the gcd reduction", "scalars.py",
@@ -169,6 +172,9 @@ MUTANTS = [
      "v for v in values", "test_emit.py"),
     ("the propagate template swaps y and z", "cli.py",
      'row % (x, y, z, "%s")', 'row % (x, z, y, "%s")', "test_emit.py"),
+    ("the partition pattern admits a leading +", "cli.py",
+     'r"(?:(?:-?[0-9]+)?,)*(?:-?[0-9]+)?"', 'r"(?:(?:[-+]?[0-9]+)?,)*(?:[-+]?[0-9]+)?"',
+     "test_cli.py"),
     ("the argv reader skips the choice check", "cli.py",
      "if choices and word not in choices:", "if False:", "test_cli.py"),
     ("the argv reader does not demand the last positional", "cli.py",

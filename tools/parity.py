@@ -20,7 +20,13 @@ every kind of shape (square, more rows, more columns, 1 x k and k x 1):
   with one value raised;
 * associate_functional on compatible couples of hives of sizes 1 to 10,
   the pair_to_hive of checks.random_couple, half of them with one value of
-  the second hive raised.
+  the second hive raised;
+* lr_coefficient, lr_oracle, enumerate_hives and enumerate_standard_pairs
+  on LR types (lam, mu, nu): the types of random standard pairs of sizes 1
+  to 6; each again with a box of nu moved from its first part to its last,
+  which often makes c = 0; and a bad type made from each, with an
+  unsorted, negative, Fraction or bool part, with parts of unequal
+  lengths, or empty.
 
 The inputs are drawn with REF's package, the reference, and handed to
 both runs as data, so both see the same calls, and a fault in the working
@@ -40,15 +46,18 @@ from reftree import outputs, reference
 
 ARRAYS = 4000
 HIVES_PER_SIZE = 30
+TYPES_PER_SIZE = 40
 SEED = 0
 CONDENSATIONS = ("condense_down", "condense_left", "condense_right", "condense_up")
+LR = ("lr_coefficient", "lr_oracle", "enumerate_hives", "enumerate_standard_pairs")
 SHOWN = 300  # characters of each outcome printed on a difference
 
 
 def encode(rows) -> list:
-    """Rows of exact values as JSON: an int, or "p/q" for a Fraction."""
-    return [[v if type(v) is int else f"{v.numerator}/{v.denominator}" for v in row]
-            for row in rows]
+    """Rows of exact values as JSON: an int or a bool, or "p/q" for a
+    Fraction."""
+    return [[v if type(v) in (int, bool) else f"{v.numerator}/{v.denominator}"
+             for v in row] for row in rows]
 
 
 def decode(rows) -> list:
@@ -72,6 +81,38 @@ def array_rows(rng, k: int) -> list:
     density = rng.choice((0.2, 0.6, 1.0))
     return [[Fraction(rng.randint(0, 9), q) if rng.random() < density else 0
              for _ in range(n)] for _ in range(m)]
+
+
+def pair_type(octarray, rng, n: int) -> tuple:
+    """The type of a random standard pair of size n: up to 3n unit masses
+    dropped on an n x 2n array, its halves condensed left, then condensed
+    down together."""
+    rows = [[0] * (2 * n) for _ in range(n)]
+    for _ in range(rng.randint(0, 3 * n)):
+        rows[rng.randrange(n)][rng.randrange(2 * n)] += 1
+    b, c = map(octarray.condense_left, octarray.split(octarray.Array(rows), n))
+    pair = octarray.StandardPair(*octarray.split(octarray.condense_down(octarray.concat(b, c)), n))
+    return tuple(map(tuple, pair.type()))
+
+
+def moved(nu) -> tuple:
+    """nu with a box moved from its first part to its last, sorted again:
+    a box added if nu has one part, a part -1 if nu is zero."""
+    nu = list(nu)
+    nu[0], nu[-1] = nu[0] - 1, nu[-1] + 1
+    return tuple(sorted(nu, reverse=True))
+
+
+def bad_type(lam, mu, nu, k: int):
+    """The k-th kind of bad type, made from a good one: (what, type)."""
+    return [("unsorted", (lam, mu, nu[:-1] + (nu[0] + 1,))),
+            ("negative", (lam, mu[:-1] + (-1,), nu)),
+            ("half", ((Fraction(2 * lam[0] + 1, 2),) + lam[1:], mu, nu)),
+            ("integral Fraction", (tuple(map(Fraction, lam)), mu, nu)),
+            ("bool", (lam, mu[:-1] + (True,), nu)),
+            ("longer mu", (lam, mu + (0,), nu)),
+            ("shorter nu", (lam, mu, nu[:-1])),
+            ("empty", ((), (), ()))][k % 8]
 
 
 def cases() -> list:
@@ -106,13 +147,27 @@ def cases() -> list:
                     for p in octarray.checks.random_couple(rng, n, 3, 1 + j % 4))
             label = f"couple {n}.{j}" + (" raised" if j % 2 else "")
             out.append((label, "associate_functional", [f, raised(g, rng, n) if j % 2 else g]))
+    for n in range(1, 7):
+        for j in range(TYPES_PER_SIZE):
+            lam, mu, nu = pair_type(octarray, rng, n)
+            what, bad = bad_type(lam, mu, nu, j)
+            for label, t in ((f"type {n}.{j}", (lam, mu, nu)),
+                             (f"type {n}.{j}, a box moved", (lam, mu, moved(nu))),
+                             (f"type {n}.{j}, {what}", bad)):
+                out += [(label, name, encode(t)) for name in LR]
     return out
 
 
 def text(x) -> str:
     """An outcome as text: each value with its type."""
+    if type(x) is int:
+        return f"int {x}"
     if isinstance(x, tuple):
         return "(" + ", ".join(map(text, x)) + ")"
+    if isinstance(x, list):
+        return "[" + ", ".join(map(text, x)) + "]"
+    if type(x).__name__ == "StandardPair":
+        return "StandardPair" + text((x.a, x.b))
     rows = x.rows if hasattr(x, "rows") else x.values
     return type(x).__name__ + str([[f"{type(v).__name__} {v}" for v in row]
                                    for row in rows])
@@ -130,8 +185,9 @@ def run(src: str, path: str) -> None:
     results = []
     for _, name, args in json.loads(Path(path).read_text()):
         try:
-            result = text(getattr(octarray, name)(
-                *(wrap.get(name, octarray.Array)(decode(rows)) for rows in args)))
+            values = decode(args) if name in LR else [
+                wrap.get(name, octarray.Array)(decode(rows)) for rows in args]
+            result = text(getattr(octarray, name)(*values))
         except Exception as exc:  # an error is an outcome to compare too
             result = f"{type(exc).__name__}: {exc}"
         results.append([hashlib.sha256(result.encode()).hexdigest(), result[:SHOWN]])
@@ -156,7 +212,9 @@ def main(argv) -> int:
             print(f"{name} on {label}\n  {ref}: {old[1]}\n  working tree: {new[1]}")
             return 1
     pairs = sum(name == "rsk_inverse" for _, name, _ in drawn)
-    print(f"{len(drawn)} cases, {pairs} of them rsk_inverse pairs: no difference")
+    types = sum(name in LR for _, name, _ in drawn) // len(LR)
+    print(f"{len(drawn)} cases, {pairs} of them rsk_inverse pairs and {types} LR types: "
+          "no difference")
     return 0
 
 
