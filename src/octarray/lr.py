@@ -11,10 +11,18 @@ from functools import cache
 
 # is_l_tight and is_discrete_concave are unused here but bound for the
 # benchmark's tracer, which counts lr's search candidates by them (ROADMAP item 1)
-from .arrays import Array, _tight_rows, diag, is_l_tight
+from .arrays import Array, diag, is_l_tight
 from .errors import ValidationError
 from .hives import StandardPair, TriangleFunction, _rhombus_rules, is_discrete_concave
 from .scalars import check_partition, pad_partitions, partial_sums
+
+MAX_SEARCH_NODES = 1_000_000
+"""The most nodes (hive points, pair cells, tableau boxes) one LR search may
+enter; past it the search raises ValidationError naming this limit."""
+
+
+def _too_many(work):
+    return ValidationError(f"{work}, more than MAX_SEARCH_NODES = {MAX_SEARCH_NODES}")
 
 
 def _integer_type(lam, mu, nu):
@@ -83,9 +91,8 @@ def _hives(lam, mu, nu):
         vals[p], vals[q], vals[r] = l, top + m, x
     if any(vals[a] + vals[b] < vals[c] + vals[d] for a, b, c, d in fixed):
         return [], 0
-    found, entered = [], 0
+    found, entered, limit, k = [], 0, MAX_SEARCH_NODES, 0
     tops = [None] * len(interior)  # the stack: upper bounds of points 0..k
-    k = 0
     while k >= 0:
         if k == len(interior):  # a complete filling, and so a hive
             found.append(tuple(vals))
@@ -93,9 +100,16 @@ def _hives(lam, mu, nu):
             continue
         i = interior[k]
         if tops[k] is None:  # entering the point: its bounds, lowest value first
-            entered += 1
-            vals[i] = max([vals[a] + vals[b] - vals[c] for a, b, c in lows[i]])
-            tops[k] = min([vals[a] + vals[b] - vals[c] for a, b, c in highs[i]])
+            if (entered := entered + 1) > limit:
+                raise _too_many(f"the hive search entered {entered} points")
+            lo = hi = None
+            for a, b, c in lows[i]:
+                x = vals[a] + vals[b] - vals[c]
+                lo = x if lo is None or x > lo else lo
+            for a, b, c in highs[i]:
+                x = vals[a] + vals[b] - vals[c]
+                hi = x if hi is None or x < hi else hi
+            vals[i], tops[k] = lo, hi
         else:
             vals[i] += 1
         if vals[i] > tops[k]:  # point exhausted: back to the previous one
@@ -118,24 +132,25 @@ def enumerate_hives(lam, mu, nu):
 
 
 def _standard_pairs(lam, mu, nu):
-    """The second components of the standard pairs of a checked type (lam,
-    mu, nu), as a list of Arrays; the first component of each is diag(lam).
-
-    They range over the integer arrays with column sums mu, row sums
-    nu - lam and support on or above the diagonal, filtered by the two
-    tightness conditions.  The cells are filled row by row, smallest value
-    first, with an explicit stack.  Both conditions on rows up to j are
-    checked as row j closes, so every filling completed is a pair: the row
-    scan of concat(a, b) on rows j - 1 and j, and that of b's columns at
-    row j, which for c < j reads sum_{r<=j} b[r][c+1] <= sum_{r<j} b[r][c]
-    off the column masses placed so far (mu - col_left).
+    """(pairs, entered) for a checked type (lam, mu, nu): the second
+    components b of its standard pairs, as Arrays (the first is diag(lam)),
+    and the number of cells the search entered.  The b range over the
+    integer arrays with column sums mu, row sums nu - lam and support on
+    or above the diagonal, filled row by row, smallest value first, with an
+    explicit stack.  As row j closes, one scan over c < j checks both
+    tightness conditions, so every filling completed is a pair:
+    concat(diag(lam), b) is tight on rows j - 1 and j iff B_j(<=c) <=
+    lam[j-1] - lam[j] + B_{j-1}(<c), with B_r(<=c) the mass of row r of b
+    in columns <= c (the diagonal block and the columns c >= j hold
+    already, as lam and nu are checked partitions), and b's columns are
+    tight at row j iff sum_{r<=j} b[r][c+1] <= sum_{r<j} b[r][c], read off
+    the column masses placed so far (mu - col_left).
     """
     n = len(nu)
     rsums = [nu[j] - lam[j] for j in range(n)]
     if any(r < 0 for r in rsums) or sum(mu) != sum(rsums):
-        return []
-    results = []
-    arows = [[x if i == j else 0 for i in range(n)] for j, x in enumerate(lam)]  # diag(lam)
+        return [], 0
+    results, entered, limit, k = [], 0, MAX_SEARCH_NODES, 0
     rows = [[0] * n for _ in range(n)]
     col_left = list(mu)
     # row j (0-based, bottom to top) has mass in columns i <= j only; its
@@ -143,13 +158,14 @@ def _standard_pairs(lam, mu, nu):
     cells = [(j, i) for j in range(n) for i in range(j + 1)]
     vals = [-1] * len(cells)  # the stack: values of cells 0..k, -1 = untried
     row_left = rsums[0]  # mass the current row has still to place
-    k = 0
     while k >= 0:
         j, i = cells[k]
         x = vals[k]
         if x >= 0:  # take back the value last tried in this cell
             col_left[i] += x
             row_left += x
+        elif (entered := entered + 1) > limit:  # entering the cell
+            raise _too_many(f"the pair search entered {entered} cells")
         if i < j:
             x += 1
             if i == j - 1 and x < row_left - col_left[j]:
@@ -169,17 +185,21 @@ def _standard_pairs(lam, mu, nu):
         row_left -= x
         if i < j:
             k += 1
-        elif j and not (
-                _tight_rows((arows[j - 1] + rows[j - 1], arows[j] + rows[j]))
-                and all(mu[c + 1] - col_left[c + 1] <= mu[c] - col_left[c] - rows[j][c]
-                        for c in range(j))):
-            continue  # no completion is a pair: the diagonal cell is exhausted
-        elif k + 1 < len(cells):
-            k += 1
-            row_left = rsums[j + 1]
-        else:  # every row placed its mass, so every column has its mass too
-            results.append(Array._scaled(1, rows))
-    return results
+            continue
+        # row j closes; here = B_j(<=c), room = lam[j-1] - lam[j] + B_{j-1}(<c)
+        low, high, here, room = rows[j - 1], rows[j], 0, lam[j - 1] - lam[j]
+        for c in range(j):
+            here += high[c]
+            if here > room or mu[c + 1] - col_left[c + 1] > mu[c] - col_left[c] - high[c]:
+                break  # no completion is a pair: the diagonal cell is exhausted
+            room += low[c]
+        else:
+            if k + 1 < len(cells):
+                k += 1
+                row_left = rsums[j + 1]
+            else:  # every row placed its mass, so every column has its mass too
+                results.append(Array._scaled(1, rows))
+    return results, entered
 
 
 def enumerate_standard_pairs(lam, mu, nu):
@@ -187,7 +207,7 @@ def enumerate_standard_pairs(lam, mu, nu):
     component diag(lam), in the order _standard_pairs finds their second."""
     lam, mu, nu = _integer_type(lam, mu, nu)
     a = diag(lam)
-    return [StandardPair._built(a, b) for b in _standard_pairs(lam, mu, nu)]
+    return [StandardPair._built(a, b) for b in _standard_pairs(lam, mu, nu)[0]]
 
 
 def lr_coefficient(lam, mu, nu) -> int:
@@ -196,7 +216,7 @@ def lr_coefficient(lam, mu, nu) -> int:
     hive, pair or diagonal first component is built as a value."""
     lam, mu, nu = pad_partitions(lam, mu, nu)
     hives = len(_hives(lam, mu, nu)[0])
-    pairs = len(_standard_pairs(lam, mu, nu))
+    pairs = len(_standard_pairs(lam, mu, nu)[0])
     if hives != pairs:
         raise AssertionError(
             f"hive count {hives} != pair count {pairs} for {(lam, mu, nu)}")
@@ -213,38 +233,42 @@ def lr_oracle(lam, mu, nu) -> int:
         return 0
     if sum(lam) + sum(mu) != sum(nu):
         return 0
-
-    # boxes listed in reading order: rows bottom to top, right to left,
-    # so the Yamanouchi condition can be enforced incrementally.
-    boxes = [(c, j) for j in range(n) for c in range(nu[j], lam[j], -1)]
-    if not boxes:
-        return 1
-    grid = {}  # the stack: the letters of boxes 0..k
-    left = list(mu)
-    counts = [0] * (n + 1)
-    total = 0
-    k = 0
+    # boxes numbered in reading order (rows bottom to top, right to left),
+    # so the Yamanouchi condition holds incrementally.  Box k = (c, j) has
+    # k - nu[j] + lam[j - 1] = (c, j - 1) below it and k - 1 = (c + 1, j) to
+    # its right, if any; -2 and -1 are the sentinel slots for no box: 0 and n
+    below, right = [], []
+    for j in range(n):
+        for c in range(nu[j], lam[j], -1):
+            k = len(right)
+            below.append(k - nu[j] + lam[j - 1] if j and c > lam[j - 1] else -2)
+            right.append(k - 1 if c < nu[j] else -1)
+    letters = [0] * len(right) + [0, n]  # the stack: the letters of boxes 0..k
+    left, counts = list(mu), [0] * (n + 1)
+    total, entered, limit, k = 0, 0, MAX_SEARCH_NODES, 0
     while k >= 0:
-        c, j = boxes[k]
-        x = grid.get((c, j))
+        if k == len(right):  # a complete filling
+            total += 1
+            k -= 1
+            continue
+        x = letters[k]
         if x:  # take back the letter last tried in this box
             left[x - 1] += 1
             counts[x] -= 1
-        else:  # start above the letter below, if there is a box below
-            x = grid.get((c, j - 1), 0)
-        hi = grid.get((c + 1, j), n)
+        else:  # entering the box: start above the letter below
+            if (entered := entered + 1) > limit:
+                raise _too_many(f"the tableau count entered {entered} boxes")
+            x = letters[below[k]]
+        hi = letters[right[k]]
         x += 1
         while x <= hi and not (left[x - 1] and (x == 1 or counts[x] < counts[x - 1])):
             x += 1
         if x > hi:  # box exhausted: back to the previous one
-            grid.pop((c, j), None)
+            letters[k] = 0
             k -= 1
             continue
-        grid[(c, j)] = x
+        letters[k] = x
         left[x - 1] -= 1
         counts[x] += 1
-        if k + 1 == len(boxes):
-            total += 1
-        else:
-            k += 1
+        k += 1
     return total

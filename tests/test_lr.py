@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import accumulate
 
@@ -113,6 +114,53 @@ def test_hive_search_enters_a_pinned_number_of_points(lam, mu, nu, entered):
     assert len(hives) == lr_oracle(lam, mu, nu)
 
 
+@pytest.mark.parametrize("lam, mu, nu, entered", [
+    ((2, 1, 0), (2, 1, 0), (3, 2, 1), 11),
+    ((3, 2, 1, 0), (2, 2, 1, 0), (5, 3, 2, 1), 16),
+])
+def test_pair_search_enters_a_pinned_number_of_cells(lam, mu, nu, entered):
+    # both tightness conditions prune as each row closes: a check skipped
+    # or weakened there enters more cells or completes fillings that are
+    # not pairs
+    pairs, count = lr._standard_pairs(lam, mu, nu)
+    assert count == entered
+    assert len(pairs) == lr_oracle(lam, mu, nu)
+
+
+# each search on one type with c = 2: what it counts, and the number of
+# nodes it enters there
+LIMITED = ((3, 2, 1, 0), (2, 2, 1, 0), (5, 3, 2, 1))
+SEARCHES = {"hives": (lambda: len(lr._hives(*LIMITED)[0]), 4),
+            "pairs": (lambda: len(lr._standard_pairs(*LIMITED)[0]), 16),
+            "oracle": (lambda: lr_oracle(*LIMITED), 6)}
+
+
+@pytest.mark.parametrize("name", SEARCHES)
+def test_a_search_may_enter_exactly_max_search_nodes(monkeypatch, name):
+    count, nodes = SEARCHES[name]
+    monkeypatch.setattr(lr, "MAX_SEARCH_NODES", nodes)
+    assert count() == 2
+
+
+@pytest.mark.parametrize("name", SEARCHES)
+def test_a_search_past_max_search_nodes_fails_naming_the_limit(monkeypatch, name):
+    count, nodes = SEARCHES[name]
+    monkeypatch.setattr(lr, "MAX_SEARCH_NODES", nodes - 1)
+    with pytest.raises(ValidationError, match=f"{nodes} .*, more than "
+                                              f"MAX_SEARCH_NODES = {nodes - 1}$"):
+        count()
+
+
+def test_lr_past_max_search_nodes_exits_1_naming_the_limit(monkeypatch, capsys):
+    from octarray import cli
+
+    monkeypatch.setattr(lr, "MAX_SEARCH_NODES", 3)
+    assert cli.main(["lr", "3,2,1", "2,2,1", "5,3,2,1"]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error == {"error": "validation", "detail": "the hive search entered 4 points, "
+                                                      "more than MAX_SEARCH_NODES = 3"}
+
+
 def test_lr_coefficient_equals_the_oracle_on_random_types():
     counts = [(lr_coefficient(*t), lr_oracle(*t)) for t in
               random_types(random.Random(23), 600, 5)]
@@ -220,4 +268,4 @@ def test_row_pruned_pair_search_equals_the_leaf_checked_search():
     types = random_types(random.Random(12), 300, 5) + random_types(random.Random(13), 40, 6, 2)
     assert any(not leaf_checked_pairs(*t) for t in types)
     for t in types:
-        assert [b.ints for b in lr._standard_pairs(*t)] == leaf_checked_pairs(*t), t
+        assert [b.ints for b in lr._standard_pairs(*t)[0]] == leaf_checked_pairs(*t), t

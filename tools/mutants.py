@@ -52,7 +52,7 @@ MUTANTS = [
      "if (f0 + f3 < f1 + f2) if outer", "if (f0 + f3 > f1 + f2) if outer",
      "test_hives.py"),
     ("hive search bound loosened by one", "lr.py",
-     "c in highs[i]])\n", "c in highs[i]]) + 1\n", "test_lr.py"),
+     "vals[i], tops[k] = lo, hi\n", "vals[i], tops[k] = lo, hi + 1\n", "test_lr.py"),
     ("a rhombus kind left out of the search bounds", "lr.py",
      "_rhombus_rules((1, 0), (0, 1))", '_rhombus_rules((1, 0), (0, 1), ("i", "ii"))',
      "test_lr.py"),
@@ -61,11 +61,16 @@ MUTANTS = [
     ("pair search caps a cell below its column mass", "lr.py",
      "ok = x <= row_left and x <= col_left[i]", "ok = x <= row_left and x < col_left[i]",
      "test_lr.py"),
+    ("pair search diagonal-fit bound weakened", "lr.py",
+     "and x < row_left - col_left[j]:", "and x < row_left + col_left[j]:", "test_lr.py"),
     ("row-closing d-tightness check skipped", "lr.py",
-     "_tight_rows((arows[j - 1] + rows[j - 1], arows[j] + rows[j]))", "True",
-     "test_lr.py"),
+     "if here > room or mu[c + 1]", "if mu[c + 1]", "test_lr.py"),
     ("row-closing l-tightness check skipped", "lr.py",
-     "for c in range(j))):", "for c in range(0))):", "test_lr.py"),
+     " or mu[c + 1] - col_left[c + 1] > mu[c] - col_left[c] - high[c]:", ":", "test_lr.py"),
+    ("the oracle starts at the letter below, not above it", "lr.py",
+     "x = letters[below[k]]\n", "x = letters[below[k]] - 1\n", "test_lr.py"),
+    ("the oracle's bound from the box to the right is off by one", "lr.py",
+     "hi = letters[right[k]]\n", "hi = letters[right[k]] - 1\n", "test_lr.py"),
     ("skew tableau containment skips inner parts past the outer shape", "bijections.py",
      "any(inner[len(outer):]) or ", "", "test_validation.py"),
     ("_semistandard allows equal letters in a column", "bijections.py",

@@ -26,7 +26,9 @@ every kind of shape (square, more rows, more columns, 1 x k and k x 1):
   to 6; each again with a box of nu moved from its first part to its last,
   which often makes c = 0; and a bad type made from each, with an
   unsorted, negative, Fraction or bool part, with parts of unequal
-  lengths, or empty.
+  lengths, or empty;
+* lr_coefficient and lr_oracle on three larger types, with c = 1,082,
+  2,611 and 303, whose searches run deep (the sizes above are 1 to 6).
 
 The inputs are drawn with REF's package, the reference, and handed to
 both runs as data, so both see the same calls, and a fault in the working
@@ -51,6 +53,10 @@ SEED = 0
 CONDENSATIONS = ("condense_down", "condense_left", "condense_right", "condense_up")
 LR = ("lr_coefficient", "lr_oracle", "enumerate_hives", "enumerate_standard_pairs")
 SHOWN = 300  # characters of each outcome printed on a difference
+# (lam, mu, nu) with c = 1,082, 2,611 and 303, drawn after the random cases
+DEEP_TYPES = [((15, 12, 5, 2, 1, 0), (15, 10, 6, 2, 2, 1), (23, 20, 13, 8, 4, 3)),
+              ((15, 11, 8, 3, 1, 0), (15, 13, 8, 4, 0, 0), (26, 20, 14, 10, 7, 1)),
+              ((9, 7, 5, 3, 1, 0, 0), (9, 6, 3, 2, 1, 0, 0), (15, 11, 8, 7, 2, 2, 1))]
 
 
 def encode(rows) -> list:
@@ -155,6 +161,8 @@ def cases() -> list:
                              (f"type {n}.{j}, a box moved", (lam, mu, moved(nu))),
                              (f"type {n}.{j}, {what}", bad)):
                 out += [(label, name, encode(t)) for name in LR]
+    for k, t in enumerate(DEEP_TYPES):
+        out += [(f"deep type {k}", name, encode(t)) for name in LR[:2]]
     return out
 
 
@@ -212,7 +220,7 @@ def main(argv) -> int:
             print(f"{name} on {label}\n  {ref}: {old[1]}\n  working tree: {new[1]}")
             return 1
     pairs = sum(name == "rsk_inverse" for _, name, _ in drawn)
-    types = sum(name in LR for _, name, _ in drawn) // len(LR)
+    types = len({label for label, name, _ in drawn if name in LR})
     print(f"{len(drawn)} cases, {pairs} of them rsk_inverse pairs and {types} LR types: "
           "no difference")
     return 0
