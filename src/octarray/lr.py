@@ -17,12 +17,14 @@ from .hives import StandardPair, TriangleFunction, _rhombus_rules, is_discrete_c
 from .scalars import check_partition, pad_partitions, partial_sums
 
 MAX_SEARCH_NODES = 1_000_000
-"""The most nodes (hive points, pair cells, tableau boxes) one LR search may
-enter; past it the search raises ValidationError naming this limit."""
+"""The most steps one LR search may take, a step being one pass of a search
+loop: entering a node (hive point, pair cell, tableau box), trying its next
+value, completing a filling or backing off.  Past it, or before building a
+plan of more nodes, the search raises ValidationError naming this limit."""
 
 
-def _too_many(work):
-    return ValidationError(f"{work}, more than MAX_SEARCH_NODES = {MAX_SEARCH_NODES}")
+def _too_many(search):
+    return ValidationError(f"the {search} took more than {MAX_SEARCH_NODES = } steps")
 
 
 def _integer_type(lam, mu, nu):
@@ -74,34 +76,35 @@ def _hive_plan(n):
 
 
 def _hives(lam, mu, nu):
-    """(hives, entered) for a checked type: each integer hive with boundary
-    increments (lam, mu, nu) as the flat tuple of its rows, the point (u, v)
-    at v(v+1)/2 + u, and the number of times the search entered a point.
+    """Each integer hive with boundary increments (lam, mu, nu), a checked
+    type, as the flat tuple of its rows, the point (u, v) at v(v+1)/2 + u.
 
     The boundary is forced and the rhombi on it alone are checked first;
     interior points are then filled in the order of _hive_plan(n), lowest
     value first, with an explicit stack, so the hives come out sorted.
+    Each pass of the loop is one step of MAX_SEARCH_NODES.
     """
     n = len(nu)
     if sum(lam) + sum(mu) != sum(nu):
-        return [], 0
+        return
+    if (n + 1) * (n + 2) // 2 > MAX_SEARCH_NODES:  # the plan's points alone
+        raise _too_many("hive search")
     size, sides, interior, lows, highs, fixed = _hive_plan(n)
     vals, top = [0] * size, sum(lam)
     for (p, q, r), l, m, x in zip(sides, *map(partial_sums, (lam, mu, nu))):
         vals[p], vals[q], vals[r] = l, top + m, x
     if any(vals[a] + vals[b] < vals[c] + vals[d] for a, b, c, d in fixed):
-        return [], 0
-    found, entered, limit, k = [], 0, MAX_SEARCH_NODES, 0
-    tops = [None] * len(interior)  # the stack: upper bounds of points 0..k
-    while k >= 0:
+        return
+    tops, k = [None] * len(interior), 0  # the stack: upper bounds of points 0..k
+    for _ in range(MAX_SEARCH_NODES + 1):
+        if k < 0:
+            return
         if k == len(interior):  # a complete filling, and so a hive
-            found.append(tuple(vals))
+            yield tuple(vals)
             k -= 1
             continue
         i = interior[k]
         if tops[k] is None:  # entering the point: its bounds, lowest value first
-            if (entered := entered + 1) > limit:
-                raise _too_many(f"the hive search entered {entered} points")
             lo = hi = None
             for a, b, c in lows[i]:
                 x = vals[a] + vals[b] - vals[c]
@@ -117,7 +120,7 @@ def _hives(lam, mu, nu):
             k -= 1
         else:
             k += 1
-    return found, entered
+    raise _too_many("hive search")
 
 
 def enumerate_hives(lam, mu, nu):
@@ -128,17 +131,17 @@ def enumerate_hives(lam, mu, nu):
     lam, mu, nu = _integer_type(lam, mu, nu)
     starts = [v * (v + 1) // 2 for v in range(len(nu) + 1)]
     return [TriangleFunction._built(1, tuple(h[s:s + v + 1] for v, s in enumerate(starts)))
-            for h in _hives(lam, mu, nu)[0]]
+            for h in _hives(lam, mu, nu)]
 
 
 def _standard_pairs(lam, mu, nu):
-    """(pairs, entered) for a checked type (lam, mu, nu): the second
-    components b of its standard pairs, as Arrays (the first is diag(lam)),
-    and the number of cells the search entered.  The b range over the
-    integer arrays with column sums mu, row sums nu - lam and support on
-    or above the diagonal, filled row by row, smallest value first, with an
-    explicit stack.  As row j closes, one scan over c < j checks both
-    tightness conditions, so every filling completed is a pair:
+    """The second components b of the standard pairs of a checked type
+    (lam, mu, nu), each as a tuple of row tuples (the first is diag(lam)).
+    The b range over the integer arrays with column sums mu, row sums
+    nu - lam and support on or above the diagonal, filled row by row,
+    smallest value first, with an explicit stack; each pass of the loop is
+    one step of MAX_SEARCH_NODES.  As row j closes, one scan over c < j
+    checks both tightness conditions, so every filling completed is a pair:
     concat(diag(lam), b) is tight on rows j - 1 and j iff B_j(<=c) <=
     lam[j-1] - lam[j] + B_{j-1}(<c), with B_r(<=c) the mass of row r of b
     in columns <= c (the diagonal block and the columns c >= j hold
@@ -149,23 +152,23 @@ def _standard_pairs(lam, mu, nu):
     n = len(nu)
     rsums = [nu[j] - lam[j] for j in range(n)]
     if any(r < 0 for r in rsums) or sum(mu) != sum(rsums):
-        return [], 0
-    results, entered, limit, k = [], 0, MAX_SEARCH_NODES, 0
-    rows = [[0] * n for _ in range(n)]
-    col_left = list(mu)
+        return
+    if n * (n + 1) // 2 > MAX_SEARCH_NODES:  # the cells alone
+        raise _too_many("pair search")
+    rows, col_left, k = [[0] * n for _ in range(n)], list(mu), 0
     # row j (0-based, bottom to top) has mass in columns i <= j only; its
     # diagonal cell closes the row and takes whatever the row has left
     cells = [(j, i) for j in range(n) for i in range(j + 1)]
     vals = [-1] * len(cells)  # the stack: values of cells 0..k, -1 = untried
     row_left = rsums[0]  # mass the current row has still to place
-    while k >= 0:
+    for _ in range(MAX_SEARCH_NODES + 1):
+        if k < 0:
+            return
         j, i = cells[k]
         x = vals[k]
         if x >= 0:  # take back the value last tried in this cell
             col_left[i] += x
             row_left += x
-        elif (entered := entered + 1) > limit:  # entering the cell
-            raise _too_many(f"the pair search entered {entered} cells")
         if i < j:
             x += 1
             if i == j - 1 and x < row_left - col_left[j]:
@@ -198,8 +201,8 @@ def _standard_pairs(lam, mu, nu):
                 k += 1
                 row_left = rsums[j + 1]
             else:  # every row placed its mass, so every column has its mass too
-                results.append(Array._scaled(1, rows))
-    return results, entered
+                yield tuple(map(tuple, rows))
+    raise _too_many("pair search")
 
 
 def enumerate_standard_pairs(lam, mu, nu):
@@ -207,32 +210,31 @@ def enumerate_standard_pairs(lam, mu, nu):
     component diag(lam), in the order _standard_pairs finds their second."""
     lam, mu, nu = _integer_type(lam, mu, nu)
     a = diag(lam)
-    return [StandardPair._built(a, b) for b in _standard_pairs(lam, mu, nu)[0]]
+    return [StandardPair._built(a, Array._built(1, b)) for b in _standard_pairs(lam, mu, nu)]
 
 
 def lr_coefficient(lam, mu, nu) -> int:
     """The number of integer hives of the given type, cross-checked against
-    the number of integer standard pairs; the type is checked once, and no
-    hive, pair or diagonal first component is built as a value."""
+    the number of integer standard pairs; the type is checked once, and the
+    searches' fillings are counted as they come, none kept."""
     lam, mu, nu = pad_partitions(lam, mu, nu)
-    hives = len(_hives(lam, mu, nu)[0])
-    pairs = len(_standard_pairs(lam, mu, nu)[0])
+    hives = sum(1 for _ in _hives(lam, mu, nu))
+    pairs = sum(1 for _ in _standard_pairs(lam, mu, nu))
     if hives != pairs:
-        raise AssertionError(
-            f"hive count {hives} != pair count {pairs} for {(lam, mu, nu)}")
+        raise AssertionError(f"hive count {hives} != pair count {pairs} for {(lam, mu, nu)}")
     return hives
 
 
 def lr_oracle(lam, mu, nu) -> int:
     """Independent count: skew semistandard fillings of nu minus lam with
-    weight mu whose reading word is Yamanouchi.  Backtracking over boxes
-    with an explicit stack, no hives or arrays involved."""
+    weight mu whose reading word is Yamanouchi, by backtracking over boxes
+    with an explicit stack, one step a pass; no hives or arrays involved."""
     lam, mu, nu = pad_partitions(lam, mu, nu)
     n = len(nu)
-    if any(lam[j] > nu[j] for j in range(n)):
+    if any(lam[j] > nu[j] for j in range(n)) or sum(lam) + sum(mu) != sum(nu):
         return 0
-    if sum(lam) + sum(mu) != sum(nu):
-        return 0
+    if sum(mu) > MAX_SEARCH_NODES:  # the boxes alone
+        raise _too_many("tableau count")
     # boxes numbered in reading order (rows bottom to top, right to left),
     # so the Yamanouchi condition holds incrementally.  Box k = (c, j) has
     # k - nu[j] + lam[j - 1] = (c, j - 1) below it and k - 1 = (c + 1, j) to
@@ -244,9 +246,10 @@ def lr_oracle(lam, mu, nu) -> int:
             below.append(k - nu[j] + lam[j - 1] if j and c > lam[j - 1] else -2)
             right.append(k - 1 if c < nu[j] else -1)
     letters = [0] * len(right) + [0, n]  # the stack: the letters of boxes 0..k
-    left, counts = list(mu), [0] * (n + 1)
-    total, entered, limit, k = 0, 0, MAX_SEARCH_NODES, 0
-    while k >= 0:
+    left, counts, total, k = list(mu), [0] * (n + 1), 0, 0
+    for _ in range(MAX_SEARCH_NODES + 1):
+        if k < 0:
+            return total
         if k == len(right):  # a complete filling
             total += 1
             k -= 1
@@ -256,14 +259,11 @@ def lr_oracle(lam, mu, nu) -> int:
             left[x - 1] += 1
             counts[x] -= 1
         else:  # entering the box: start above the letter below
-            if (entered := entered + 1) > limit:
-                raise _too_many(f"the tableau count entered {entered} boxes")
             x = letters[below[k]]
-        hi = letters[right[k]]
-        x += 1
-        while x <= hi and not (left[x - 1] and (x == 1 or counts[x] < counts[x - 1])):
-            x += 1
-        if x > hi:  # box exhausted: back to the previous one
+        for x in range(x + 1, letters[right[k]] + 1):
+            if left[x - 1] and (x == 1 or counts[x] < counts[x - 1]):
+                break
+        else:  # box exhausted: back to the previous one
             letters[k] = 0
             k -= 1
             continue
@@ -271,4 +271,4 @@ def lr_oracle(lam, mu, nu) -> int:
         left[x - 1] -= 1
         counts[x] += 1
         k += 1
-    return total
+    raise _too_many("tableau count")

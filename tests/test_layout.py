@@ -4,8 +4,9 @@ layers it returns are indexed outside it in one place only,
 cli.cmd_propagate (the ceiling L[-1]); condense and bijections read the
 ceiling and a wall of a fill through its one reader, array_faces.  hives
 reads shapes off condensed blocks and imports nothing from condense.  lr
-only counts: it imports nothing from the bijections, the verification
-suites or the value base, and no module imports its private names.
+only counts, in loops bounded by its step limit: it imports nothing from
+the bijections, the verification suites or the value base, and no module
+imports its private names.
 Importing the CLI loads no introspection module."""
 
 import ast
@@ -48,6 +49,12 @@ def test_lr_imports_nothing_from_bijections_checks_or_values():
                 if isinstance(node, ast.ImportFrom) and node.module}
     assert "hives" in imported
     assert imported.isdisjoint({"bijections", "checks", "values"})
+
+
+def test_lr_has_no_while_loop():
+    """Every LR search loops over range(MAX_SEARCH_NODES + 1), so a new
+    search cannot escape the step limit."""
+    assert not any(isinstance(node, ast.While) for node in ast.walk(_trees()["lr.py"]))
 
 
 def test_hives_imports_nothing_from_condense():

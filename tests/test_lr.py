@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from itertools import accumulate
 
 import pytest
@@ -101,54 +102,88 @@ def test_padding_is_harmless():
         lr_coefficient((2, 1, 0, 0), (2, 1, 0), (3, 2, 1, 0))
 
 
-@pytest.mark.parametrize("lam, mu, nu, entered", [
-    ((2, 1, 0), (2, 1, 0), (3, 2, 1), 1),
-    ((3, 2, 1, 0), (2, 2, 1, 0), (5, 3, 2, 1), 4),
-])
-def test_hive_search_enters_a_pinned_number_of_points(lam, mu, nu, entered):
-    # every rhombus bounds the search and nothing checks its leaves, so the
-    # bounds alone decide the output: a bound loosened by one enters more
-    # points or completes fillings that are not hives
-    hives, count = lr._hives(lam, mu, nu)
-    assert count == entered
-    assert len(hives) == lr_oracle(lam, mu, nu)
+def hive_count(*t):
+    return sum(1 for _ in lr._hives(*t))
 
 
-@pytest.mark.parametrize("lam, mu, nu, entered", [
-    ((2, 1, 0), (2, 1, 0), (3, 2, 1), 11),
-    ((3, 2, 1, 0), (2, 2, 1, 0), (5, 3, 2, 1), 16),
-])
-def test_pair_search_enters_a_pinned_number_of_cells(lam, mu, nu, entered):
-    # both tightness conditions prune as each row closes: a check skipped
-    # or weakened there enters more cells or completes fillings that are
-    # not pairs
-    pairs, count = lr._standard_pairs(lam, mu, nu)
-    assert count == entered
-    assert len(pairs) == lr_oracle(lam, mu, nu)
+def pair_count(*t):
+    return sum(1 for _ in lr._standard_pairs(*t))
 
 
-# each search on one type with c = 2: what it counts, and the number of
-# nodes it enters there
+# each search on a type: what it counts there, and the steps it takes, one
+# pass of its loop each.  Every rhombus bounds the hive search and both
+# tightness conditions prune the pair search as each row closes, with no
+# leaf checked, so a bound loosened or a check skipped takes more steps or
+# counts fillings that are not hives or pairs.  The hive types take more
+# steps than their plans have points, so the steps meet the limit first
+SMALL = ((2, 1, 0), (2, 1, 0), (3, 2, 1))
 LIMITED = ((3, 2, 1, 0), (2, 2, 1, 0), (5, 3, 2, 1))
-SEARCHES = {"hives": (lambda: len(lr._hives(*LIMITED)[0]), 4),
-            "pairs": (lambda: len(lr._standard_pairs(*LIMITED)[0]), 16),
-            "oracle": (lambda: lr_oracle(*LIMITED), 6)}
+ONE_POINT = ((20, 10, 0), (20, 10, 0), (30, 20, 10))  # one interior point, 11 values
+SEARCHES = {"hives": (hive_count, ONE_POINT, 11, 23),
+            "hives-4-parts": (hive_count, ((3, 2, 1, 0), (3, 2, 1, 0), (4, 3, 3, 2)), 3, 17),
+            "pairs": (pair_count, LIMITED, 2, 33),
+            "pairs-3-parts": (pair_count, SMALL, 2, 23),
+            "oracle": (lr_oracle, LIMITED, 2, 15)}
+NAMES = {hive_count: "hive search", pair_count: "pair search", lr_oracle: "tableau count"}
 
 
 @pytest.mark.parametrize("name", SEARCHES)
 def test_a_search_may_enter_exactly_max_search_nodes(monkeypatch, name):
-    count, nodes = SEARCHES[name]
-    monkeypatch.setattr(lr, "MAX_SEARCH_NODES", nodes)
-    assert count() == 2
+    count, t, c, steps = SEARCHES[name]
+    assert lr_oracle(*t) == c
+    monkeypatch.setattr(lr, "MAX_SEARCH_NODES", steps)
+    assert count(*t) == c
 
 
 @pytest.mark.parametrize("name", SEARCHES)
 def test_a_search_past_max_search_nodes_fails_naming_the_limit(monkeypatch, name):
-    count, nodes = SEARCHES[name]
-    monkeypatch.setattr(lr, "MAX_SEARCH_NODES", nodes - 1)
-    with pytest.raises(ValidationError, match=f"{nodes} .*, more than "
-                                              f"MAX_SEARCH_NODES = {nodes - 1}$"):
-        count()
+    count, t, _, steps = SEARCHES[name]
+    monkeypatch.setattr(lr, "MAX_SEARCH_NODES", steps - 1)
+    with pytest.raises(ValidationError, match=f"^the {NAMES[count]} took more than "
+                                              f"MAX_SEARCH_NODES = {steps - 1} steps$"):
+        count(*t)
+
+
+def test_a_hive_search_with_one_point_counts_each_value_as_steps(monkeypatch):
+    # one point entered completes one hive per value it takes: 100,001
+    # here, so a limit on the points entered would not bound the work
+    monkeypatch.setattr(lr, "MAX_SEARCH_NODES", 1000)
+    k = 10 ** 5
+    with pytest.raises(ValidationError, match="MAX_SEARCH_NODES = 1000 steps"):
+        hive_count((2 * k, k, 0), (2 * k, k, 0), (3 * k, 2 * k, k))
+
+
+def test_lr_coefficient_keeps_no_hive(monkeypatch):
+    # the hive search completes its 100,001 hives in 200,003 steps, exactly
+    # the limit, and the pair search then passes it
+    k = 10 ** 5
+    monkeypatch.setattr(lr, "MAX_SEARCH_NODES", 2 * k + 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="^the pair search"):
+            lr_coefficient((2 * k, k, 0), (2 * k, k, 0), (3 * k, 2 * k, k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20
+
+
+def test_a_plan_past_the_limit_is_never_built(monkeypatch):
+    def unreachable(n):
+        raise AssertionError(f"the hive plan of size {n} was built")
+
+    monkeypatch.setattr(lr, "_hive_plan", unreachable)
+    monkeypatch.setattr(lr, "MAX_SEARCH_NODES", 9)  # the plan of 3 parts has 10 points
+    for search in (lr_coefficient, enumerate_hives):
+        with pytest.raises(ValidationError, match="^the hive search took more than "):
+            search((0, 0, 0), (0, 0, 0), (0, 0, 0))
+    monkeypatch.undo()
+    # two million cells at 2,000 parts, and a trillion boxes for a type
+    # whose hive and pair searches take one step and two
+    with pytest.raises(ValidationError, match="^the pair search took more than "):
+        pair_count(*[(0,) * 2000] * 3)
+    with pytest.raises(ValidationError, match="^the tableau count took more than "):
+        lr_oracle((0,), (10 ** 12,), (10 ** 12,))
 
 
 def test_lr_past_max_search_nodes_exits_1_naming_the_limit(monkeypatch, capsys):
@@ -157,8 +192,18 @@ def test_lr_past_max_search_nodes_exits_1_naming_the_limit(monkeypatch, capsys):
     monkeypatch.setattr(lr, "MAX_SEARCH_NODES", 3)
     assert cli.main(["lr", "3,2,1", "2,2,1", "5,3,2,1"]) == 1
     error = json.loads(capsys.readouterr().err)
-    assert error == {"error": "validation", "detail": "the hive search entered 4 points, "
-                                                      "more than MAX_SEARCH_NODES = 3"}
+    assert error == {"error": "validation", "detail": "the hive search took more than "
+                                                      "MAX_SEARCH_NODES = 3 steps"}
+
+
+def test_lr_on_parts_near_a_billion_exits_1_naming_the_limit(capsys):
+    from octarray import cli
+
+    argv = ["lr", "2000000000,1000000000", "2000000000,1000000000",
+            "3000000000,2000000000,1000000000"]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().err)["detail"] == (
+        "the hive search took more than MAX_SEARCH_NODES = 1000000 steps")
 
 
 def test_lr_coefficient_equals_the_oracle_on_random_types():
@@ -223,7 +268,7 @@ def test_the_boundary_rhombi_are_checked_on_each_call_values():
     # still count 0
     assert lr_coefficient((1, 1), (1, 1), (2, 2)) == 1
     assert lr_coefficient((1, 1), (1, 1), (3, 1)) == 0
-    assert lr._hives((1, 1), (1, 1), (3, 1)) == ([], 0)
+    assert hive_count((1, 1), (1, 1), (3, 1)) == 0
     assert lr_coefficient((1, 1), (1, 1), (2, 2)) == 1
 
 
@@ -268,4 +313,4 @@ def test_row_pruned_pair_search_equals_the_leaf_checked_search():
     types = random_types(random.Random(12), 300, 5) + random_types(random.Random(13), 40, 6, 2)
     assert any(not leaf_checked_pairs(*t) for t in types)
     for t in types:
-        assert [b.ints for b in lr._standard_pairs(*t)[0]] == leaf_checked_pairs(*t), t
+        assert list(lr._standard_pairs(*t)) == leaf_checked_pairs(*t), t

@@ -57,7 +57,11 @@ MUTANTS = [
      "_rhombus_rules((1, 0), (0, 1))", '_rhombus_rules((1, 0), (0, 1), ("i", "ii"))',
      "test_lr.py"),
     ("the boundary-only rhombi are not checked", "lr.py",
-     "in fixed):\n        return [], 0\n", "in fixed):\n        pass\n", "test_lr.py"),
+     "in fixed):\n        return\n", "in fixed):\n        pass\n", "test_lr.py"),
+    ("the hive search may take one step more than MAX_SEARCH_NODES", "lr.py",
+     "range(MAX_SEARCH_NODES + 1):\n        if k < 0:\n            return\n        if k == len(",
+     "range(MAX_SEARCH_NODES + 2):\n        if k < 0:\n            return\n        if k == len(",
+     "test_lr.py"),
     ("pair search caps a cell below its column mass", "lr.py",
      "ok = x <= row_left and x <= col_left[i]", "ok = x <= row_left and x < col_left[i]",
      "test_lr.py"),
@@ -70,7 +74,7 @@ MUTANTS = [
     ("the oracle starts at the letter below, not above it", "lr.py",
      "x = letters[below[k]]\n", "x = letters[below[k]] - 1\n", "test_lr.py"),
     ("the oracle's bound from the box to the right is off by one", "lr.py",
-     "hi = letters[right[k]]\n", "hi = letters[right[k]] - 1\n", "test_lr.py"),
+     "range(x + 1, letters[right[k]] + 1)", "range(x + 1, letters[right[k]])", "test_lr.py"),
     ("skew tableau containment skips inner parts past the outer shape", "bijections.py",
      "any(inner[len(outer):]) or ", "", "test_validation.py"),
     ("_semistandard allows equal letters in a column", "bijections.py",

@@ -28,7 +28,11 @@ every kind of shape (square, more rows, more columns, 1 x k and k x 1):
   unsorted, negative, Fraction or bool part, with parts of unequal
   lengths, or empty;
 * lr_coefficient and lr_oracle on three larger types, with c = 1,082,
-  2,611 and 303, whose searches run deep (the sizes above are 1 to 6).
+  2,611 and 303, whose searches run deep (the sizes above are 1 to 6);
+* the four LR entry points on the types (2K, K, 0), (2K, K, 0),
+  (3K, 2K, K) for K = 10, 50 and 200, c = K + 1, whose hive search has
+  one interior point taking K + 1 values (lr_oracle on the first two only:
+  at K = 200 it passes MAX_SEARCH_NODES).
 
 The inputs are drawn with REF's package, the reference, and handed to
 both runs as data, so both see the same calls, and a fault in the working
@@ -57,6 +61,8 @@ SHOWN = 300  # characters of each outcome printed on a difference
 DEEP_TYPES = [((15, 12, 5, 2, 1, 0), (15, 10, 6, 2, 2, 1), (23, 20, 13, 8, 4, 3)),
               ((15, 11, 8, 3, 1, 0), (15, 13, 8, 4, 0, 0), (26, 20, 14, 10, 7, 1)),
               ((9, 7, 5, 3, 1, 0, 0), (9, 6, 3, 2, 1, 0, 0), (15, 11, 8, 7, 2, 2, 1))]
+# (lam, mu, nu) with one interior hive point and c = K + 1, drawn last
+ONE_POINT_TYPES = [((2 * k, k, 0), (2 * k, k, 0), (3 * k, 2 * k, k)) for k in (10, 50, 200)]
 
 
 def encode(rows) -> list:
@@ -163,6 +169,9 @@ def cases() -> list:
                 out += [(label, name, encode(t)) for name in LR]
     for k, t in enumerate(DEEP_TYPES):
         out += [(f"deep type {k}", name, encode(t)) for name in LR[:2]]
+    for t in ONE_POINT_TYPES:
+        out += [(f"one-point type, K = {t[1][1]}", name, encode(t)) for name in LR
+                if name != "lr_oracle" or t[1][1] < 200]
     return out
 
 
