@@ -1,5 +1,7 @@
+import inspect
 import json
 import random
+import sys
 import tracemalloc
 from itertools import accumulate
 
@@ -100,6 +102,54 @@ def test_verify_associativity_report():
 def test_padding_is_harmless():
     assert lr_coefficient((2, 1), (2, 1), (3, 2, 1)) == \
         lr_coefficient((2, 1, 0, 0), (2, 1, 0), (3, 2, 1, 0))
+
+
+def nodes_entered(search, backoff, lam, mu, nu):
+    """What search finds on (lam, mu, nu), and the nodes it enters there:
+    run to its end, it backs off each node it entered once, so these are the
+    passes over the line of its source that reads backoff."""
+    code = search.__code__
+    lines, start = inspect.getsourcelines(search)
+    line = start + next(i for i, s in enumerate(lines) if s.strip() == backoff)
+    entered = 0
+
+    def trace(frame, event, arg):
+        nonlocal entered
+        entered += event == "line" and frame.f_lineno == line
+        return trace
+
+    sys.settrace(lambda frame, event, arg: trace if frame.f_code is code else None)
+    try:
+        found = list(search(lam, mu, nu))
+    finally:
+        sys.settrace(None)
+    return found, entered
+
+
+@pytest.mark.parametrize("lam, mu, nu, entered", [
+    ((2, 1, 0), (2, 1, 0), (3, 2, 1), 1),
+    ((3, 2, 1, 0), (2, 2, 1, 0), (5, 3, 2, 1), 4),
+])
+def test_hive_search_enters_a_pinned_number_of_points(lam, mu, nu, entered):
+    # every rhombus bounds the search and nothing checks its leaves, so the
+    # bounds alone decide the output: a bound loosened by one enters more
+    # points or completes fillings that are not hives
+    hives, count = nodes_entered(lr._hives, "tops[k] = None", lam, mu, nu)
+    assert count == entered
+    assert len(hives) == lr_oracle(lam, mu, nu)
+
+
+@pytest.mark.parametrize("lam, mu, nu, entered", [
+    ((2, 1, 0), (2, 1, 0), (3, 2, 1), 11),
+    ((3, 2, 1, 0), (2, 2, 1, 0), (5, 3, 2, 1), 16),
+])
+def test_pair_search_enters_a_pinned_number_of_cells(lam, mu, nu, entered):
+    # both tightness conditions prune as each row closes: a check skipped
+    # or weakened there enters more cells or completes fillings that are
+    # not pairs
+    pairs, count = nodes_entered(lr._standard_pairs, "vals[k] = -1", lam, mu, nu)
+    assert count == entered
+    assert len(pairs) == lr_oracle(lam, mu, nu)
 
 
 def hive_count(*t):
